@@ -29,7 +29,7 @@ config = ExperimentConfig(
     master_seed=29,
     statistics=("T1", "T3", "BDH", "MAX"),
 )
-result = run_experiment(config, threads=4)
+result = run_experiment(config)
 
 written = write_simulation(result, config, outdir)
 manifest_path = write_manifest(outdir, config, written)

@@ -38,7 +38,7 @@ def _add_common(sub):
     )
     sub.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads (affects speed only, never results)",
+        help="ignored: replicates run serially; their stream keys fix the results",
     )
     sub.add_argument(
         "--master-seed", type=int, default=None, help="override master seed"
@@ -110,7 +110,7 @@ def cmd_lemmas(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
-    result = run_experiment(cfg, threads=args.threads)
+    result = run_experiment(cfg)
     outputs = rep.write_simulation(result, cfg, out)
     rep.write_manifest(out, cfg, outputs)
     for name in sorted(outputs):

@@ -14,16 +14,16 @@ the tests.  Two auxiliary statistics ride along: MAX, the normalized
 sample maximum against its Gumbel limit, and BDH, the rescaled uniform
 tail mass n(1-U_{n-k,n})/k which concentrates at 1.
 
-Experiments run replicates in parallel; every replicate owns a dedicated
-counter-based stream and writes into its own slot of a preallocated
-array, so results are byte-identical for any thread count.
+Experiments run replicates serially.  Reproducibility comes from the
+streams, not the schedule: every replicate owns a counter-based stream
+keyed by (master_seed, stream id) and writes into its own slot of a
+preallocated array.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -340,8 +340,7 @@ def summarize_statistic(stat: str, values: np.ndarray, failures: int,
     )
 
 
-def _run_cell(model, n, k, replicates, master_seed, stream_base,
-              statistics, threads):
+def _run_cell(model, n, k, replicates, master_seed, stream_base, statistics):
     cf = cell_functionals(model, n, k)
     need_draw = any(s in statistics for s in ("T1", "T2", "T3", "BDH"))
     need_max = "MAX" in statistics
@@ -349,49 +348,31 @@ def _run_cell(model, n, k, replicates, master_seed, stream_base,
         a_n, b_n = gumbel_norming(model, n)
 
     arrays = {s: np.full(replicates, np.nan) for s in statistics}
-
-    def work(lo, hi):
-        for r in range(lo, hi):
-            if need_draw:
-                draw = draw_top_k(
-                    SeedSpec(master_seed, stream_base + r), n, k, model
-                )
-                if "T1" in arrays:
-                    arrays["T1"][r] = statistic_T1(draw, model, cf)
-                if "T2" in arrays:
-                    arrays["T2"][r] = statistic_T2(draw, model, cf)
-                if "T3" in arrays:
-                    arrays["T3"][r] = statistic_T3(draw, model, cf)
-                if "BDH" in arrays:
-                    arrays["BDH"][r] = balkema_dehaan_stat(draw)
-            if need_max:
-                x = draw_sample_max(
-                    SeedSpec(master_seed, stream_base + replicates + r),
-                    n,
-                    model,
-                )
-                arrays["MAX"][r] = (x - b_n) / a_n
-
-    if threads <= 1:
-        work(0, replicates)
-    else:
-        chunk = max(1, -(-replicates // (threads * 4)))
-        bounds = [
-            (lo, min(lo + chunk, replicates))
-            for lo in range(0, replicates, chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for fut in [pool.submit(work, lo, hi) for lo, hi in bounds]:
-                fut.result()
+    for r in range(replicates):
+        if need_draw:
+            draw = draw_top_k(SeedSpec(master_seed, stream_base + r), n, k, model)
+            if "T1" in arrays:
+                arrays["T1"][r] = statistic_T1(draw, model, cf)
+            if "T2" in arrays:
+                arrays["T2"][r] = statistic_T2(draw, model, cf)
+            if "T3" in arrays:
+                arrays["T3"][r] = statistic_T3(draw, model, cf)
+            if "BDH" in arrays:
+                arrays["BDH"][r] = balkema_dehaan_stat(draw)
+        if need_max:
+            x = draw_sample_max(
+                SeedSpec(master_seed, stream_base + replicates + r), n, model
+            )
+            arrays["MAX"][r] = (x - b_n) / a_n
     return arrays, cf
 
 
-def run_experiment(config, threads: int = 1) -> ExperimentResult:
+def run_experiment(config) -> ExperimentResult:
     """Replicated statistics for every (model, n) cell of the config.
 
     Stream ids are a pure function of the cell's position and the
-    replicate index, never of thread scheduling, so the same config and
-    master seed reproduce identical reports at any parallelism level.
+    replicate index, so the same config and master seed reproduce
+    identical reports.
     Replicates whose statistics come back non-finite are dropped from the
     summaries and counted; more than 0.1% of them aborts the run.
     """
@@ -400,7 +381,6 @@ def run_experiment(config, threads: int = 1) -> ExperimentResult:
     if not isinstance(config, ExperimentConfig):
         raise TypeError("run_experiment expects an ExperimentConfig")
     config.validate()
-    threads = max(1, int(threads))
     result = ExperimentResult()
 
     cell_ordinal = 0
@@ -412,7 +392,7 @@ def run_experiment(config, threads: int = 1) -> ExperimentResult:
             try:
                 arrays, _cf = _run_cell(
                     model, n, k, config.replicates, config.master_seed,
-                    stream_base, config.statistics, threads,
+                    stream_base, config.statistics,
                 )
             except QuadratureError as exc:
                 raise NumericError(
@@ -467,12 +447,7 @@ def _verdict_bdh(summary: StatSummary, k: int, tolerances=None) -> StatSummary:
             failed.append(
                 f"sd {sd:.4g} outside factor {factor:g} of {ref:.4g}"
             )
-    verdict = "pass" if not failed else "fail"
-    return StatSummary(
-        statistic_id=summary.statistic_id, count=summary.count,
-        numeric_failures=summary.numeric_failures, mean=summary.mean,
-        variance=summary.variance, skewness=summary.skewness,
-        excess_kurtosis=summary.excess_kurtosis, ks=summary.ks,
-        ad=summary.ad, target_variance=1.0 / k,
-        verdict=verdict, failed_bounds=tuple(failed),
+    return replace(
+        summary, target_variance=1.0 / k,
+        verdict="pass" if not failed else "fail", failed_bounds=tuple(failed),
     )

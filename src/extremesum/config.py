@@ -28,6 +28,51 @@ _TOP_KEYS = {
 _KRULE_KEYS = {"kind", "coeff", "gamma", "fixed_k"}
 _SGRID_KEYS = {"start", "ratio", "count"}
 
+
+def _is_int(x) -> bool:
+    # bool is an int subclass, but `"replicates": true` is a typo, not 1
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_pair(x) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_number, x))
+
+
+# tolerance key -> (shape test, what the value must be)
+_TOL_SHAPES = {
+    "mean": (_is_pair, "a [lo, hi] pair of numbers"),
+    "var": (_is_pair, "a [lo, hi] pair of numbers"),
+    "ks": (_is_number, "a number"),
+    "sd_factor": (_is_number, "a number"),
+}
+
+
+def _check_tolerances(tolerances) -> None:
+    if not isinstance(tolerances, dict):
+        raise ConfigError("tolerances must be an object")
+    for stat, bounds in tolerances.items():
+        if stat not in STATISTIC_IDS:
+            raise ConfigError(
+                f"unknown statistic {stat!r} in tolerances; "
+                f"allowed: {list(STATISTIC_IDS)}"
+            )
+        if not isinstance(bounds, dict):
+            raise ConfigError(f"tolerances for {stat} must be an object")
+        for key, value in bounds.items():
+            if key not in _TOL_SHAPES:
+                raise ConfigError(
+                    f"unknown tolerance key {stat}.{key}; "
+                    f"allowed: {list(_TOL_SHAPES)}"
+                )
+            ok, want = _TOL_SHAPES[key]
+            if not ok(value):
+                raise ConfigError(f"tolerance {stat}.{key} must be {want}")
+
+
 DEFAULT_S_GRID = SGrid.geometric(0.5, 0.5, 3)
 
 
@@ -56,18 +101,20 @@ class ExperimentConfig:
                 parse_model(desc)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad model descriptor {desc!r}: {exc}") from exc
+        if not _is_int(self.k_rule.fixed_k):
+            raise ConfigError("k_rule.fixed_k must be an integer")
         if not self.n_values:
             raise ConfigError("config needs at least one n value")
         for n in self.n_values:
-            if not isinstance(n, int) or n < 4:
+            if not _is_int(n) or n < 4:
                 raise ConfigError(f"n values must be integers >= 4, got {n!r}")
             try:
                 self.k_rule.resolve(n)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        if not isinstance(self.replicates, int) or self.replicates < 1:
+        if not _is_int(self.replicates) or self.replicates < 1:
             raise ConfigError("replicates must be an integer >= 1")
-        if not isinstance(self.master_seed, int):
+        if not _is_int(self.master_seed):
             raise ConfigError("master_seed must be an integer")
         if not self.statistics:
             raise ConfigError("configure at least one statistic")
@@ -84,8 +131,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown checks {bad}; allowed: {list(DEFAULT_CHECKS)}"
             )
-        if not isinstance(self.tolerances, dict):
-            raise ConfigError("tolerances must be an object")
+        _check_tolerances(self.tolerances)
         return self
 
     def model_objects(self):

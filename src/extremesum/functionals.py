@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import QuadratureError, UnsupportedModelError
 from .models import GUMBEL_DOMAIN, TailModel
-from .quadrature import DEFAULT_REL_TOL, log_interval_quad, semiinf_quad
+from .quadrature import DEFAULT_REL_TOL, log_interval_quad, tail_quad
 
 __all__ = [
     "SGrid",
@@ -106,21 +106,15 @@ def _check_s(s):
 def _scale_ibp(model, s, beta, rel_tol):
     qs = model.tail_quantile(s)
 
-    def g(w):
-        t = s * math.exp(-w)
-        if t <= 0.0:
-            return 0.0
+    def g(w, t):
         return math.exp(-beta * w) * (model.tail_quantile(t) - qs)
 
-    val, err = semiinf_quad(g, rel_tol, what=f"c({s:g},{beta:g}) ibp")
+    val, err = tail_quad(g, s, rel_tol, what=f"c({s:g},{beta:g}) ibp")
     return beta * val, beta * err
 
 
 def _scale_stieltjes(model, s, beta, rel_tol):
-    def g(w):
-        t = s * math.exp(-w)
-        if t <= 0.0:
-            return 0.0
+    def g(w, t):
         with np.errstate(over="ignore"):
             d = float(model.tail_density(t))
         if not math.isfinite(d):
@@ -130,7 +124,7 @@ def _scale_stieltjes(model, s, beta, rel_tol):
             return 0.0
         return math.exp(-beta * w) * t * d
 
-    return semiinf_quad(g, rel_tol, what=f"c({s:g},{beta:g}) stieltjes")
+    return tail_quad(g, s, rel_tol, what=f"c({s:g},{beta:g}) stieltjes")
 
 
 def tail_scale(model: TailModel, s, beta: float = 1.0, method: str = "auto",
@@ -183,13 +177,8 @@ def tail_mean(model: TailModel, s, method: str = "auto",
                     f"mu({s:g}) diverges for {model.describe()}", estimate=val
                 )
     if val is None:
-        def g(w):
-            t = s * math.exp(-w)
-            if t <= 0.0:
-                return 0.0
-            return t * model.tail_quantile(t)
-
-        val, err = semiinf_quad(g, rel_tol, what=f"mu({s:g})")
+        val, err = tail_quad(lambda w, t: t * model.tail_quantile(t), s,
+                             rel_tol, what=f"mu({s:g})")
     return (val, err) if with_error else val
 
 
@@ -218,13 +207,8 @@ def rate_integral(model: TailModel, s, extended: bool = False,
         if closed is not None:
             return (float(closed), 0.0) if with_error else float(closed)
 
-    def g(w):
-        u = s * math.exp(-w)
-        if u <= 0.0:
-            return 0.0
-        return u * float(model.tail_rate(u))
-
-    val, err = semiinf_quad(g, rel_tol, what=f"rho({s:g})")
+    val, err = tail_quad(lambda w, u: u * float(model.tail_rate(u)), s,
+                         rel_tol, what=f"rho({s:g})")
     return (val, err) if with_error else val
 
 
@@ -244,17 +228,14 @@ def tail_variance(model: TailModel, s, method: str = "auto",
                                  with_error=True)
     qs = model.tail_quantile(s)
 
-    def g(w):
-        y = s * math.exp(-w)
-        if y <= 0.0:
-            return 0.0
+    def g(w, y):
         # an inf here is the honest divergence signal (heavy tails), so
         # only the overflow warning is silenced, never the value
         with np.errstate(over="ignore"):
             d = float(model.tail_density(y))
         return y * (y * d) * (model.tail_quantile(y) - qs)
 
-    j2, j2_err = semiinf_quad(g, rel_tol, what=f"sigma2({s:g})")
+    j2, j2_err = tail_quad(g, s, rel_tol, what=f"sigma2({s:g})")
     val = 2.0 * j2 - rho * rho
     err = 2.0 * j2_err + 2.0 * abs(rho) * rho_err
     if not math.isfinite(val):

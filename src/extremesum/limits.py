@@ -196,17 +196,87 @@ def slow_variation_check(f, lam: float, grid: SGrid, tol: float) -> LimitCheckRe
 
 
 # -- default suite ------------------------------------------------------
+#
+# Each check id maps to a function of (model, betas) that returns one
+# (params, run) pair per report row; run() evaluates the row and returns
+# (grid, values, target, note).  run_limit_suite supplies the rest.
 
-DEFAULT_CHECKS = (
-    "domain_ratio",
-    "scale_slow_variation",
-    "representation_residual",
-    "spacing_log_limit",
-    "scale_beta_limit",
-    "variance_scale_limit",
-    "sequence_slowvar_limit",
-    "rate_scale_limit",
-)
+
+def _on_grid(grid, ratio, target):
+    return lambda: (grid.points, tuple(ratio(s) for s in grid.points), target, "")
+
+
+def _fields(rep: LimitCheckReport):
+    return rep.grid, rep.values, rep.target, rep.note
+
+
+def _domain_ratio(model, betas):
+    probe = (4.0, 1.0, 2.0, 1.0)
+    return [(tuple(zip("xzyw", probe)), lambda: _fields(domain_check(model, probe)))]
+
+
+def _scale_slow_variation(model, betas):
+    grid = _default_grid(1e-6)
+
+    def run(beta, lam):
+        # the suite applies its own tolerance; the report's is discarded
+        return lambda: _fields(slow_variation_check(
+            lambda s: tail_scale(model, s, beta=beta), lam, grid, 0.0))
+
+    return [((("beta", beta), ("lam", lam)), run(beta, lam))
+            for beta in (1.0, *betas) for lam in (0.5, 2.0)]
+
+
+def _representation_residual(model, betas):
+    return [((("anchor", 0.25),), _on_grid(
+        SGrid((1e-4,)), lambda s: representation_residual(model, s, anchor=0.25), 0.0))]
+
+
+def _spacing_log_limit(model, betas):
+    return [((("x", 2.0),), _on_grid(
+        _default_grid(1e-8), lambda s: spacing_log_ratio(model, s, 2.0), -math.log(2.0)))]
+
+
+def _scale_beta_limit(model, betas):
+    return [((("beta", b),), _on_grid(
+        _default_grid(1e-6), lambda s, b=b: scale_beta_ratio(model, s, b), 1.0 / b))
+        for b in betas]
+
+
+def _variance_scale_limit(model, betas):
+    return [((), _on_grid(
+        _default_grid(1e-4, count=3), lambda s: variance_scale_ratio(model, s), 1.0))]
+
+
+def _sequence_slowvar_limit(model, betas):
+    # grid s = 1/n for n = 1e2, 1e4, 1e6; each reciprocal round-trips exactly
+    def ratio(s):
+        return sequence_slowvar_ratio(
+            lambda u: tail_scale(model, u), 1.0, lambda m: m**-0.5, 1.0 / s)
+
+    return [((("beta", 1.0),), _on_grid(SGrid((1e-2, 1e-4, 1e-6)), ratio, 0.0))]
+
+
+def _rate_scale_limit(model, betas):
+    # no analytic rate, no quantity to test: the check yields no row
+    if not model.has_tail_rate:
+        return []
+    return [((), _on_grid(
+        _default_grid(1e-6), lambda s: model.tail_rate(s) / tail_scale(model, s), 1.0))]
+
+
+_CHECKS = {
+    "domain_ratio": _domain_ratio,
+    "scale_slow_variation": _scale_slow_variation,
+    "representation_residual": _representation_residual,
+    "spacing_log_limit": _spacing_log_limit,
+    "scale_beta_limit": _scale_beta_limit,
+    "variance_scale_limit": _variance_scale_limit,
+    "sequence_slowvar_limit": _sequence_slowvar_limit,
+    "rate_scale_limit": _rate_scale_limit,
+}
+
+DEFAULT_CHECKS = tuple(_CHECKS)
 
 # Models with elementary closed-form tail functionals converge to their
 # limits exponentially fast in ln(1/s); everything else in the catalog has
@@ -244,33 +314,6 @@ def convergence_class(model: TailModel) -> str:
     return "exact" if base.name in _EXACT_CLASS else "log"
 
 
-def _with_model(report: LimitCheckReport, check_id: str, model: TailModel, extra=()):
-    params = tuple(extra) + report.params
-    return LimitCheckReport(
-        check_id=check_id,
-        model=model.describe(),
-        params=params,
-        grid=report.grid,
-        values=report.values,
-        target=report.target,
-        tolerance=report.tolerance,
-        note=report.note,
-    )
-
-
-def _flagged(check_id, model, params, tol, exc) -> LimitCheckReport:
-    return LimitCheckReport(
-        check_id=check_id,
-        model=model.describe(),
-        params=tuple(params),
-        grid=(),
-        values=(),
-        target=float("nan"),
-        tolerance=float(tol),
-        note=f"evaluation failed: {exc}",
-    )
-
-
 def run_limit_suite(
     model: TailModel,
     checks=DEFAULT_CHECKS,
@@ -285,166 +328,23 @@ def run_limit_suite(
     the rate check is simply skipped for models outside the analytic-rate
     class, because there is no quantity to test.
     """
-    unknown = [c for c in checks if c not in DEFAULT_CHECKS]
+    unknown = [c for c in checks if c not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown check id: {unknown[0]}")
-    cls = convergence_class(model)
-    tol_map = dict(_CLASS_TOL[cls])
+    tol_map = dict(_CLASS_TOL[convergence_class(model)])
     if tolerances:
         tol_map.update(tolerances)
     reports = []
-
     for check in checks:
-        tol = tol_map[check]
-        if check == "domain_ratio":
-            reports.append(domain_check(model, tol=tol))
-        elif check == "scale_slow_variation":
-            grid = _default_grid(1e-6)
-            for beta in (1.0, *betas):
-                for lam in (0.5, 2.0):
-                    params = (("beta", beta), ("lam", lam))
-                    try:
-                        rep = slow_variation_check(
-                            lambda s, b=beta: tail_scale(model, s, beta=b),
-                            lam,
-                            grid,
-                            tol,
-                        )
-                    except (QuadratureError, ValueError) as exc:
-                        reports.append(_flagged(check, model, params, tol, exc))
-                        continue
-                    reports.append(
-                        _with_model(rep, check, model, (("beta", beta),))
-                    )
-        elif check == "representation_residual":
-            params = (("anchor", 0.25),)
+        tol = float(tol_map[check])
+        for params, run in _CHECKS[check](model, betas):
             try:
-                val = representation_residual(model, 1e-4, anchor=0.25)
-            except (QuadratureError, ValueError) as exc:
-                reports.append(_flagged(check, model, params, tol, exc))
-                continue
-            reports.append(
-                LimitCheckReport(
-                    check_id=check,
-                    model=model.describe(),
-                    params=params,
-                    grid=(1e-4,),
-                    values=(val,),
-                    target=0.0,
-                    tolerance=tol,
-                )
-            )
-        elif check == "spacing_log_limit":
-            grid = _default_grid(1e-8)
-            x = 2.0
-            try:
-                vals = tuple(spacing_log_ratio(model, s, x) for s in grid.points)
-            except (QuadratureError, ValueError) as exc:
-                reports.append(_flagged(check, model, (("x", x),), tol, exc))
-                continue
-            reports.append(
-                LimitCheckReport(
-                    check_id=check,
-                    model=model.describe(),
-                    params=(("x", x),),
-                    grid=grid.points,
-                    values=vals,
-                    target=-math.log(x),
-                    tolerance=tol,
-                )
-            )
-        elif check == "scale_beta_limit":
-            grid = _default_grid(1e-6)
-            for beta in betas:
-                params = (("beta", beta),)
-                try:
-                    vals = tuple(
-                        scale_beta_ratio(model, s, beta) for s in grid.points
-                    )
-                except (QuadratureError, ValueError) as exc:
-                    reports.append(_flagged(check, model, params, tol, exc))
-                    continue
-                reports.append(
-                    LimitCheckReport(
-                        check_id=check,
-                        model=model.describe(),
-                        params=params,
-                        grid=grid.points,
-                        values=vals,
-                        target=1.0 / beta,
-                        tolerance=tol,
-                    )
-                )
-        elif check == "variance_scale_limit":
-            grid = _default_grid(1e-4, count=3)
-            try:
-                vals = tuple(
-                    variance_scale_ratio(model, s) for s in grid.points
-                )
-            except (QuadratureError, ValueError) as exc:
-                reports.append(_flagged(check, model, (), tol, exc))
-                continue
-            reports.append(
-                LimitCheckReport(
-                    check_id=check,
-                    model=model.describe(),
-                    params=(),
-                    grid=grid.points,
-                    values=vals,
-                    target=1.0,
-                    tolerance=tol,
-                )
-            )
-        elif check == "sequence_slowvar_limit":
-            ns = (1e2, 1e4, 1e6)
-            params = (("beta", 1.0),)
-            try:
-                vals = tuple(
-                    sequence_slowvar_ratio(
-                        lambda s: tail_scale(model, s),
-                        1.0,
-                        lambda m: m**-0.5,
-                        n,
-                    )
-                    for n in ns
-                )
-            except (QuadratureError, ValueError) as exc:
-                reports.append(_flagged(check, model, params, tol, exc))
-                continue
-            reports.append(
-                LimitCheckReport(
-                    check_id=check,
-                    model=model.describe(),
-                    params=params,
-                    grid=tuple(1.0 / n for n in ns),
-                    values=vals,
-                    target=0.0,
-                    tolerance=tol,
-                )
-            )
-        elif check == "rate_scale_limit":
-            if not model.has_tail_rate:
-                continue
-            grid = _default_grid(1e-6)
-            try:
-                vals = tuple(
-                    model.tail_rate(s) / tail_scale(model, s)
-                    for s in grid.points
-                )
+                grid, values, target, note = run()
             except (QuadratureError, UnsupportedModelError, ValueError) as exc:
-                reports.append(_flagged(check, model, (), tol, exc))
-                continue
-            reports.append(
-                LimitCheckReport(
-                    check_id=check,
-                    model=model.describe(),
-                    params=(),
-                    grid=grid.points,
-                    values=vals,
-                    target=1.0,
-                    tolerance=tol,
-                )
-            )
-        else:
-            raise ValueError(f"unknown check id: {check}")
+                grid, values, target = (), (), math.nan
+                note = f"evaluation failed: {exc}"
+            reports.append(LimitCheckReport(
+                check_id=check, model=model.describe(), params=params, grid=grid,
+                values=values, target=target, tolerance=tol, note=note,
+            ))
     return reports

@@ -61,7 +61,8 @@ def _norm_pdf(x):
 
 def _check_prob(s, name="s"):
     arr = np.asarray(s, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    # written so that NaN fails too: every comparison with NaN is False
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return arr
 

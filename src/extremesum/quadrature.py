@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from .errors import QuadratureError
 
-__all__ = ["DEFAULT_REL_TOL", "semiinf_quad", "log_interval_quad", "tail_integral"]
+__all__ = ["DEFAULT_REL_TOL", "semiinf_quad", "log_interval_quad", "tail_quad"]
 
 DEFAULT_REL_TOL = 1e-11
 
@@ -58,11 +58,12 @@ def log_interval_quad(fn, a, b, rel_tol=DEFAULT_REL_TOL, what="integral"):
     return _run_quad(g, -math.log(b), -math.log(a), rel_tol, what)
 
 
-def tail_integral(fn, s, rel_tol=DEFAULT_REL_TOL, what="tail integral"):
-    """int_0^s fn(t) dt through the substitution t = s e^{-w}.
+def tail_quad(fn, s, rel_tol=DEFAULT_REL_TOL, what="tail integral"):
+    """int_0^inf fn(w, t) dw along the substitution t = s e^{-w}.
 
-    ``fn`` is only evaluated at strictly positive t; underflow past the
-    smallest subnormal contributes exactly zero.
+    ``fn`` sees both coordinates and is only evaluated at strictly
+    positive t; underflow past the smallest subnormal contributes exactly
+    zero.  A tail integral int_0^s f(t) dt is ``fn = lambda w, t: t * f(t)``.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("need 0 < s < 1")
@@ -71,6 +72,6 @@ def tail_integral(fn, s, rel_tol=DEFAULT_REL_TOL, what="tail integral"):
         t = s * math.exp(-w)
         if t <= 0.0:
             return 0.0
-        return t * fn(t)
+        return fn(w, t)
 
-    return _run_quad(g, 0.0, math.inf, rel_tol, what)
+    return semiinf_quad(g, rel_tol, what=what)

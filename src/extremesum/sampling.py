@@ -14,7 +14,7 @@ numerically safe branch for exactly this regime.
 
 Streams: every replicate owns a counter-based generator keyed by
 (master_seed, stream_id), so any subset of replicates can be drawn in any
-order, on any thread, and reproduce bit for bit.
+order and reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -62,17 +62,15 @@ class ReplicateDraw:
     """Top k order statistics of one sample of size n, plus the threshold.
 
     ``top_x`` holds X_{n,n} >= ... >= X_{n-k+1,n}; ``threshold_x`` is
-    X_{n-k,n}.  The uniform layer is kept because several statistics
-    (and tests) want it: ``top_u`` are the order-statistic uniforms and
-    ``top_tail``/``threshold_tail`` their exact tail masses 1 - U.
+    X_{n-k,n}.  The uniform layer is kept as exact tail masses 1 - U
+    (``top_tail``/``threshold_tail``), never as U itself, which would
+    lose the precision described in the module docstring.
     ``clamped`` flags draws that hit the open-interval clamp; they are
     valid but degenerate (probability ~ k * 2^-53 per replicate).
     """
 
     n: int
     k: int
-    top_u: np.ndarray
-    threshold_u: float
     top_tail: np.ndarray
     threshold_tail: float
     top_x: np.ndarray
@@ -107,8 +105,6 @@ def draw_top_k(seed: SeedSpec, n: int, k: int, model: TailModel) -> ReplicateDra
     return ReplicateDraw(
         n=n,
         k=k,
-        top_u=1.0 - tails[:k],
-        threshold_u=float(1.0 - tails[k]),
         top_tail=tails[:k],
         threshold_tail=float(tails[k]),
         top_x=xs[:k],

@@ -162,7 +162,7 @@ def test_criterion_3_negative_controls(capsys):
 
 @pytest.fixture(scope="module")
 def desk_run():
-    """The shared seed-7 cell plus the same cell through the parallel engine."""
+    """The shared seed-7 cell plus the same cell through the experiment engine."""
     model = Exponential(1.0)
     n, k, replicates = 50000, 76, 2000
     cf = cell_functionals(model, n, k)
@@ -182,7 +182,7 @@ def desk_run():
                            replicates=replicates, master_seed=7,
                            statistics=("T1", "T2", "T3", "BDH"))
     t0 = time.perf_counter()
-    res = run_experiment(cfg, threads=4)
+    res = run_experiment(cfg)
     engine_seconds = time.perf_counter() - t0
     engine = {sid: samp.values
               for sid, samp in next(iter(res.samples.values())).items()}
@@ -291,7 +291,7 @@ def test_criterion_8_identity_and_equivariance(desk_run, capsys):
               f"(gap {worst:.1e})")
 
 
-def test_criterion_9_byte_identical_reports(tmp_path, capsys):
+def test_criterion_9_byte_identical_reports(tmp_path, capsys, subprocess_env):
     t0 = time.perf_counter()
     bad = []
     doc = {
@@ -311,7 +311,7 @@ def test_criterion_9_byte_identical_reports(tmp_path, capsys):
             [sys.executable, "-m", "extremesum", "simulate",
              "--config", "cfg.json", "--output-dir", "out",
              "--threads", threads],
-            cwd=cwd, capture_output=True, text=True,
+            cwd=cwd, capture_output=True, text=True, env=subprocess_env,
         )
         codes.append(proc.returncode)
         outputs[sub] = {name: (cwd / "out" / name).read_bytes()

@@ -123,6 +123,45 @@ def test_exit_config_on_bad_override(tmp_path):
     assert main(["simulate", "--config", cfg, "--replicates", "0"]) == 2
 
 
+def test_exit_config_on_malformed_tolerances(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", tolerances={"T1": {"mean": 5}})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "T1.mean" in capsys.readouterr().err
+
+
+def test_exit_config_on_bool_replicates(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", replicates=True)
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "replicates" in capsys.readouterr().err
+
+
+def test_config_tolerance_shape_errors():
+    for tol, match in (
+        ("loose", "must be an object"),
+        ({"T9": {"ks": 0.1}}, "unknown statistic"),
+        ({"T1": 0.1}, "must be an object"),
+        ({"T1": {"median": 0.1}}, "unknown tolerance key"),
+        ({"T1": {"var": [1.0]}}, "pair"),
+        ({"T1": {"var": [1.0, "2"]}}, "pair"),
+        ({"T1": {"ks": [0.1, 0.2]}}, "a number"),
+        ({"BDH": {"sd_factor": True}}, "a number"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(tolerances=tol).validate()
+    ExperimentConfig(tolerances={"BDH": {"mean": (0.5, 1.5), "sd_factor": 3}}).validate()
+
+
+def test_config_rejects_bool_integers():
+    for kwargs in (
+        {"replicates": True},
+        {"master_seed": False},
+        {"n_values": (True,)},
+        {"k_rule": KRule(kind="fixed", fixed_k=True)},
+    ):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**kwargs).validate()
+
+
 def test_exit_numeric_on_divergent_model(tmp_path, capsys):
     # pareto(1) has no finite tail scale: the experiment cannot start
     cfg = _write_config(
@@ -312,7 +351,7 @@ def test_atomic_write_failure_leaves_original(tmp_path):
 # -- end-to-end process -------------------------------------------------
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, subprocess_env):
     cfg = _write_config(tmp_path / "cfg.json", replicates=50, tolerances=_LOOSE)
     proc = subprocess.run(
         [
@@ -322,6 +361,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=subprocess_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "report.json").exists()

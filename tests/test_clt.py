@@ -290,16 +290,6 @@ def test_run_experiment_small_cell():
         assert sample.numeric_failures == 0
 
 
-def test_run_experiment_thread_invariance():
-    cfg = _small_config(replicates=64)
-    r1 = run_experiment(cfg, threads=1)
-    r4 = run_experiment(cfg, threads=4)
-    s1 = r1.samples[("exponential(1)", 2000)]
-    s4 = r4.samples[("exponential(1)", 2000)]
-    for stat in cfg.statistics:
-        assert np.array_equal(s1[stat].values, s4[stat].values)
-
-
 def test_run_experiment_streams_differ_across_cells():
     cfg = _small_config(n_values=(2000, 2500), replicates=32)
     res = run_experiment(cfg)

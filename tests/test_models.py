@@ -114,11 +114,13 @@ def test_extreme_tail_masses_stay_finite():
 
 def test_quantile_rejects_bad_probability():
     m = Exponential()
-    for bad in (0.0, 1.0, -0.2, 1.2):
-        with pytest.raises(ValueError):
-            m.quantile(bad)
-        with pytest.raises(ValueError):
-            m.tail_quantile(bad)
+    for bad in (0.0, 1.0, -0.2, 1.2, math.nan, math.inf, -math.inf):
+        # a scalar, and one bad element inside an otherwise valid array
+        for arg in (bad, np.array([0.1, bad, 0.5])):
+            with pytest.raises(ValueError):
+                m.quantile(arg)
+            with pytest.raises(ValueError):
+                m.tail_quantile(arg)
 
 
 # -- tail rate ----------------------------------------------------------

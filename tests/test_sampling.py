@@ -49,7 +49,7 @@ def test_draw_is_bit_identical_across_calls():
     d1 = draw_top_k(SeedSpec(42, 0), 10, 3, EXP)
     d2 = draw_top_k(SeedSpec(42, 0), 10, 3, EXP)
     assert np.array_equal(d1.top_x, d2.top_x)
-    assert np.array_equal(d1.top_u, d2.top_u)
+    assert np.array_equal(d1.top_tail, d2.top_tail)
     assert d1.threshold_x == d2.threshold_x
     assert d1.threshold_tail == d2.threshold_tail
 
@@ -76,16 +76,12 @@ def test_draw_ordering_and_consistency():
     for stream in range(20):
         d = draw_top_k(SeedSpec(11, stream), 1000, 12, EXP)
         assert d.n == 1000 and d.k == 12
-        assert d.top_x.shape == (12,) and d.top_u.shape == (12,)
+        assert d.top_x.shape == (12,) and d.top_tail.shape == (12,)
         # descending values, ascending tail masses
         assert np.all(np.diff(d.top_x) <= 0)
-        assert np.all(np.diff(d.top_u) <= 0)
         assert np.all(np.diff(d.top_tail) >= 0)
-        assert d.top_u[0] < 1.0
-        assert d.top_u[-1] >= d.threshold_u > 0.0
         assert d.top_x[-1] >= d.threshold_x
         assert d.top_tail[-1] <= d.threshold_tail
-        assert np.allclose(d.top_u, 1.0 - d.top_tail, rtol=0, atol=1e-12)
         assert not d.clamped
         assert np.all(d.top_tail > 0) and d.threshold_tail < 1
 
@@ -119,7 +115,6 @@ def test_forced_boundary_stream_clamps_and_flags(monkeypatch):
     )
     d = draw_top_k(SeedSpec(0, 0), 10, 3, EXP)
     assert d.clamped
-    assert np.all(d.top_u == 1.0 - 2.0**-53)
     assert np.all(d.top_tail == 2.0**-53)
     assert np.isfinite(d.top_x).all()
 
@@ -158,8 +153,10 @@ def test_top_of_two_is_beta_2_1():
     for r in range(200):
         d = draw_top_k(SeedSpec(5, r), 2, 1, EXP)
         v = SeedSpec(5, r).generator().random(2)
-        assert d.top_u[0] == pytest.approx(np.sqrt(v[0]), abs=1e-15)
-        assert d.threshold_u == pytest.approx(np.sqrt(v[0]) * v[1], abs=1e-15)
+        assert 1.0 - d.top_tail[0] == pytest.approx(np.sqrt(v[0]), abs=1e-15)
+        assert 1.0 - d.threshold_tail == pytest.approx(
+            np.sqrt(v[0]) * v[1], abs=1e-15
+        )
 
     v = SeedSpec(5, 10**9).generator().random(10**6)
     vals = np.sqrt(v)
