@@ -127,6 +127,27 @@ def _scale_stieltjes(model, s, beta, rel_tol):
     return tail_quad(g, s, rel_tol, what=f"c({s:g},{beta:g}) stieltjes")
 
 
+def _resolve(model, what, method, with_error, closed, **routes):
+    """Closed form if the model has one, else quadrature.
+
+    ``method="auto"`` takes ``closed()`` unless it returns None, and the
+    first of ``routes`` then; any other method must name a route and
+    forces it.  A route returns (value, error bound); a value that is not
+    finite, closed or not, raises "<what> diverges for <model>".
+    """
+    if method != "auto" and method not in routes:
+        raise ValueError(f"unknown method {method!r}")
+    val = closed() if method == "auto" else None
+    if val is not None:
+        val, err = float(val), 0.0
+    else:
+        val, err = routes[next(iter(routes)) if method == "auto" else method]()
+    if not math.isfinite(val):
+        raise QuadratureError(f"{what} diverges for {model.describe()}",
+                              estimate=val, error_bound=err)
+    return (val, err) if with_error else val
+
+
 def tail_scale(model: TailModel, s, beta: float = 1.0, method: str = "auto",
                rel_tol: float = DEFAULT_REL_TOL, with_error: bool = False):
     """Tail scale c(s, beta); c(s) is the beta = 1 case.
@@ -139,47 +160,21 @@ def tail_scale(model: TailModel, s, beta: float = 1.0, method: str = "auto",
     beta = float(beta)
     if not beta > 0.0:
         raise ValueError("beta must be strictly positive")
-    if method not in ("auto", "ibp", "stieltjes"):
-        raise ValueError(f"unknown method {method!r}")
-
-    val = err = None
-    if method == "auto":
-        closed = model.closed_scale(s, beta)
-        if closed is not None:
-            val, err = float(closed), 0.0
-            if not math.isfinite(val):
-                raise QuadratureError(
-                    f"c({s:g},{beta:g}) diverges for {model.describe()}",
-                    estimate=val,
-                )
-    if val is None:
-        if method == "stieltjes":
-            val, err = _scale_stieltjes(model, s, beta, rel_tol)
-        else:
-            val, err = _scale_ibp(model, s, beta, rel_tol)
-    return (val, err) if with_error else val
+    return _resolve(model, f"c({s:g},{beta:g})", method, with_error,
+                    lambda: model.closed_scale(s, beta),
+                    ibp=lambda: _scale_ibp(model, s, beta, rel_tol),
+                    stieltjes=lambda: _scale_stieltjes(model, s, beta, rel_tol))
 
 
 def tail_mean(model: TailModel, s, method: str = "auto",
               rel_tol: float = DEFAULT_REL_TOL, with_error: bool = False):
     """Mean mass mu(s) = int_{1-s}^1 Q(u) du of the top s fraction."""
     s = _check_s(s)
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-
-    val = err = None
-    if method == "auto":
-        closed = model.closed_mean_mass(s)
-        if closed is not None:
-            val, err = float(closed), 0.0
-            if not math.isfinite(val):
-                raise QuadratureError(
-                    f"mu({s:g}) diverges for {model.describe()}", estimate=val
-                )
-    if val is None:
-        val, err = tail_quad(lambda w, t: t * model.tail_quantile(t), s,
-                             rel_tol, what=f"mu({s:g})")
-    return (val, err) if with_error else val
+    return _resolve(model, f"mu({s:g})", method, with_error,
+                    lambda: model.closed_mean_mass(s),
+                    quadrature=lambda: tail_quad(
+                        lambda w, t: t * model.tail_quantile(t), s, rel_tol,
+                        what=f"mu({s:g})"))
 
 
 def rate_integral(model: TailModel, s, extended: bool = False,
@@ -189,41 +184,28 @@ def rate_integral(model: TailModel, s, extended: bool = False,
 
     Models without an analytic slowly varying rate raise unless
     ``extended`` is set, in which case the identity
-    rho(s) = mu(s) - s Q(1-s) supplies the value.
+    rho(s) = mu(s) - s Q(1-s) supplies the value, with ``method``
+    passed on to the mean mass.
     """
     s = _check_s(s)
-    if not model.has_tail_rate:
-        if not extended:
-            raise UnsupportedModelError(
-                f"{model.describe()} has no analytic tail rate; "
-                "pass extended=True for the mean-mass identity"
-            )
-        mu, mu_err = tail_mean(model, s, rel_tol=rel_tol, with_error=True)
-        val = mu - s * model.tail_quantile(s)
-        return (val, mu_err) if with_error else val
-
-    if method == "auto":
-        closed = model.closed_rate_integral(s)
-        if closed is not None:
-            return (float(closed), 0.0) if with_error else float(closed)
-
-    val, err = tail_quad(lambda w, u: u * float(model.tail_rate(u)), s,
-                         rel_tol, what=f"rho({s:g})")
-    return (val, err) if with_error else val
+    if model.has_tail_rate:
+        return _resolve(model, f"rho({s:g})", method, with_error,
+                        lambda: model.closed_rate_integral(s),
+                        quadrature=lambda: tail_quad(
+                            lambda w, u: u * float(model.tail_rate(u)), s,
+                            rel_tol, what=f"rho({s:g})"))
+    if not extended:
+        raise UnsupportedModelError(
+            f"{model.describe()} has no analytic tail rate; "
+            "pass extended=True for the mean-mass identity"
+        )
+    mu, mu_err = tail_mean(model, s, method=method, rel_tol=rel_tol,
+                           with_error=True)
+    val = mu - s * model.tail_quantile(s)
+    return (val, mu_err) if with_error else val
 
 
-def tail_variance(model: TailModel, s, method: str = "auto",
-                  rel_tol: float = DEFAULT_REL_TOL, with_error: bool = False):
-    """Variance driver sigma2(s) of the extreme-sum limit theorem."""
-    s = _check_s(s)
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method == "auto":
-        closed = model.closed_variance(s)
-        if closed is not None:
-            return (float(closed), 0.0) if with_error else float(closed)
-
+def _variance_quad(model, s, rel_tol):
     rho, rho_err = rate_integral(model, s, extended=True, rel_tol=rel_tol,
                                  with_error=True)
     qs = model.tail_quantile(s)
@@ -236,12 +218,16 @@ def tail_variance(model: TailModel, s, method: str = "auto",
         return y * (y * d) * (model.tail_quantile(y) - qs)
 
     j2, j2_err = tail_quad(g, s, rel_tol, what=f"sigma2({s:g})")
-    val = 2.0 * j2 - rho * rho
-    err = 2.0 * j2_err + 2.0 * abs(rho) * rho_err
-    if not math.isfinite(val):
-        raise QuadratureError(f"sigma2({s:g}) diverges for {model.describe()}",
-                              estimate=val, error_bound=err)
-    return (val, err) if with_error else val
+    return 2.0 * j2 - rho * rho, 2.0 * j2_err + 2.0 * abs(rho) * rho_err
+
+
+def tail_variance(model: TailModel, s, method: str = "auto",
+                  rel_tol: float = DEFAULT_REL_TOL, with_error: bool = False):
+    """Variance driver sigma2(s) of the extreme-sum limit theorem."""
+    s = _check_s(s)
+    return _resolve(model, f"sigma2({s:g})", method, with_error,
+                    lambda: model.closed_variance(s),
+                    quadrature=lambda: _variance_quad(model, s, rel_tol))
 
 
 # -- limit ratios -------------------------------------------------------
@@ -332,13 +318,7 @@ class FunctionalTable:
 
     @property
     def column_order(self):
-        order = ["s", "c"]
-        order += [f"c_beta_{format(b, 'g')}" for b in self.betas]
-        order += ["sigma2", "mu"]
-        if "rho" in self.columns:
-            order.append("rho")
-        order.append("err_max")
-        return order
+        return ["s", *self.columns, "err_max"]
 
     def err_max(self, i: int) -> float:
         errs = [self.errors[name][i] for name in self.errors]
@@ -373,37 +353,23 @@ def build_functional_table(model: TailModel, grid: SGrid, betas=(),
     an infinite error bound; the build itself never aborts.
     """
     betas = tuple(sorted(float(b) for b in betas))
-    columns: dict = {"c": []}
-    errors: dict = {"c": []}
-    for b in betas:
-        columns[f"c_beta_{format(b, 'g')}"] = []
-        errors[f"c_beta_{format(b, 'g')}"] = []
-    for name in ("sigma2", "mu"):
-        columns[name] = []
-        errors[name] = []
+    specs = [("c", tail_scale, ())]
+    specs += [(f"c_beta_{format(b, 'g')}", tail_scale, (b,)) for b in betas]
+    specs += [("sigma2", tail_variance, ()), ("mu", tail_mean, ())]
     if model.has_tail_rate:
-        columns["rho"] = []
-        errors["rho"] = []
+        specs.append(("rho", rate_integral, ()))
+    columns = {name: [] for name, _, _ in specs}
+    errors = {name: [] for name, _, _ in specs}
     notes: list = []
-
-    def entry(name, s, fn):
-        try:
-            val, err = fn()
-        except (QuadratureError, UnsupportedModelError) as exc:
-            notes.append(f"{name} at s={format(s, 'g')}: {exc}")
-            val, err = math.nan, math.inf
-        columns[name].append(val)
-        errors[name].append(err)
-
     for s in grid.points:
-        entry("c", s, lambda: tail_scale(model, s, rel_tol=rel_tol, with_error=True))
-        for b in betas:
-            entry(f"c_beta_{format(b, 'g')}", s,
-                  lambda b=b: tail_scale(model, s, b, rel_tol=rel_tol, with_error=True))
-        entry("sigma2", s, lambda: tail_variance(model, s, rel_tol=rel_tol, with_error=True))
-        entry("mu", s, lambda: tail_mean(model, s, rel_tol=rel_tol, with_error=True))
-        if model.has_tail_rate:
-            entry("rho", s, lambda: rate_integral(model, s, rel_tol=rel_tol, with_error=True))
+        for name, fn, args in specs:
+            try:
+                val, err = fn(model, s, *args, rel_tol=rel_tol, with_error=True)
+            except (QuadratureError, UnsupportedModelError) as exc:
+                notes.append(f"{name} at s={format(s, 'g')}: {exc}")
+                val, err = math.nan, math.inf
+            columns[name].append(val)
+            errors[name].append(err)
 
     return FunctionalTable(model=model, grid=grid, betas=betas,
                            columns=columns, errors=errors, notes=notes)

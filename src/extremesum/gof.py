@@ -19,12 +19,7 @@ def _prepare(sample, target_cdf):
         raise ValueError("sample must be nonempty")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite values")
-    try:
-        f = np.asarray(target_cdf(x), dtype=np.float64)
-    except TypeError:
-        f = None          # scalar-only callable
-    if f is None or f.shape != x.shape:
-        f = np.array([float(target_cdf(v)) for v in x])
+    f = np.asarray(target_cdf(x), dtype=np.float64)
     if np.any(f < -1e-9) or np.any(f > 1.0 + 1e-9):
         raise ValueError("target_cdf returned values outside [0, 1]")
     return x, np.clip(f, 0.0, 1.0)

@@ -99,7 +99,9 @@ CSV_HEADER = (
 
 
 def _default_grid(stop: float, count: int = 5) -> SGrid:
-    # geometric descent ending exactly at `stop`
+    # geometric descent to `stop`, up to rounding: SGrid.geometric builds
+    # start * 0.1**i, so the last point of _default_grid(1e-6) is
+    # 1.0000000000000002e-06, the s_final that limit_checks.csv prints
     start = stop * 10.0 ** (count - 1)
     if start > 0.5:
         raise ValueError("grid start above 1/2; pick a smaller stop or count")

@@ -67,6 +67,19 @@ def _check_prob(s, name="s"):
     return arr
 
 
+def _split_at_half(p, near, far):
+    """near(p) where p <= 1/2 and far(1 - p) elsewhere, as p's shape.
+
+    Each branch sees a 1-d array, possibly empty, of arguments in
+    (0, 1/2] only, where it is accurate; a 0-d p comes back as a float.
+    """
+    lower = p <= 0.5
+    out = np.empty_like(p)
+    out[lower] = near(p[lower])
+    out[~lower] = far(1.0 - p[~lower])
+    return out if out.ndim else float(out)
+
+
 class TailModel:
     """Base class: a distribution seen through its quantile function."""
 
@@ -83,25 +96,13 @@ class TailModel:
         Delegates to the stable tail branch for s > 1/2 so that the tail
         mass 1-s is never formed from a rounded upper probability.
         """
-        arr = _check_prob(s)
-        lower = arr <= 0.5
-        out = np.empty_like(arr)
-        if np.any(lower):
-            out[lower] = self._quantile_lower(arr[lower])
-        if np.any(~lower):
-            out[~lower] = self._tail_quantile_small(1.0 - arr[~lower])
-        return out if out.ndim else float(out)
+        return _split_at_half(_check_prob(s), self._quantile_lower,
+                              self._tail_quantile_small)
 
     def tail_quantile(self, t):
         """Q(1-t) for tail mass t in (0,1), stable as t -> 0."""
-        arr = _check_prob(t, "t")
-        small = arr <= 0.5
-        out = np.empty_like(arr)
-        if np.any(small):
-            out[small] = self._tail_quantile_small(arr[small])
-        if np.any(~small):
-            out[~small] = self._quantile_lower(1.0 - arr[~small])
-        return out if out.ndim else float(out)
+        return _split_at_half(_check_prob(t, "t"), self._tail_quantile_small,
+                              self._quantile_lower)
 
     def _quantile_lower(self, s):
         raise NotImplementedError

@@ -101,7 +101,7 @@ def draw_top_k(seed: SeedSpec, n: int, k: int, model: TailModel) -> ReplicateDra
         raise ValueError("need k < n so the threshold order statistic exists")
     rng = seed.generator()
     tails, clamped = _descending_tails(rng, n, k + 1)
-    xs = np.array([model.tail_quantile(t) for t in tails], dtype=np.float64)
+    xs = model.tail_quantile(tails)
     return ReplicateDraw(
         n=n,
         k=k,

@@ -360,3 +360,29 @@ def test_scale_input_validation():
         tail_scale(m, 0.1, beta=0.0)
     with pytest.raises(ValueError):
         tail_scale(m, 0.1, method="simpson")
+
+
+@pytest.mark.parametrize("functional", [tail_scale, tail_mean, rate_integral,
+                                        tail_variance])
+@pytest.mark.parametrize("model", [Exponential(), Normal()])
+def test_unknown_method_is_rejected(functional, model):
+    kwargs = {"extended": True} if functional is rate_integral else {}
+    with pytest.raises(ValueError, match="unknown method 'simpson'"):
+        functional(model, 0.1, method="simpson", **kwargs)
+
+
+class _NaNClosedForms(Exponential):
+    """Claims closed forms for sigma2 and rho, but they evaluate to NaN."""
+
+    def closed_variance(self, s):
+        return math.nan
+
+    def closed_rate_integral(self, s):
+        return math.nan
+
+
+@pytest.mark.parametrize("functional, what", [(tail_variance, "sigma2"),
+                                              (rate_integral, "rho")])
+def test_non_finite_closed_form_raises(functional, what):
+    with pytest.raises(QuadratureError, match=rf"{what}\(0.1\) diverges for"):
+        functional(_NaNClosedForms(), 0.1)

@@ -69,14 +69,6 @@ def test_far_outlier_is_finite():
     assert a2 > 5.0
 
 
-def test_scalar_cdf_callable():
-    # a cdf that only handles scalars still works through the fallback
-    sample = [0.2, 0.4, 0.6]
-    assert ks_distance(sample, lambda v: float(v)) == pytest.approx(
-        ks_distance(sample, lambda x: np.asarray(x))
-    )
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         ks_distance([], ndtr)

@@ -1,0 +1,48 @@
+"""One quantile path: array calls agree bit for bit with scalar calls.
+
+``quantile`` and ``tail_quantile`` split their argument at 1/2 and send
+each side to the accurate branch; ``draw_top_k`` evaluates all its tail
+masses in one array call.  Both must give exactly the numbers the
+per-element scalar calls give, on both sides of 1/2 and at the clamp
+values 2^-53 and 1 - 2^-53 that sampling can produce.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from extremesum import AffineModel, SeedSpec, catalog, draw_top_k
+
+_TINY = 2.0**-53
+_EDGES = [_TINY, 0.5, float(np.nextafter(0.5, 1.0)), float(np.nextafter(0.5, 0.0)),
+          1.0 - _TINY]
+
+_BASES = [entry.model for entry in catalog()]
+
+models = st.one_of(
+    st.sampled_from(_BASES),
+    st.builds(AffineModel, st.sampled_from(_BASES),
+              st.floats(0.01, 100.0), st.floats(-100.0, 100.0)),
+)
+
+probabilities = st.lists(st.floats(_TINY, 1.0 - _TINY), max_size=20).flatmap(lambda xs: st.permutations(xs + _EDGES)).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models, p=probabilities)
+def test_array_call_equals_scalar_calls(model, p):
+    assert np.array_equal(model.tail_quantile(p),
+                          [model.tail_quantile(float(t)) for t in p])
+    assert np.array_equal(model.quantile(p),
+                          [model.quantile(float(u)) for u in p])
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=models, seed=st.integers(0, 2**64 - 1),
+       n=st.integers(2, 10**9), k=st.integers(1, 200))
+def test_draw_top_k_equals_scalar_tail_quantiles(model, seed, n, k):
+    k = min(k, n - 1)
+    draw = draw_top_k(SeedSpec(seed), n, k, model)
+    assert np.array_equal(draw.top_x,
+                          [model.tail_quantile(float(t)) for t in draw.top_tail])
+    assert draw.threshold_x == model.tail_quantile(draw.threshold_tail)
