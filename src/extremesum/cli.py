@@ -77,6 +77,9 @@ def cmd_functionals(args) -> int:
     rep.write_manifest(out, cfg, outputs)
     for name in outputs:
         print(os.path.join(out, name))
+    for table in tables:
+        for note in table.notes:
+            print(f"{table.model.describe()}: {note}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -27,10 +27,21 @@ The variance driver is evaluated through the exact reduction
 obtained from the symmetric double integral by two integrations by
 parts; q is the density of dQ in the tail coordinate and rho(s) equals
 mu(s) - s Q(1-s) for any differentiable model.
+
+The ibp scale quadrature is memoised: the limit suite asks for c(s,
+beta) at one s from several checks.  ``_scale_ibp`` is a
+``functools.lru_cache`` of its last 4096 (value, error) results, keyed
+on the model object, which hashes and compares by identity (TailModel
+defines no ``__eq__``), and on the exact floats s, beta and rel_tol.
+Models are treated as immutable, and an entry keeps its model alive
+until it is evicted.  A quadrature that raises stores nothing, so the
+next request integrates again and raises the same error.  Closed forms
+and the other routes are not cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -103,6 +114,7 @@ def _check_s(s):
     return s
 
 
+@functools.lru_cache(maxsize=4096)   # see the module docstring
 def _scale_ibp(model, s, beta, rel_tol):
     qs = model.tail_quantile(s)
 

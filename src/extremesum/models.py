@@ -62,7 +62,7 @@ def _norm_pdf(x):
 def _check_prob(s, name="s"):
     arr = np.asarray(s, dtype=float)
     # written so that NaN fails too: every comparison with NaN is False
-    if not np.all((arr > 0.0) & (arr < 1.0)):
+    if not ((arr > 0.0) & (arr < 1.0)).all():
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return arr
 
@@ -71,12 +71,19 @@ def _split_at_half(p, near, far):
     """near(p) where p <= 1/2 and far(1 - p) elsewhere, as p's shape.
 
     Each branch sees a 1-d array, possibly empty, of arguments in
-    (0, 1/2] only, where it is accurate; a 0-d p comes back as a float.
+    (0, 1/2] only, where it is accurate.  When every p <= 1/2 (a scalar tail mass, say) near gets
+    all of p, flattened, and no masks are built.  Never a 0-d array:
+    numpy unwraps it to a scalar, whose arithmetic can differ from the
+    array's in the last bit (x ** 0.5 is pow there, sqrt on an array).
+    A 0-d p comes back as a float.
     """
     lower = p <= 0.5
-    out = np.empty_like(p)
-    out[lower] = near(p[lower])
-    out[~lower] = far(1.0 - p[~lower])
+    if lower.all():
+        out = near(p.ravel()).reshape(p.shape)
+    else:
+        out = np.empty_like(p)
+        out[lower] = near(p[lower])
+        out[~lower] = far(1.0 - p[~lower])
     return out if out.ndim else float(out)
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, manifests, config round trips."""
 
+import io
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ import sys
 
 import pytest
 
-from extremesum import ConfigError, ExperimentConfig, SGrid, KRule
+from extremesum import (ConfigError, ExperimentConfig, KRule, SGrid,
+                        build_functional_table)
 from extremesum.cli import main
 from extremesum.reports import (
     atomic_write_text,
@@ -241,6 +243,26 @@ def test_functionals_pareto_writes_warning(tmp_path):
     assert main(["functionals", "--config", cfg, "--output-dir", str(out)]) == 0
     text = (out / "functionals_pareto_2.csv").read_text()
     assert text.startswith("# warning: pareto(2)")
+
+
+def test_functionals_prints_flagged_entries(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", models=["pareto(2.0)"],
+                        s_grid={"start": 0.1, "ratio": 0.1, "count": 8})
+    out = tmp_path / "tables"
+    assert main(["functionals", "--config", cfg, "--output-dir", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [str(out / "functionals_pareto_2.csv")]
+    flags = captured.err.splitlines()
+    assert len(flags) == 8
+    assert all(line.startswith("pareto(2): sigma2 at s=") for line in flags)
+    assert flags[0] == "pareto(2): sigma2 at s=0.1: sigma2(0.1): integral is not finite"
+    # the notes go to stderr only: the file is the table's own CSV
+    parsed = ExperimentConfig.from_dict(json.loads(open(cfg).read()))
+    table = build_functional_table(parsed.model_objects()[0], parsed.s_grid,
+                                   betas=parsed.betas)
+    buf = io.StringIO()
+    table.to_csv(buf)
+    assert (out / "functionals_pareto_2.csv").read_text() == buf.getvalue()
 
 
 def test_lemmas_empty_checks_header_only(tmp_path):

@@ -21,12 +21,14 @@ from extremesum import (
     build_functional_table,
     rate_integral,
     representation_residual,
+    run_limit_suite,
     sequence_slowvar_ratio,
     spacing_log_ratio,
     tail_mean,
     tail_scale,
     tail_variance,
 )
+from extremesum import quadrature
 
 GUMBEL_MODELS = [
     Exponential(1.0), Gumbel(), Weibull(2.0), Normal(), LogNormal(), Gamma(2.0),
@@ -386,3 +388,73 @@ class _NaNClosedForms(Exponential):
 def test_non_finite_closed_form_raises(functional, what):
     with pytest.raises(QuadratureError, match=rf"{what}\(0.1\) diverges for"):
         functional(_NaNClosedForms(), 0.1)
+
+
+# -- ibp scale cache ----------------------------------------------------
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """Count the QUADPACK calls behind every tail quadrature."""
+    calls = []
+    real = quadrature.semiinf_quad
+
+    def counted(fn, *args, **kwargs):
+        calls.append(kwargs.get("what"))
+        return real(fn, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "semiinf_quad", counted)
+    return calls
+
+
+def _bits(pair):
+    return tuple(float(x).hex() for x in pair)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+@pytest.mark.parametrize("make_model", [Normal, LogNormal, lambda: Gamma(2.0)],
+                         ids=["normal", "lognormal", "gamma2"])
+def test_repeated_scale_integrates_once(quad_calls, make_model, beta):
+    model = make_model()   # a fresh instance: nothing cached for it yet
+
+    def route(**kw):
+        return tail_scale(model, 0.01, beta, with_error=True, **kw)
+
+    first = route()
+    assert quad_calls == [f"c(0.01,{beta:g}) ibp"]
+    assert _bits(route()) == _bits(first)
+    assert _bits(route(method="ibp",
+                       rel_tol=quadrature.DEFAULT_REL_TOL)) == _bits(first)
+    assert len(quad_calls) == 1
+    # the key is exact: another tolerance integrates again
+    route(rel_tol=1e-10)
+    assert len(quad_calls) == 2
+
+
+def test_cache_key_is_exact(quad_calls):
+    a, b = LogNormal(), LogNormal()
+    # equal models give equal bits, whether or not they share an entry
+    assert _bits(tail_scale(a, 0.01, with_error=True)) == \
+        _bits(tail_scale(b, 0.01, with_error=True))
+    calls = len(quad_calls)
+    # the same s reached by another float is another key
+    tail_scale(a, float(np.nextafter(0.01, 1.0)))
+    assert len(quad_calls) == calls + 1
+
+
+def test_failed_quadrature_is_never_cached(quad_calls):
+    model = Pareto(2.0)   # c(s, 1/2) diverges logarithmically
+    messages = []
+    for _ in range(3):
+        with pytest.raises(QuadratureError) as exc:
+            tail_scale(model, 0.1, 0.5, method="ibp")
+        messages.append(str(exc.value))
+    assert messages == [messages[0]] * 3
+    assert messages[0].startswith("c(0.1,0.5) ibp: quadrature did not converge")
+    assert len(quad_calls) == 3
+
+
+def test_limit_suite_repeats_on_one_instance():
+    model = Gamma(2.0)
+    first = [r.row() for r in run_limit_suite(model)]
+    assert [r.row() for r in run_limit_suite(model)] == first

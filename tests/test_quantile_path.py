@@ -4,14 +4,17 @@
 each side to the accurate branch; ``draw_top_k`` evaluates all its tail
 masses in one array call.  Both must give exactly the numbers the
 per-element scalar calls give, on both sides of 1/2 and at the clamp
-values 2^-53 and 1 - 2^-53 that sampling can produce.
+values 2^-53 and 1 - 2^-53 that sampling can produce.  An argument
+wholly in (0, 1/2], a scalar included, goes to the near branch unmasked
+as one 1-d array; it must match the scalar calls, and no result may
+alias its input.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from extremesum import AffineModel, SeedSpec, catalog, draw_top_k
+from extremesum import AffineModel, SeedSpec, Weibull, catalog, draw_top_k
 
 _TINY = 2.0**-53
 _EDGES = [_TINY, 0.5, float(np.nextafter(0.5, 1.0)), float(np.nextafter(0.5, 0.0)),
@@ -35,6 +38,26 @@ def test_array_call_equals_scalar_calls(model, p):
                           [model.tail_quantile(float(t)) for t in p])
     assert np.array_equal(model.quantile(p),
                           [model.quantile(float(u)) for u in p])
+
+
+def _one_sided(lo, hi, **kw):
+    return st.lists(st.floats(lo, hi, **kw), min_size=1, max_size=20).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models, p=st.one_of(_one_sided(_TINY, 0.5),
+                                 _one_sided(0.5, 1.0 - _TINY, exclude_min=True)))
+# a 0-d p would take Weibull(2)'s x ** 0.5 as pow, not sqrt: one ulp off
+@example(model=Weibull(2.0), p=np.array([0.028300802425061087]))
+def test_one_sided_array_equals_scalar_calls(model, p):
+    """Arrays wholly on one side of 1/2: on (0, 1/2] both methods call
+    their near branch on all of p, on (1/2, 1) both take the masked path."""
+    kept = p.copy()
+    for method in (model.tail_quantile, model.quantile):
+        out = method(p)
+        assert np.array_equal(out, [method(float(x)) for x in p])
+        out[...] = 7.0     # the result never aliases the input
+        assert np.array_equal(p, kept)
 
 
 @settings(max_examples=30, deadline=None)
