@@ -68,6 +68,7 @@ from .sampling import (
     ReplicateDraw,
     SeedSpec,
     balkema_dehaan_stat,
+    draw_batch,
     draw_sample_max,
     draw_top_k,
 )
@@ -137,6 +138,7 @@ __all__ = [
     "catalog",
     "cell_functionals",
     "domain_check",
+    "draw_batch",
     "draw_sample_max",
     "draw_top_k",
     "gumbel_cdf",

@@ -14,10 +14,15 @@ the tests.  Two auxiliary statistics ride along: MAX, the normalized
 sample maximum against its Gumbel limit, and BDH, the rescaled uniform
 tail mass n(1-U_{n-k,n})/k which concentrates at 1.
 
-Experiments run replicates serially.  Reproducibility comes from the
-streams, not the schedule: every replicate owns a counter-based stream
-keyed by (master_seed, stream id) and writes into its own slot of a
-preallocated array.
+Experiments draw a cell as a matrix, one replicate per row, in row
+chunks of about 2^14 order statistics so memory stays flat in the number
+of replicates.  Reproducibility comes from the streams, not the schedule:
+every replicate owns a counter-based stream keyed by (master_seed,
+stream id), its row equals the single draw of that stream bit for bit,
+and its statistics land in its own slot of a preallocated array, so the
+chunk size never changes a report byte.  Each statistic is one formula
+evaluated on floats for a single draw and on arrays for a chunk; row sums
+use math.fsum on both paths.
 """
 
 from __future__ import annotations
@@ -31,19 +36,17 @@ from scipy import special
 from .errors import NumericError, QuadratureError
 from .functionals import rate_integral, tail_mean, tail_scale
 from .models import TailModel
-from .sampling import (
-    ReplicateDraw,
-    SeedSpec,
-    balkema_dehaan_stat,
-    draw_sample_max,
-    draw_top_k,
-)
+from .sampling import ReplicateDraw, SeedSpec, _rescaled_threshold_tail, draw_batch
 
 STATISTIC_IDS = ("T1", "T2", "T3", "MAX", "BDH")
 
 # Fraction of replicates allowed to produce non-finite statistics before
 # the experiment is considered numerically broken.
 FAILURE_BUDGET = 0.001
+
+# A cell is drawn in row chunks of about this many order statistics, so
+# its working arrays stay small however many replicates it has.
+_CHUNK_ORDER_STATS = 2**14
 
 
 @dataclass(frozen=True)
@@ -121,25 +124,33 @@ def _functionals_for(draw: ReplicateDraw, model, cf):
     return cf
 
 
+# The statistics as functions of the top-k sum s_k and the threshold x_k,
+# each a float for one draw or an array over a chunk of rows.
+def _t1(s_k, cf: CellFunctionals):
+    return (s_k - cf.n * cf.mean_mass) / (math.sqrt(cf.k) * cf.scale)
+
+
+def _t2(x_k, cf: CellFunctionals):
+    return math.sqrt(cf.k) * (x_k - cf.threshold_q) / cf.scale
+
+
+def _t3(s_k, x_k, cf: CellFunctionals):
+    return (s_k - cf.k * x_k - cf.n * cf.rate_mass) / (math.sqrt(cf.k) * cf.scale)
+
+
 def statistic_T1(draw: ReplicateDraw, model: TailModel, cf: CellFunctionals | None = None) -> float:
     """Normalized centered sum of the top k values; limit N(0, 2)."""
-    cf = _functionals_for(draw, model, cf)
-    s_k = math.fsum(draw.top_x)
-    return (s_k - draw.n * cf.mean_mass) / (math.sqrt(draw.k) * cf.scale)
+    return _t1(math.fsum(draw.top_x), _functionals_for(draw, model, cf))
 
 
 def statistic_T2(draw: ReplicateDraw, model: TailModel, cf: CellFunctionals | None = None) -> float:
     """Normalized intermediate order statistic; limit N(0, 1)."""
-    cf = _functionals_for(draw, model, cf)
-    return math.sqrt(draw.k) * (draw.threshold_x - cf.threshold_q) / cf.scale
+    return _t2(draw.threshold_x, _functionals_for(draw, model, cf))
 
 
 def statistic_T3(draw: ReplicateDraw, model: TailModel, cf: CellFunctionals | None = None) -> float:
     """Normalized sum of excesses over the threshold; limit N(0, 1)."""
-    cf = _functionals_for(draw, model, cf)
-    s_k = math.fsum(draw.top_x)
-    num = s_k - draw.k * draw.threshold_x - draw.n * cf.rate_mass
-    return num / (math.sqrt(draw.k) * cf.scale)
+    return _t3(math.fsum(draw.top_x), draw.threshold_x, _functionals_for(draw, model, cf))
 
 
 def mean_excess(draw: ReplicateDraw) -> float:
@@ -340,30 +351,37 @@ def summarize_statistic(stat: str, values: np.ndarray, failures: int,
     )
 
 
+def _row_chunks(replicates: int, count: int):
+    """(lo, hi) row ranges holding about _CHUNK_ORDER_STATS draws each."""
+    step = max(1, _CHUNK_ORDER_STATS // count)
+    for lo in range(0, replicates, step):
+        yield lo, min(lo + step, replicates)
+
+
 def _run_cell(model, n, k, replicates, master_seed, stream_base, statistics):
     cf = cell_functionals(model, n, k)
-    need_draw = any(s in statistics for s in ("T1", "T2", "T3", "BDH"))
-    need_max = "MAX" in statistics
-    if need_max:
-        a_n, b_n = gumbel_norming(model, n)
-
     arrays = {s: np.full(replicates, np.nan) for s in statistics}
-    for r in range(replicates):
-        if need_draw:
-            draw = draw_top_k(SeedSpec(master_seed, stream_base + r), n, k, model)
-            if "T1" in arrays:
-                arrays["T1"][r] = statistic_T1(draw, model, cf)
-            if "T2" in arrays:
-                arrays["T2"][r] = statistic_T2(draw, model, cf)
-            if "T3" in arrays:
-                arrays["T3"][r] = statistic_T3(draw, model, cf)
-            if "BDH" in arrays:
-                arrays["BDH"][r] = balkema_dehaan_stat(draw)
-        if need_max:
-            x = draw_sample_max(
-                SeedSpec(master_seed, stream_base + replicates + r), n, model
-            )
-            arrays["MAX"][r] = (x - b_n) / a_n
+    if arrays.keys() & {"T1", "T2", "T3", "BDH"}:
+        for lo, hi in _row_chunks(replicates, k + 1):
+            seed = SeedSpec(master_seed, stream_base + lo)
+            tails, xs, _ = draw_batch(seed, hi - lo, n, k + 1, model)
+            # math.fsum as for one draw; np.sum rounds differently
+            s_k = np.array([math.fsum(row) for row in xs[:, :k].tolist()])
+            x_k = xs[:, k]
+            values = {
+                "T1": _t1(s_k, cf),
+                "T2": _t2(x_k, cf),
+                "T3": _t3(s_k, x_k, cf),
+                "BDH": _rescaled_threshold_tail(n, k, tails[:, k]),
+            }
+            for stat in arrays.keys() & values.keys():
+                arrays[stat][lo:hi] = values[stat]
+    if "MAX" in arrays:
+        a_n, b_n = gumbel_norming(model, n)
+        for lo, hi in _row_chunks(replicates, 1):
+            seed = SeedSpec(master_seed, stream_base + replicates + lo)
+            _, xs, _ = draw_batch(seed, hi - lo, n, 1, model)
+            arrays["MAX"][lo:hi] = (xs[:, 0] - b_n) / a_n
     return arrays, cf
 
 

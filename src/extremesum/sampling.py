@@ -12,14 +12,18 @@ sits within 1e-9 of 1 and the naive subtraction would shed half the
 mantissa.  Model values come from tail_quantile(tail mass), which is the
 numerically safe branch for exactly this regime.
 
-Streams: every replicate owns a counter-based generator keyed by
+Streams: every replicate owns a counter-based Philox stream keyed by
 (master_seed, stream_id), so any subset of replicates can be drawn in any
-order and reproduce bit for bit.
+order and reproduce bit for bit.  A batch draws consecutive streams as
+the rows of one matrix from a single Philox that is re-keyed per row,
+with a zero counter and an empty buffer: each row gets exactly the bits
+``SeedSpec(master_seed, stream_id).generator()`` would give, without
+building a generator per stream.  ``draw_top_k`` and ``draw_sample_max``
+are the one-row case of that batch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,6 @@ _MASK64 = (1 << 64) - 1
 # Half-open clamp for degenerate draws: keeps every uniform and tail mass
 # inside the open interval at full double resolution.
 _TINY = 2.0**-53
-_LOG_TINY = math.log(_TINY)
 
 
 @dataclass(frozen=True)
@@ -78,17 +81,54 @@ class ReplicateDraw:
     clamped: bool
 
 
-def _descending_tails(rng, n: int, count: int):
-    """Tail masses 1 - U for the top `count` uniform order statistics."""
-    v = rng.random(count)
-    denom = np.arange(n, n - count, -1, dtype=np.float64)
+def _uniform_rows(seed: SeedSpec, rows: int, count: int) -> np.ndarray:
+    """(rows, count) uniforms; row r is stream ``seed.child(r)``'s first draws."""
+    key = np.array([seed.master_seed, seed.stream_id], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    # A freshly keyed Philox's state (zero counter, empty buffer); only the
+    # key's stream word changes from row to row.
+    state = bitgen.state
+    state["state"]["key"] = key
+    v = np.empty((rows, count))
+    for r in range(rows):
+        key[1] = (seed.stream_id + r) & _MASK64
+        bitgen.state = state
+        gen.random(out=v[r])
+    return v
+
+
+def _descending_tails(v: np.ndarray, n: int):
+    """Tail masses 1 - U of the top order statistics, one sample per row.
+
+    ``v`` is a (rows, count) matrix of iid uniforms; row r becomes the
+    tail masses of the top ``count`` order statistics of its own sample
+    of size n, in ascending order.  Also returns one clamp flag per row.
+    """
+    denom = np.arange(n, n - v.shape[1], -1, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        log_u = np.cumsum(np.log(v) / denom)
+        log_u = np.cumsum(np.log(v) / denom, axis=1)
     tails = -np.expm1(log_u)
-    clamped = bool(np.any(tails < _TINY) or np.any(tails > 1.0 - _TINY))
-    if clamped:
-        np.clip(tails, _TINY, 1.0 - _TINY, out=tails)
+    clamped = ((tails < _TINY) | (tails > 1.0 - _TINY)).any(axis=1)
+    np.clip(tails, _TINY, 1.0 - _TINY, out=tails)
     return tails, clamped
+
+
+def draw_batch(seed: SeedSpec, rows: int, n: int, count: int, model: TailModel):
+    """Top ``count`` order statistics of ``rows`` samples of size n.
+
+    Row r is drawn from stream ``seed.child(r)`` (stream ids wrap mod
+    2^64) and equals the single draw of that stream bit for bit.
+    Returns ``(tails, xs, clamped)``: (rows, count) tail masses in
+    ascending order, their model values in descending order, and one
+    clamp flag per row.
+    """
+    n = int(n)
+    count = int(count)
+    if not 1 <= count <= n:
+        raise ValueError("need 1 <= count <= n order statistics per row")
+    tails, clamped = _descending_tails(_uniform_rows(seed, int(rows), count), n)
+    return tails, model.tail_quantile(tails), clamped
 
 
 def draw_top_k(seed: SeedSpec, n: int, k: int, model: TailModel) -> ReplicateDraw:
@@ -99,17 +139,15 @@ def draw_top_k(seed: SeedSpec, n: int, k: int, model: TailModel) -> ReplicateDra
         raise ValueError("k must be at least 1")
     if k >= n:
         raise ValueError("need k < n so the threshold order statistic exists")
-    rng = seed.generator()
-    tails, clamped = _descending_tails(rng, n, k + 1)
-    xs = model.tail_quantile(tails)
+    tails, xs, clamped = draw_batch(seed, 1, n, k + 1, model)
     return ReplicateDraw(
         n=n,
         k=k,
-        top_tail=tails[:k],
-        threshold_tail=float(tails[k]),
-        top_x=xs[:k],
-        threshold_x=float(xs[k]),
-        clamped=clamped,
+        top_tail=tails[0, :k],
+        threshold_tail=float(tails[0, k]),
+        top_x=xs[0, :k],
+        threshold_x=float(xs[0, k]),
+        clamped=bool(clamped[0]),
     )
 
 
@@ -118,9 +156,13 @@ def draw_sample_max(seed: SeedSpec, n: int, model: TailModel) -> float:
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = seed.generator()
-    tails, _ = _descending_tails(rng, n, 1)
-    return float(model.tail_quantile(tails[0]))
+    _, xs, _ = draw_batch(seed, 1, n, 1, model)
+    return float(xs[0, 0])
+
+
+def _rescaled_threshold_tail(n: int, k: int, threshold_tail):
+    """n(1 - U_{n-k,n})/k for one tail mass or an array of them."""
+    return n * threshold_tail / k
 
 
 def balkema_dehaan_stat(draw: ReplicateDraw) -> float:
@@ -129,4 +171,4 @@ def balkema_dehaan_stat(draw: ReplicateDraw) -> float:
     The uniform tail mass above the threshold order statistic, rescaled by
     n/k.  Its distribution is exactly n/k times a Beta(k+1, n-k) variable.
     """
-    return draw.n * draw.threshold_tail / draw.k
+    return _rescaled_threshold_tail(draw.n, draw.k, draw.threshold_tail)

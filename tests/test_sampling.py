@@ -10,10 +10,12 @@ from extremesum import (
     Exponential,
     SeedSpec,
     balkema_dehaan_stat,
+    draw_batch,
     draw_sample_max,
     draw_top_k,
     ks_distance,
 )
+from extremesum.sampling import _descending_tails, _rescaled_threshold_tail
 
 EXP = Exponential(1.0)
 
@@ -97,34 +99,21 @@ def test_draw_k_validation():
         draw_sample_max(SeedSpec(1), 0, EXP)
 
 
-class _ForcedGenerator:
-    """Stub RNG whose random(count) always returns a fixed value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self, count):
-        return np.full(count, self.value)
-
-
-def test_forced_boundary_stream_clamps_and_flags(monkeypatch):
-    # V = 1 drives every uniform to the upper boundary; the draw must
-    # clamp into the open interval and flag itself rather than emit 1.0
-    monkeypatch.setattr(
-        SeedSpec, "generator", lambda self: _ForcedGenerator(1.0)
-    )
-    d = draw_top_k(SeedSpec(0, 0), 10, 3, EXP)
-    assert d.clamped
-    assert np.all(d.top_tail == 2.0**-53)
-    assert np.isfinite(d.top_x).all()
+def test_forced_boundary_stream_clamps_and_flags():
+    # V = 1 drives every uniform to the upper boundary; the row must
+    # clamp into the open interval and flag itself rather than emit 1.0,
+    # while an ordinary row beside it stays unflagged
+    v = np.vstack([np.full(4, 0.5), np.ones(4)])
+    tails, clamped = _descending_tails(v, 10)
+    assert list(clamped) == [False, True]
+    assert np.all(tails[1, :3] == 2.0**-53)
+    assert np.isfinite(EXP.tail_quantile(tails[1])).all()
 
 
-def test_forced_half_stream_sample_max(monkeypatch):
+def test_forced_half_stream_sample_max():
     # V = 0.5, n = 1: X_{1,1} = Q(0.5) = ln 2 for the unit exponential
-    monkeypatch.setattr(
-        SeedSpec, "generator", lambda self: _ForcedGenerator(0.5)
-    )
-    assert draw_sample_max(SeedSpec(0, 0), 1, EXP) == pytest.approx(
+    tails, _ = _descending_tails(np.full((1, 1), 0.5), 1)
+    assert EXP.tail_quantile(tails)[0, 0] == pytest.approx(
         np.log(2.0), abs=1e-15
     )
 
@@ -166,11 +155,10 @@ def test_top_of_two_is_beta_2_1():
 
 def test_threshold_tail_is_beta_k1_nk():
     # 1 - U_{n-k,n} ~ Beta(k+1, n-k); n = 100, k = 5 -> Beta(6, 95)
+    # streams (31, r) for r < reps, drawn as one batch
     n, k, reps = 100, 5, 10**5
-    tails = np.empty(reps)
-    for r in range(reps):
-        tails[r] = draw_top_k(SeedSpec(31, r), n, k, EXP).threshold_tail
-    d = ks_distance(tails, st.beta(k + 1, n - k).cdf)
+    tails, _, _ = draw_batch(SeedSpec(31, 0), reps, n, k + 1, EXP)
+    d = ks_distance(tails[:, k], st.beta(k + 1, n - k).cdf)
     assert d <= 0.01
 
 
@@ -178,7 +166,7 @@ def test_sample_max_matches_power_law():
     # U_{n,n} ~ u^n; with the uniform "model" layer removed via exponential
     # quantiles, X_{n,n} has cdf exp(-n e^{-x})
     n, reps = 50, 4000
-    xs = np.array([draw_sample_max(SeedSpec(71, r), n, EXP) for r in range(reps)])
+    xs = draw_batch(SeedSpec(71, 0), reps, n, 1, EXP)[1][:, 0]
     d = ks_distance(xs, lambda x: np.exp(-n * np.exp(-np.asarray(x))))
     assert d <= 1.63 / np.sqrt(reps) * 1.5
 
@@ -193,18 +181,16 @@ def test_balkema_dehaan_stat_plugin():
 
 def test_balkema_dehaan_concentrates():
     n, k, reps = 10**6, 100, 400
-    vals = np.array(
-        [balkema_dehaan_stat(draw_top_k(SeedSpec(13, r), n, k, EXP)) for r in range(reps)]
-    )
+    tails, _, _ = draw_batch(SeedSpec(13, 0), reps, n, k + 1, EXP)
+    vals = _rescaled_threshold_tail(n, k, tails[:, k])
     assert abs(vals.mean() - 1.0) < 0.03
     assert abs(vals.std() * np.sqrt(k) - 1.0) < 0.2
 
 
 def test_balkema_dehaan_experiment_cell():
     n, k, reps = 50000, 76, 2000
-    vals = np.array(
-        [balkema_dehaan_stat(draw_top_k(SeedSpec(7, r), n, k, EXP)) for r in range(reps)]
-    )
+    tails, _, _ = draw_batch(SeedSpec(7, 0), reps, n, k + 1, EXP)
+    vals = _rescaled_threshold_tail(n, k, tails[:, k])
     assert 0.9 <= vals.mean() <= 1.1
 
 
@@ -212,7 +198,7 @@ def test_sample_max_gumbel_mean():
     # X_{n,n} - ln n for the unit exponential approaches a Gumbel law
     # whose mean is the Euler constant
     n, reps = 10**5, 2000
-    xs = np.array([draw_sample_max(SeedSpec(7, r), n, EXP) for r in range(reps)])
+    xs = draw_batch(SeedSpec(7, 0), reps, n, 1, EXP)[1][:, 0]
     assert abs((xs - np.log(n)).mean() - np.euler_gamma) < 0.1
 
 
