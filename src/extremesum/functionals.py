@@ -37,6 +37,15 @@ Models are treated as immutable, and an entry keeps its model alive
 until it is evicted.  A quadrature that raises stores nothing, so the
 next request integrates again and raises the same error.  Closed forms
 and the other routes are not cached.
+
+Quadrature integrands are batched (see ``quadrature``): each one gets
+the nodes of one subinterval and makes one array ``tail_quantile`` call
+for all of them, whose values equal the scalar ones bit for bit.  The
+node transforms and the factors exp(-beta w) stay scalar ``math`` calls,
+as does every ``tail_density`` and ``tail_rate`` call: np.exp differs
+from math.exp in the last bit on some doubles, and a scalar Weibull
+density or rate can differ from its array form in the last bit (a numpy
+scalar's ``**`` is C pow, an array's is numpy's own loop).
 """
 
 from __future__ import annotations
@@ -114,27 +123,37 @@ def _check_s(s):
     return s
 
 
+def _quantiles(model, ts):
+    """Q(1-t) at the nodes of one subinterval, in one array call."""
+    return model.tail_quantile(np.array(ts)).tolist()
+
+
+def _densities(model, ts):
+    """q(t) node by node (see the module docstring); only the overflow
+    warning is silenced, never the value."""
+    with np.errstate(over="ignore"):
+        return [float(model.tail_density(t)) for t in ts]
+
+
 @functools.lru_cache(maxsize=4096)   # see the module docstring
 def _scale_ibp(model, s, beta, rel_tol):
     qs = model.tail_quantile(s)
 
-    def g(w, t):
-        return math.exp(-beta * w) * (model.tail_quantile(t) - qs)
+    def g(ws, ts):
+        return [math.exp(-beta * w) * (q - qs)
+                for w, q in zip(ws, _quantiles(model, ts))]
 
     val, err = tail_quad(g, s, rel_tol, what=f"c({s:g},{beta:g}) ibp")
     return beta * val, beta * err
 
 
 def _scale_stieltjes(model, s, beta, rel_tol):
-    def g(w, t):
-        with np.errstate(over="ignore"):
-            d = float(model.tail_density(t))
-        if not math.isfinite(d):
-            # q(t) can exceed double range once t is astronomically small
-            # (heavy-tailed controls); the e^{-beta w} factor has crushed
-            # the true integrand long before that point.
-            return 0.0
-        return math.exp(-beta * w) * t * d
+    def g(ws, ts):
+        # q(t) can exceed double range once t is astronomically small
+        # (heavy-tailed controls); the e^{-beta w} factor has crushed the
+        # true integrand long before that point, so such a node gives 0.
+        return [math.exp(-beta * w) * t * d if math.isfinite(d) else 0.0
+                for w, t, d in zip(ws, ts, _densities(model, ts))]
 
     return tail_quad(g, s, rel_tol, what=f"c({s:g},{beta:g}) stieltjes")
 
@@ -185,8 +204,9 @@ def tail_mean(model: TailModel, s, method: str = "auto",
     return _resolve(model, f"mu({s:g})", method, with_error,
                     lambda: model.closed_mean_mass(s),
                     quadrature=lambda: tail_quad(
-                        lambda w, t: t * model.tail_quantile(t), s, rel_tol,
-                        what=f"mu({s:g})"))
+                        lambda ws, ts: [t * q for t, q in
+                                        zip(ts, _quantiles(model, ts))],
+                        s, rel_tol, what=f"mu({s:g})"))
 
 
 def rate_integral(model: TailModel, s, extended: bool = False,
@@ -204,8 +224,9 @@ def rate_integral(model: TailModel, s, extended: bool = False,
         return _resolve(model, f"rho({s:g})", method, with_error,
                         lambda: model.closed_rate_integral(s),
                         quadrature=lambda: tail_quad(
-                            lambda w, u: u * float(model.tail_rate(u)), s,
-                            rel_tol, what=f"rho({s:g})"))
+                            lambda ws, us: [u * float(model.tail_rate(u))
+                                            for u in us],
+                            s, rel_tol, what=f"rho({s:g})"))
     if not extended:
         raise UnsupportedModelError(
             f"{model.describe()} has no analytic tail rate; "
@@ -222,12 +243,10 @@ def _variance_quad(model, s, rel_tol):
                                  with_error=True)
     qs = model.tail_quantile(s)
 
-    def g(w, y):
-        # an inf here is the honest divergence signal (heavy tails), so
-        # only the overflow warning is silenced, never the value
-        with np.errstate(over="ignore"):
-            d = float(model.tail_density(y))
-        return y * (y * d) * (model.tail_quantile(y) - qs)
+    def g(ws, ys):
+        # an inf density is the honest divergence signal (heavy tails)
+        return [y * (y * d) * (q - qs) for y, d, q in
+                zip(ys, _densities(model, ys), _quantiles(model, ys))]
 
     j2, j2_err = tail_quad(g, s, rel_tol, what=f"sigma2({s:g})")
     return 2.0 * j2 - rho * rho, 2.0 * j2_err + 2.0 * abs(rho) * rho_err
@@ -286,7 +305,7 @@ def representation_residual(model: TailModel, s, anchor: float = 0.25,
         raise ValueError("need s < anchor")
 
     integral, _ = log_interval_quad(
-        lambda u: tail_scale(model, u, rel_tol=rel_tol) / u,
+        lambda us: [tail_scale(model, u, rel_tol=rel_tol) / u for u in us],
         s, anchor, rel_tol=max(rel_tol, 1e-10),
         what=f"int c(u)/u over ({s:g},{anchor:g})",
     )

@@ -5,13 +5,33 @@ integrand that is smooth on a log scale but steep near t = 0.  The
 substitution t = s e^{-w} turns them into semi-infinite integrals with
 exponentially decaying integrands, which the adaptive Gauss-Kronrod
 machinery resolves quickly and with reliable error estimates.
+
+The machinery is QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber and
+Kahaner, 1983), ported operation for operation from its Fortran:
+
+* QAGI with the 15-point rule QK15I on (0, 1), after x = 1/(1 + w), for
+  ``semiinf_quad`` and ``tail_quad``;
+* QAGS with the 21-point rule QK21 for ``log_interval_quad``;
+* one shared bisection driver with QPSRT (error-ordered interval list)
+  and QELG (the epsilon algorithm that extrapolates the partial sums).
+
+Every value, error bound and warning is bit-identical to
+``scipy.integrate.quad`` at the arguments used here (epsabs 1e-290,
+limit 200); ``tests/test_quadpack.py`` checks that against scipy.  To stay
+so, the arithmetic keeps QUADPACK's order of operations and summation,
+its NaN behaviour (a Fortran ``if (a .le. b) goto`` reads ``not a <= b``
+where the branch matters), C's ``fmax``/``fmin`` and C's IEEE results
+where Python would raise (a division by zero, an overflowing power).
+
+Integrands are batched: ``fn`` receives the 15 or 21 nodes of one
+subinterval as a list and returns their values as a sequence of floats,
+so a model is called once per subinterval, not once per node.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.integrate import quad
+import sys
 
 from .errors import QuadratureError
 
@@ -22,56 +42,450 @@ DEFAULT_REL_TOL = 1e-11
 # QUADPACK is asked for pure relative accuracy; the absolute floor only
 # protects integrals that are themselves denormal-small.
 _ABS_FLOOR = 1e-290
+_LIMIT = 200
+
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+_OFLOW = sys.float_info.max
+
+# First lines of scipy's messages for QUADPACK's ier codes.
+_MESSAGES = {
+    1: "The maximum number of subdivisions ({limit}) has been achieved.",
+    2: "The occurrence of roundoff error is detected, which prevents ",
+    3: "Extremely bad integrand behavior occurs at some points of the",
+    4: "The algorithm does not converge.  Roundoff error is detected",
+    5: "The integral is probably divergent, or slowly convergent.",
+}
+
+# Gauss-Kronrod tables, outermost node first and the centre last.  A
+# None Gauss weight marks a Kronrod-only node; QK15I keeps its zeros.
+_XGK15 = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+          0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+          0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+          0.207784955007898467600689403773245)
+_WGK15 = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+          0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+          0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+          0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG15 = (0.0, 0.129484966168869693270611432679082, 0.0,
+         0.279705391489276667901467771423780, 0.0,
+         0.381830050505118944950369775488975, 0.0,
+         0.417959183673469387755102040816327)
+_XGK21 = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+          0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+          0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+          0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+          0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK21 = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+          0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+          0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+          0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+          0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+          0.149445554002916905664936468389821)
+_WG21 = (None, 0.066671344308688137593568809893332,
+         None, 0.149451349150580593145776339657697,
+         None, 0.219086362515982043995534934228163,
+         None, 0.269266719309996355091226921569469,
+         None, 0.295524224714752870173892994651338, None)
 
 
-def _run_quad(fn, lo, hi, rel_tol, what):
-    out = quad(fn, lo, hi, epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=200, full_output=1)
-    value, abserr = out[0], out[1]
-    if len(out) > 3:
-        # QUADPACK attached a warning message: accuracy not certified.
+def _fmax(a, b):
+    """C fmax: a NaN argument loses to the other."""
+    return a if a >= b or b != b else b
+
+
+def _div(a, b):
+    """a / b with the IEEE result where Python raises ZeroDivisionError."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a != a or a == 0.0:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _nodes(a, b, xgk):
+    """The centre of (a, b), then the pair centre -/+ half-length * x_j."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    xs = [centr]
+    for x in xgk:
+        absc = hlgth * x
+        xs += (centr - absc, centr + absc)
+    return xs, hlgth
+
+
+def _kronrod(fv, hlgth, wgk, wg, order):
+    """QUADPACK's Kronrod and Gauss sums and error estimate over the values
+    fv laid out as ``_nodes``; sums run over the pairs in ``order``.
+
+    Returns (result, abserr, resabs, resasc).
+    """
+    fc = fv[0]
+    resg = 0.0 if wg[-1] is None else wg[-1] * fc
+    resk = wgk[-1] * fc
+    resabs = abs(resk)
+    for j in order:
+        fval1, fval2 = fv[2 * j + 1], fv[2 * j + 2]
+        fsum = fval1 + fval2
+        if wg[j] is not None:
+            resg = resg + wg[j] * fsum
+        resk = resk + wgk[j] * fsum
+        resabs = resabs + wgk[j] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = wgk[-1] * abs(fc - reskh)
+    for j in range(len(order)):
+        resasc = resasc + wgk[j] * (abs(fv[2 * j + 1] - reskh) + abs(fv[2 * j + 2] - reskh))
+    dhlgth = abs(hlgth)
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        r = 200.0 * abserr / resasc
+        # fmin(1, pow(r, 1.5)); NaN gives 1 and r >= 1 cannot overflow
+        abserr = resasc * (r**1.5 if r < 1.0 else 1.0)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = _fmax(_EPMACH * 50.0 * resabs, abserr)
+    return resk * hlgth, abserr, resabs, resasc
+
+
+def _values(fn, nodes):
+    return [float(v) for v in fn(nodes)]
+
+
+def _qk15i(fn, a, b):
+    """QK15I on (a, b) within (0, 1) for int_0^inf, w = (1 - x)/x."""
+    xs, hlgth = _nodes(a, b, _XGK15)
+    fv = _values(fn, [(1.0 - x) / x for x in xs])
+    return _kronrod([(f / x) / x for f, x in zip(fv, xs)], hlgth,
+                    _WGK15, _WG15, range(7))
+
+
+def _qk21(fn, a, b):
+    """QK21 on (a, b): Gauss nodes summed first, then the Kronrod-only ones."""
+    xs, hlgth = _nodes(a, b, _XGK21)
+    return _kronrod(_values(fn, xs), hlgth, _WGK21, _WG21,
+                    (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
+
+
+def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
+    """Keep iord descending in error; returns (maxerr, errmax, nrmax)."""
+    if not last > 2:
+        iord[1], iord[2] = 1, 2
+    else:
+        errmax = elist[maxerr]
+        for _ in range(nrmax - 1):
+            isucc = iord[nrmax - 1]
+            if errmax <= elist[isucc]:
+                break
+            iord[nrmax] = isucc
+            nrmax -= 1
+        jupbn = limit + 3 - last if last > limit // 2 + 2 else last
+        errmin = elist[last]
+        jbnd = jupbn - 1
+        for i in range(nrmax + 1, jbnd + 1):
+            isucc = iord[i]
+            if errmax >= elist[isucc]:
+                iord[i - 1] = maxerr
+                k = jbnd
+                for _ in range(i, jbnd + 1):
+                    isucc = iord[k]
+                    if errmin < elist[isucc]:
+                        iord[k + 1] = last
+                        break
+                    iord[k + 1] = isucc
+                    k -= 1
+                else:
+                    iord[i] = last
+                break
+            iord[i - 1] = isucc
+        else:
+            iord[jbnd] = maxerr
+            iord[jupbn] = last
+    maxerr = iord[nrmax]
+    return maxerr, elist[maxerr], nrmax
+
+
+def _qelg(n, epstab, res3la, nres):
+    """Epsilon algorithm on epstab[1..n]; returns (n, result, abserr, nres)."""
+    nres += 1
+    abserr = _OFLOW
+    result = epstab[n]
+    if n >= 3:
+        epstab[n + 2] = epstab[n]
+        newelm = (n - 1) // 2
+        epstab[n] = _OFLOW
+        num = k1 = n
+        for i in range(1, newelm + 1):
+            res = epstab[k1 + 2]
+            e0, e1, e2 = epstab[k1 - 2], epstab[k1 - 1], res
+            e1abs = abs(e1)
+            delta2 = e2 - e1
+            err2 = abs(delta2)
+            tol2 = _fmax(abs(e2), e1abs) * _EPMACH
+            delta3 = e1 - e0
+            err3 = abs(delta3)
+            tol3 = _fmax(e1abs, abs(e0)) * _EPMACH
+            if not (err2 > tol2 or err3 > tol3):
+                # e0, e1 and e2 agree to machine accuracy: converged
+                return n, res, _fmax(err2 + err3, 5.0 * _EPMACH * abs(res)), nres
+            e3 = epstab[k1]
+            epstab[k1] = e1
+            delta1 = e1 - e3
+            err1 = abs(delta1)
+            tol1 = _fmax(e1abs, abs(e3)) * _EPMACH
+            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+                n = i + i - 1
+                break
+            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+            if not abs(ss * e1) > 1e-4:
+                n = i + i - 1
+                break
+            res = e1 + 1.0 / ss
+            epstab[k1] = res
+            k1 -= 2
+            error = err2 + abs(res - e2) + err3
+            if not error > abserr:
+                abserr = error
+                result = res
+        if n == 50:   # the table keeps at most limexp = 50 elements
+            n = 49
+        ib = 2 if num % 2 == 0 else 1
+        for _ in range(newelm + 1):
+            epstab[ib] = epstab[ib + 2]
+            ib += 2
+        if num != n:
+            epstab[1:n + 1] = epstab[num - n + 1:num + 1]
+        if nres < 4:
+            res3la[nres] = result
+            abserr = _OFLOW
+        else:
+            abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
+                      + abs(result - res3la[1]))
+            res3la[1:4] = res3la[2], res3la[3], result
+    return n, result, _fmax(abserr, 5.0 * _EPMACH * abs(result)), nres
+
+
+def _adapt(rule, fn, a, b, epsrel, limit=_LIMIT):
+    """QAGSE / QAGIE: (result, abserr, ier, last) of int_a^b by ``rule``.
+
+    Lists are 1-based as in the Fortran; ier is the user-facing code.
+    """
+    epsabs = _ABS_FLOOR
+    alist, blist = [0.0] * (limit + 1), [0.0] * (limit + 1)
+    rlist, elist = [0.0] * (limit + 1), [0.0] * (limit + 1)
+    iord = [0] * (limit + 1)
+    alist[1], blist[1] = a, b
+    ier = 0
+    result, abserr, defabs, resabs = rule(fn, a, b)
+    dres = abs(result)
+    errbnd = _fmax(epsabs, epsrel * dres)
+    last = 1
+    rlist[1], elist[1], iord[1] = result, abserr, 1
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return result, abserr, ier, last
+
+    rlist2, res3la = [0.0] * 53, [0.0] * 4
+    rlist2[1] = result
+    errmax, maxerr, area, errsum, abserr = abserr, 1, result, abserr, _OFLOW
+    nrmax, nres, numrl2, ktmin = 1, 0, 2, 0
+    extrap = noext = False
+    ierro = iroff1 = iroff2 = iroff3 = 0
+    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
+    small = erlarg = ertest = correc = 0.0
+    tail = "check"   # where the loop leaves to: "check" or "sum"
+    for last in range(2, limit + 1):
+        # bisect the subinterval with the nrmax-th largest error estimate
+        a1, b2 = alist[maxerr], blist[maxerr]
+        b1 = a2 = 0.5 * (alist[maxerr] + blist[maxerr])
+        erlast = errmax
+        area1, error1, _, defab1 = rule(fn, a1, b1)
+        area2, error2, _, defab2 = rule(fn, a2, b2)
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if not (defab1 == error1 or defab2 == error2):
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
+                    or erro12 < 0.99 * errmax):
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        rlist[maxerr], rlist[last] = area1, area2
+        errbnd = _fmax(epsabs, epsrel * abs(area))
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if _fmax(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+        if error2 > error1:
+            alist[maxerr], alist[last], blist[last] = a2, a1, b1
+            rlist[maxerr], rlist[last] = area2, area1
+            elist[maxerr], elist[last] = error2, error1
+        else:
+            alist[last], blist[maxerr], blist[last] = a2, b1, b2
+            elist[maxerr], elist[last] = error1, error2
+        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        if errsum <= errbnd:
+            tail = "sum"
+            break
+        if ier != 0:
+            break
+        if last == 2:
+            small = abs(b - a) * 0.375
+            erlarg, ertest, rlist2[2] = errsum, errbnd, area
+            continue
+        if noext:
+            continue
+        erlarg = erlarg - erlast
+        if abs(b1 - a1) > small:
+            erlarg = erlarg + erro12
+        if not extrap:
+            # is the interval to be bisected next the smallest one?
+            if abs(blist[maxerr] - alist[maxerr]) > small:
+                continue
+            extrap = True
+            nrmax = 2
+        if not (ierro == 3 or erlarg <= ertest):
+            # the smallest interval has the largest error: bisect the
+            # larger ones first while their errors dominate
+            jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
+            larger = False
+            for _ in range(nrmax, jupbnd + 1):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                larger = abs(blist[maxerr] - alist[maxerr]) > small
+                if larger:
+                    break
+                nrmax += 1
+            if larger:
+                continue
+        # extrapolate
+        numrl2 += 1
+        rlist2[numrl2] = area
+        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+        ktmin += 1
+        if ktmin > 5 and abserr < 1e-3 * errsum:
+            ier = 5
+        if not abseps >= abserr:
+            ktmin = 0
+            abserr, result, correc = abseps, reseps, erlarg
+            ertest = _fmax(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
+                break
+        # prepare bisection of the smallest interval
+        if numrl2 == 1:
+            noext = True
+        if ier == 5:
+            break
+        maxerr = iord[1]
+        errmax = elist[maxerr]
+        nrmax = 1
+        extrap = False
+        small = small * 0.5
+        erlarg = errsum
+
+    if tail == "check":
+        # set the final result and error estimate
+        if abserr == _OFLOW:
+            tail = "sum"
+        elif ier + ierro != 0:
+            if ierro == 3:
+                abserr = abserr + correc
+            if ier == 0:
+                ier = 3
+            if result != 0.0 and area != 0.0:
+                if abserr / abs(result) > errsum / abs(area):
+                    tail = "sum"
+            elif abserr > errsum:
+                tail = "sum"
+            elif area == 0.0:
+                tail = "done"
+    if tail == "check":
+        # test on divergence
+        if not (ksgn == -1 and _fmax(abs(result), abs(area)) <= defabs * 0.01):
+            ratio = _div(result, area)
+            if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
+                ier = 6
+    elif tail == "sum":
+        result = 0.0
+        for k in range(1, last + 1):
+            result = result + rlist[k]
+        abserr = errsum
+    return result, abserr, ier - 1 if ier > 2 else ier, last
+
+
+def _run_quad(rule, fn, lo, hi, rel_tol, what):
+    value, abserr, ier, _ = _adapt(rule, fn, lo, hi, rel_tol)
+    if ier:
+        # QUADPACK attached a warning: accuracy not certified.
         tol = max(_ABS_FLOOR, rel_tol * abs(value))
         if not math.isfinite(value) or abserr > 100.0 * tol:
             raise QuadratureError(
-                f"{what}: quadrature did not converge ({out[3].splitlines()[0]})",
+                f"{what}: quadrature did not converge "
+                f"({_MESSAGES[ier].format(limit=_LIMIT)})",
                 estimate=value,
                 error_bound=abserr,
             )
     if not math.isfinite(value):
         raise QuadratureError(f"{what}: integral is not finite", estimate=value)
-    return float(value), float(abserr)
+    return value, abserr
 
 
 def semiinf_quad(fn, rel_tol=DEFAULT_REL_TOL, what="integral"):
-    """int_0^inf fn(w) dw with error estimate; raises QuadratureError on failure."""
-    return _run_quad(fn, 0.0, math.inf, rel_tol, what)
+    """int_0^inf fn(w) dw with error estimate; raises QuadratureError on failure.
+
+    ``fn`` maps a list of nodes w to their values (QAGI).
+    """
+    return _run_quad(_qk15i, fn, 0.0, 1.0, rel_tol, what)
 
 
 def log_interval_quad(fn, a, b, rel_tol=DEFAULT_REL_TOL, what="integral"):
-    """int_a^b fn(u) du for 0 < a < b < 1, integrated on the log scale u = e^{-y}."""
+    """int_a^b fn(u) du for 0 < a < b < 1, integrated on the log scale u = e^{-y}.
+
+    ``fn`` maps a list of nodes u to their values (QAGS).
+    """
     if not 0.0 < a < b < 1.0:
         raise ValueError("need 0 < a < b < 1")
 
-    def g(y):
-        u = math.exp(-y)
-        return u * fn(u)
+    def g(ys):
+        us = [math.exp(-y) for y in ys]
+        return [u * v for u, v in zip(us, fn(us))]
 
-    return _run_quad(g, -math.log(b), -math.log(a), rel_tol, what)
+    return _run_quad(_qk21, g, -math.log(b), -math.log(a), rel_tol, what)
 
 
 def tail_quad(fn, s, rel_tol=DEFAULT_REL_TOL, what="tail integral"):
     """int_0^inf fn(w, t) dw along the substitution t = s e^{-w}.
 
-    ``fn`` sees both coordinates and is only evaluated at strictly
-    positive t; underflow past the smallest subnormal contributes exactly
-    zero.  A tail integral int_0^s f(t) dt is ``fn = lambda w, t: t * f(t)``.
+    ``fn(ws, ts)`` gets the nodes of one subinterval as two lists and
+    returns their values; it only ever sees strictly positive t.  A node
+    where t underflows past the smallest subnormal contributes exactly
+    zero.  A tail integral int_0^s f(t) dt is ``fn = t * f(t)`` per node.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("need 0 < s < 1")
 
-    def g(w):
-        t = s * math.exp(-w)
-        if t <= 0.0:
-            return 0.0
-        return fn(w, t)
+    def g(ws):
+        ts = [s * math.exp(-w) for w in ws]
+        if 0.0 not in ts:
+            return fn(ws, ts)
+        live = [i for i, t in enumerate(ts) if t > 0.0]
+        out = [0.0] * len(ts)
+        if live:
+            vals = fn([ws[i] for i in live], [ts[i] for i in live])
+            for i, v in zip(live, vals):
+                out[i] = v
+        return out
 
     return semiinf_quad(g, rel_tol, what=what)

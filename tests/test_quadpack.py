@@ -1,0 +1,180 @@
+"""The QUADPACK port in ``quadrature`` against ``scipy.integrate.quad``.
+
+scipy is the reference here and only here: the package never imports
+``scipy.integrate``.  Each comparison asserts the same value bits, the
+same error-bound bits, the same subinterval count and the same first
+line of scipy's warning message, at the package's epsabs and on the
+rule the port uses (QAGI on (0, inf), QAGS on a finite interval).
+"""
+
+import math
+import subprocess
+import sys
+import warnings
+
+import pytest
+from scipy.integrate import quad
+
+from extremesum import (
+    SGrid,
+    build_functional_table,
+    catalog,
+    functionals,
+    quadrature,
+    rate_integral,
+    run_limit_suite,
+    tail_mean,
+    tail_scale,
+)
+from extremesum.errors import QuadratureError
+
+
+def _port(rule, fn, a, b, epsrel, limit):
+    value, abserr, ier, last = quadrature._adapt(rule, fn, a, b, epsrel, limit)
+    message = quadrature._MESSAGES[ier].format(limit=limit) if ier else None
+    return float(value).hex(), float(abserr).hex(), message, last
+
+
+def _scipy(rule, fn, a, b, epsrel, limit):
+    lo, hi = (0.0, math.inf) if rule is quadrature._qk15i else (a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = quad(lambda x: fn([x])[0], lo, hi, epsabs=quadrature._ABS_FLOOR,
+                   epsrel=epsrel, limit=limit, full_output=1)
+    message = out[3].splitlines()[0] if len(out) > 3 else None
+    return float(out[0]).hex(), float(out[1]).hex(), message, out[2]["last"]
+
+
+# -- every quadrature of the catalog limit suite and tables --------------
+
+
+@pytest.fixture(scope="module")
+def catalog_quadratures():
+    """(what, rule, fn, a, b, rel_tol) of every quadrature that the limit
+    suite and the functional tables run over the catalog, plus the routes
+    neither of them takes there: the stieltjes cross-check, and the mean
+    mass and rate integral by quadrature (the catalog has them closed)."""
+    calls = []
+    real = quadrature._run_quad
+
+    def recording(rule, fn, lo, hi, rel_tol, what):
+        calls.append((what, rule, fn, lo, hi, rel_tol))
+        return real(rule, fn, lo, hi, rel_tol, what)
+
+    functionals._scale_ibp.cache_clear()   # so no quadrature is skipped
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(quadrature, "_run_quad", recording)
+        warnings.simplefilter("ignore")
+        grid = SGrid.geometric(0.1, 0.1, 8)
+        for entry in catalog():
+            model = entry.model
+            run_limit_suite(model, betas=(1.0, 2.0))
+            build_functional_table(model, grid, betas=(1.0, 2.0))
+            for s in (0.1, 1e-4, 1e-8):
+                forced = [lambda: tail_mean(model, s, method="quadrature")]
+                if model.has_tail_rate:
+                    forced.append(lambda: rate_integral(model, s, method="quadrature"))
+                forced += [lambda b=b: tail_scale(model, s, b, method="stieltjes")
+                           for b in (1.0, 2.0)]
+                for route in forced:
+                    try:
+                        route()
+                    except QuadratureError:
+                        pass
+    return calls
+
+
+def test_catalog_quadratures_cover_every_route(catalog_quadratures):
+    labels = [what for what, *_ in catalog_quadratures]
+    for route in ("ibp", "stieltjes", "mu(", "sigma2(", "rho(", "int c(u)/u"):
+        assert any(route in what for what in labels), route
+    assert len(labels) > 400
+
+
+def test_catalog_quadratures_match_scipy(catalog_quadratures):
+    mismatches = []
+    for what, rule, fn, lo, hi, rel_tol in catalog_quadratures:
+        args = (rule, fn, lo, hi, rel_tol, quadrature._LIMIT)
+        port, ref = _port(*args), _scipy(*args)
+        if port != ref:
+            mismatches.append((what, port, ref))
+    assert mismatches == []
+
+
+# -- a synthetic battery that reaches every warning ----------------------
+
+
+def _pole(x, at):
+    return math.inf if x == at else 1.0 / (x - at)
+
+
+_QAGI_BATTERY = {
+    "exp": lambda w: math.exp(-w),
+    "slow": lambda w: (1.0 + w) ** -1.01,
+    "oscillating": lambda w: math.sin(w) * math.exp(-0.1 * w),
+    "step": lambda w: (1.0 if w < math.pi else 0.5) * math.exp(-w),
+    "divergent-linear": lambda w: w,
+    "principal-value": lambda w: _pole(w, 2.0) * math.exp(-w),
+    "abs-pole": lambda w: abs(_pole(w, 2.0)) * math.exp(-w),
+    "near-1/w": lambda w: w ** -0.999 * math.exp(-w) if w else math.inf,
+    "nan": lambda w: math.nan,
+    "nan-patch": lambda w: math.nan if 0.5 < w < 0.6 else math.exp(-w),
+    "inf": lambda w: math.inf,
+    "zero": lambda w: 0.0,
+}
+_QAGS_BATTERY = {
+    "cubic": lambda x: x**3 - x,
+    "sqrt-singular": lambda x: abs(x) ** -0.5 if x else math.inf,
+    "log-singular": lambda x: math.log(abs(x)) if x else -math.inf,
+    "oscillating": lambda x: math.sin(50.0 * x),
+    "principal-value": lambda x: _pole(x, 0.3),
+    "abs-pole": lambda x: abs(_pole(x, 0.3)),
+    "near-1/x": lambda x: abs(x) ** -0.9999 if x else math.inf,
+    "nan": lambda x: math.nan,
+    "inf": lambda x: math.inf,
+    "zero": lambda x: 0.0,
+}
+_TOLERANCES = [(epsrel, limit) for epsrel in (1e-11, 1e-8, 1e-4)
+               for limit in (1, 3, 10, 200)]
+
+
+def _battery():
+    for name, f in _QAGI_BATTERY.items():
+        yield f"qagi-{name}", quadrature._qk15i, f, 0.0, 1.0
+    for name, f in _QAGS_BATTERY.items():
+        for a, b in ((0.0, 1.0), (-1.0, 0.5)):
+            yield f"qags-{name}-({a:g},{b:g})", quadrature._qk21, f, a, b
+
+
+def _batched(f):
+    return lambda xs: [f(x) for x in xs]
+
+
+@pytest.mark.parametrize("name,rule,f,a,b", list(_battery()),
+                         ids=[case[0] for case in _battery()])
+def test_battery_matches_scipy(name, rule, f, a, b):
+    fn = _batched(f)
+    for epsrel, limit in _TOLERANCES:
+        args = (rule, fn, a, b, epsrel, limit)
+        assert _port(*args) == _scipy(*args), (epsrel, limit)
+
+
+def test_battery_reaches_every_warning():
+    seen = {quadrature._qk15i: set(), quadrature._qk21: set()}
+    for _, rule, f, a, b in _battery():
+        for epsrel, limit in _TOLERANCES:
+            seen[rule].add(quadrature._adapt(rule, _batched(f), a, b, epsrel, limit)[2])
+    assert seen[quadrature._qk15i] == {0, 1, 2, 3, 4, 5}
+    assert seen[quadrature._qk21] >= {0, 1, 2, 3, 5}
+
+
+# -- scipy.integrate stays off the import path ---------------------------
+
+
+def test_default_import_leaves_scipy_integrate_out(subprocess_env):
+    code = ("import sys, extremesum, extremesum.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
+            "'scipy.sparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
