@@ -39,13 +39,11 @@ next request integrates again and raises the same error.  Closed forms
 and the other routes are not cached.
 
 Quadrature integrands are batched (see ``quadrature``): each one gets
-the nodes of one subinterval and makes one array ``tail_quantile`` call
-for all of them, whose values equal the scalar ones bit for bit.  The
-node transforms and the factors exp(-beta w) stay scalar ``math`` calls,
-as does every ``tail_density`` and ``tail_rate`` call: np.exp differs
-from math.exp in the last bit on some doubles, and a scalar Weibull
-density or rate can differ from its array form in the last bit (a numpy
-scalar's ``**`` is C pow, an array's is numpy's own loop).
+the nodes of one bisection step and makes one array call per model
+quantity (``tail_quantile``, ``tail_density``, ``tail_rate``) for all of
+them, whose values equal the scalar ones bit for bit.  The node
+transforms and the factors exp(-beta w) stay scalar ``math`` calls:
+np.exp differs from math.exp in the last bit on some doubles.
 """
 
 from __future__ import annotations
@@ -124,15 +122,15 @@ def _check_s(s):
 
 
 def _quantiles(model, ts):
-    """Q(1-t) at the nodes of one subinterval, in one array call."""
+    """Q(1-t) at the nodes of one bisection step, in one array call."""
     return model.tail_quantile(np.array(ts)).tolist()
 
 
 def _densities(model, ts):
-    """q(t) node by node (see the module docstring); only the overflow
-    warning is silenced, never the value."""
+    """q(t) at the nodes of one bisection step, in one array call; only
+    the overflow warning is silenced, never the value."""
     with np.errstate(over="ignore"):
-        return [float(model.tail_density(t)) for t in ts]
+        return model.tail_density(np.array(ts)).tolist()
 
 
 @functools.lru_cache(maxsize=4096)   # see the module docstring
@@ -224,8 +222,8 @@ def rate_integral(model: TailModel, s, extended: bool = False,
         return _resolve(model, f"rho({s:g})", method, with_error,
                         lambda: model.closed_rate_integral(s),
                         quadrature=lambda: tail_quad(
-                            lambda ws, us: [u * float(model.tail_rate(u))
-                                            for u in us],
+                            lambda ws, us: [u * r for u, r in zip(
+                                us, model.tail_rate(np.array(us)).tolist())],
                             s, rel_tol, what=f"rho({s:g})"))
     if not extended:
         raise UnsupportedModelError(

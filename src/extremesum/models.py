@@ -13,6 +13,11 @@ expose the slowly varying rate r(u) with
 Only models whose r has an elementary closed form carry the flag; the
 remaining Gumbel-domain members (normal, lognormal, gamma) are served by
 the extended identity rho(s) = mu(s) - s Q(1-s) further up the stack.
+
+Every tail quantity takes scalars and arrays, and an array call gives
+each element exactly the scalar call's value, so quadrature can batch
+its nodes.  Weibull's density and rate get there by one path for both:
+the power (-ln t)^(1/k - 1) is C pow on each element.
 """
 
 from __future__ import annotations
@@ -61,8 +66,10 @@ def _norm_pdf(x):
 
 def _check_prob(s, name="s"):
     arr = np.asarray(s, dtype=float)
-    # written so that NaN fails too: every comparison with NaN is False
-    if not ((arr > 0.0) & (arr < 1.0)).all():
+    # min and max propagate NaN, and every comparison with NaN is False,
+    # so NaN fails too; an empty array has nothing to check
+    if arr.size and not (np.minimum.reduce(arr, axis=None) > 0.0
+                         and np.maximum.reduce(arr, axis=None) < 1.0):
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return arr
 
@@ -77,10 +84,10 @@ def _split_at_half(p, near, far):
     array's in the last bit (x ** 0.5 is pow there, sqrt on an array).
     A 0-d p comes back as a float.
     """
-    lower = p <= 0.5
-    if lower.all():
+    if not p.size or np.maximum.reduce(p, axis=None) <= 0.5:
         out = near(p.ravel()).reshape(p.shape)
     else:
+        lower = p <= 0.5
         out = np.empty_like(p)
         out[lower] = near(p[lower])
         out[~lower] = far(1.0 - p[~lower])
@@ -273,15 +280,26 @@ class Weibull(TailModel):
         x = np.asarray(x, dtype=float)
         return np.where(x <= 0.0, 0.0, -np.expm1(-(np.maximum(x, 0.0) ** self.shape)))
 
+    def _log_power(self, t):
+        """(-ln t)^(1/k - 1) by a numpy float64 ``**`` on each element.
+
+        That is C pow, the arithmetic a scalar t has always taken; numpy's
+        array power loop can differ from it in the last bit.  So scalar
+        and array input share this one path, and an overflow gives inf
+        with numpy's overflow warning (Python's float ``**`` would raise).
+        """
+        lg = -np.log(t)
+        e = 1.0 / self.shape - 1.0
+        return np.array([x**e for x in lg.flat]).reshape(lg.shape)
+
     def tail_density(self, t):
         t = np.asarray(t, dtype=float)
-        k = self.shape
-        return (-np.log(t)) ** (1.0 / k - 1.0) / (k * t)
+        out = self._log_power(t) / (self.shape * t)
+        return out if out.ndim else float(out)
 
     def tail_rate(self, u):
-        u = np.asarray(u, dtype=float)
-        k = self.shape
-        return (-np.log(u)) ** (1.0 / k - 1.0) / k
+        out = self._log_power(np.asarray(u, dtype=float)) / self.shape
+        return out if out.ndim else float(out)
 
     def closed_rate_integral(self, s):
         k = self.shape

@@ -23,9 +23,12 @@ its NaN behaviour (a Fortran ``if (a .le. b) goto`` reads ``not a <= b``
 where the branch matters), C's ``fmax``/``fmin`` and C's IEEE results
 where Python would raise (a division by zero, an overflowing power).
 
-Integrands are batched: ``fn`` receives the 15 or 21 nodes of one
-subinterval as a list and returns their values as a sequence of floats,
-so a model is called once per subinterval, not once per node.
+Integrands are batched: ``fn`` receives a list of nodes and returns
+their values as a sequence of floats.  The first call gets the 15 or 21
+nodes of the whole range; each bisection step after that sends the nodes
+of both halves in one call (30 for QK15I, 42 for QK21), so a model is
+called once per bisection step, not once per node.  Each half keeps its
+own Kronrod sums in QUADPACK's order.
 """
 
 from __future__ import annotations
@@ -104,29 +107,34 @@ def _div(a, b):
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _nodes(a, b, xgk):
-    """The centre of (a, b), then the pair centre -/+ half-length * x_j."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    xs = [centr]
-    for x in xgk:
-        absc = hlgth * x
-        xs += (centr - absc, centr + absc)
-    return xs, hlgth
+def _nodes(intervals, xgk):
+    """The nodes of every (a, b) in one list, each interval's as its centre
+    and then the pairs centre -/+ half-length * x_j; and the half-lengths."""
+    xs, hlgths = [], []
+    for a, b in intervals:
+        centr = 0.5 * (a + b)
+        hlgth = 0.5 * (b - a)
+        xs.append(centr)
+        for x in xgk:
+            absc = hlgth * x
+            xs += (centr - absc, centr + absc)
+        hlgths.append(hlgth)
+    return xs, hlgths
 
 
 def _kronrod(fv, hlgth, wgk, wg, order):
     """QUADPACK's Kronrod and Gauss sums and error estimate over the values
-    fv laid out as ``_nodes``; sums run over the pairs in ``order``.
+    fv of one interval laid out as ``_nodes``; sums run over the pairs in
+    ``order``.
 
     Returns (result, abserr, resabs, resasc).
     """
-    fc = fv[0]
+    fc, fv1, fv2 = fv[0], fv[1::2], fv[2::2]
     resg = 0.0 if wg[-1] is None else wg[-1] * fc
     resk = wgk[-1] * fc
     resabs = abs(resk)
     for j in order:
-        fval1, fval2 = fv[2 * j + 1], fv[2 * j + 2]
+        fval1, fval2 = fv1[j], fv2[j]
         fsum = fval1 + fval2
         if wg[j] is not None:
             resg = resg + wg[j] * fsum
@@ -134,8 +142,8 @@ def _kronrod(fv, hlgth, wgk, wg, order):
         resabs = resabs + wgk[j] * (abs(fval1) + abs(fval2))
     reskh = resk * 0.5
     resasc = wgk[-1] * abs(fc - reskh)
-    for j in range(len(order)):
-        resasc = resasc + wgk[j] * (abs(fv[2 * j + 1] - reskh) + abs(fv[2 * j + 2] - reskh))
+    for w, fval1, fval2 in zip(wgk, fv1, fv2):
+        resasc = resasc + w * (abs(fval1 - reskh) + abs(fval2 - reskh))
     dhlgth = abs(hlgth)
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
@@ -149,23 +157,26 @@ def _kronrod(fv, hlgth, wgk, wg, order):
     return resk * hlgth, abserr, resabs, resasc
 
 
-def _values(fn, nodes):
-    return [float(v) for v in fn(nodes)]
+def _kronrods(fv, hlgths, wgk, wg, order):
+    """``_kronrod`` on each interval's share of the values fv."""
+    n = len(fv) // len(hlgths)
+    return [_kronrod(fv[i * n:(i + 1) * n], hlgth, wgk, wg, order)
+            for i, hlgth in enumerate(hlgths)]
 
 
-def _qk15i(fn, a, b):
-    """QK15I on (a, b) within (0, 1) for int_0^inf, w = (1 - x)/x."""
-    xs, hlgth = _nodes(a, b, _XGK15)
-    fv = _values(fn, [(1.0 - x) / x for x in xs])
-    return _kronrod([(f / x) / x for f, x in zip(fv, xs)], hlgth,
-                    _WGK15, _WG15, range(7))
+def _qk15i(fn, *intervals):
+    """QK15I on each (a, b) within (0, 1) for int_0^inf, w = (1 - x)/x."""
+    xs, hlgths = _nodes(intervals, _XGK15)
+    fv = fn([(1.0 - x) / x for x in xs])
+    return _kronrods([(float(f) / x) / x for f, x in zip(fv, xs)], hlgths,
+                     _WGK15, _WG15, range(7))
 
 
-def _qk21(fn, a, b):
-    """QK21 on (a, b): Gauss nodes summed first, then the Kronrod-only ones."""
-    xs, hlgth = _nodes(a, b, _XGK21)
-    return _kronrod(_values(fn, xs), hlgth, _WGK21, _WG21,
-                    (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
+def _qk21(fn, *intervals):
+    """QK21 on each (a, b): Gauss nodes summed first, then the Kronrod-only ones."""
+    xs, hlgths = _nodes(intervals, _XGK21)
+    return _kronrods([float(f) for f in fn(xs)], hlgths, _WGK21, _WG21,
+                     (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
 
 
 def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
@@ -277,7 +288,7 @@ def _adapt(rule, fn, a, b, epsrel, limit=_LIMIT):
     iord = [0] * (limit + 1)
     alist[1], blist[1] = a, b
     ier = 0
-    result, abserr, defabs, resabs = rule(fn, a, b)
+    result, abserr, defabs, resabs = rule(fn, (a, b))[0]
     dres = abs(result)
     errbnd = _fmax(epsabs, epsrel * dres)
     last = 1
@@ -303,8 +314,8 @@ def _adapt(rule, fn, a, b, epsrel, limit=_LIMIT):
         a1, b2 = alist[maxerr], blist[maxerr]
         b1 = a2 = 0.5 * (alist[maxerr] + blist[maxerr])
         erlast = errmax
-        area1, error1, _, defab1 = rule(fn, a1, b1)
-        area2, error2, _, defab2 = rule(fn, a2, b2)
+        (area1, error1, _, defab1), (area2, error2, _, defab2) = rule(
+            fn, (a1, b1), (a2, b2))
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -468,10 +479,11 @@ def log_interval_quad(fn, a, b, rel_tol=DEFAULT_REL_TOL, what="integral"):
 def tail_quad(fn, s, rel_tol=DEFAULT_REL_TOL, what="tail integral"):
     """int_0^inf fn(w, t) dw along the substitution t = s e^{-w}.
 
-    ``fn(ws, ts)`` gets the nodes of one subinterval as two lists and
-    returns their values; it only ever sees strictly positive t.  A node
-    where t underflows past the smallest subnormal contributes exactly
-    zero.  A tail integral int_0^s f(t) dt is ``fn = t * f(t)`` per node.
+    ``fn(ws, ts)`` gets the nodes of one bisection step (both halves) as
+    two lists and returns their values; it only ever sees strictly
+    positive t.  A node where t underflows past the smallest subnormal
+    contributes exactly zero.  A tail integral int_0^s f(t) dt is
+    ``fn = t * f(t)`` per node.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("need 0 < s < 1")

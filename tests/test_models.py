@@ -123,6 +123,26 @@ def test_quantile_rejects_bad_probability():
                 m.tail_quantile(arg)
 
 
+@pytest.mark.parametrize("model", [Exponential(1.0), Weibull(2.0), Normal(),
+                                   AffineModel(Gamma(2.0), 3.0, -1.0)],
+                         ids=lambda m: str(m))
+def test_tail_quantile_entry_contract(model):
+    """What the argument check and the split at 1/2 promise, any input."""
+    for bad in (np.array([0.1, math.nan, 0.2]), np.array([math.nan]),
+                0.0, 1.0, np.array([0.0, 0.3]), np.array([0.3, 1.0])):
+        with pytest.raises(ValueError, match="t must lie strictly inside"):
+            model.tail_quantile(bad)
+    empty = model.tail_quantile(np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    # straddles 1/2 in both orders, the midpoint and its neighbours included
+    mixed = np.array([0.2, 0.7, 0.5, float(np.nextafter(0.5, 1.0)), 1e-9,
+                      0.999, float(np.nextafter(0.5, 0.0))])
+    assert np.array_equal(model.tail_quantile(mixed),
+                          [model.tail_quantile(float(t)) for t in mixed])
+    for scalar in (0.3, 0.7, np.float64(0.3), np.array(0.3), np.array(0.7)):
+        assert type(model.tail_quantile(scalar)) is float
+
+
 # -- tail rate ----------------------------------------------------------
 
 

@@ -5,6 +5,8 @@ scipy is the reference here and only here: the package never imports
 same error-bound bits, the same subinterval count and the same first
 line of scipy's warning message, at the package's epsabs and on the
 rule the port uses (QAGI on (0, inf), QAGS on a finite interval).
+The port evaluates both halves of a bisection in one integrand call;
+the last tests pin that call shape.
 """
 
 import math
@@ -16,7 +18,9 @@ import pytest
 from scipy.integrate import quad
 
 from extremesum import (
+    Normal,
     SGrid,
+    Weibull,
     build_functional_table,
     catalog,
     functionals,
@@ -25,6 +29,7 @@ from extremesum import (
     run_limit_suite,
     tail_mean,
     tail_scale,
+    tail_variance,
 )
 from extremesum.errors import QuadratureError
 
@@ -178,3 +183,96 @@ def test_default_import_leaves_scipy_integrate_out(subprocess_env):
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# -- one integrand call per bisection step --------------------------------
+
+
+def _batch_sizes(rule, f, a, b):
+    sizes = []
+
+    def fn(xs):
+        sizes.append(len(xs))
+        return [f(x) for x in xs]
+
+    last = quadrature._adapt(rule, fn, a, b, 1e-11)[3]
+    return sizes, last
+
+
+@pytest.mark.parametrize("rule,f,n", [
+    (quadrature._qk15i, _QAGI_BATTERY["oscillating"], 15),
+    (quadrature._qk21, _QAGS_BATTERY["oscillating"], 21),
+], ids=["qagi", "qags"])
+def test_one_integrand_call_per_bisection_step(rule, f, n):
+    """The whole range once, then both halves of each bisection together."""
+    sizes, last = _batch_sizes(rule, f, 0.0, 1.0)
+    assert last > 5
+    assert sizes == [n] + [2 * n] * (last - 1)
+
+
+@pytest.mark.parametrize("rule,node", [
+    (quadrature._qk15i, (1.0 - 0.75) / 0.75),
+    (quadrature._qk21, 0.75),
+], ids=["qagi", "qags"])
+def test_error_on_a_second_half_node_propagates(rule, node):
+    """1/(x - node) raises at the centre of (1/2, 1), the second half of the
+    first bisection, and at no node of the first call."""
+    sizes = []
+
+    def fn(xs):
+        sizes.append(len(xs))
+        return [1.0 / (x - node) for x in xs]
+
+    with pytest.raises(ZeroDivisionError, match="float division by zero"):
+        quadrature._adapt(rule, fn, 0.0, 1.0, 1e-11)
+    assert len(sizes) == 2
+
+
+def test_one_model_call_per_integrand_call(monkeypatch):
+    """Inside an integrand each model quantity is one array call."""
+    counts = dict.fromkeys(("integrand", "tail_quantile", "tail_density",
+                            "tail_rate"), 0)
+    inside = []
+    real_run = quadrature._run_quad
+
+    def run(rule, fn, *args):
+        def counted(xs):
+            counts["integrand"] += 1
+            inside.append(True)
+            try:
+                return fn(xs)
+            finally:
+                inside.pop()
+
+        return real_run(rule, counted, *args)
+
+    monkeypatch.setattr(quadrature, "_run_quad", run)
+
+    def counting(model):
+        for name in ("tail_quantile", "tail_density", "tail_rate"):
+            def method(t, real=getattr(model, name), name=name):
+                if inside:
+                    counts[name] += 1
+                return real(t)
+
+            monkeypatch.setattr(model, name, method)
+        return model
+
+    def model_calls(route):
+        """(tail_quantile, tail_density, tail_rate) calls per integrand call."""
+        for key in counts:
+            counts[key] = 0
+        route()
+        n = counts["integrand"]
+        assert n > 2
+        return tuple(counts[key] / n for key in
+                     ("tail_quantile", "tail_density", "tail_rate"))
+
+    normal = counting(Normal())   # fresh instances: no ibp cache entry yet
+    weibull = counting(Weibull(2.0))
+    assert model_calls(lambda: tail_scale(normal, 1e-4, 2.0, method="ibp")) == (1, 0, 0)
+    assert model_calls(lambda: tail_variance(normal, 1e-4)) == (1, 1, 0)
+    assert model_calls(lambda: tail_scale(weibull, 1e-4, 2.0,
+                                          method="stieltjes")) == (0, 1, 0)
+    assert model_calls(lambda: rate_integral(weibull, 1e-4,
+                                             method="quadrature")) == (0, 0, 1)

@@ -7,10 +7,14 @@ per-element scalar calls give, on both sides of 1/2 and at the clamp
 values 2^-53 and 1 - 2^-53 that sampling can produce.  An argument
 wholly in (0, 1/2], a scalar included, goes to the near branch unmasked
 as one 1-d array; it must match the scalar calls, and no result may
-alias its input.
+alias its input.  The tail density and rate, which quadrature evaluates
+one array per batch of nodes, must match their scalar calls as well.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -58,6 +62,32 @@ def test_one_sided_array_equals_scalar_calls(model, p):
         assert np.array_equal(out, [method(float(x)) for x in p])
         out[...] = 7.0     # the result never aliases the input
         assert np.array_equal(p, kept)
+
+
+_DENSITY_GRID = np.geomspace(1e-300, 0.5, 20_000)
+
+
+@pytest.mark.parametrize("model", _BASES + [AffineModel(Weibull(2.0))],
+                         ids=lambda m: m.describe())
+def test_density_and_rate_arrays_equal_scalar_calls(model):
+    """Quadrature evaluates q and r once per batch of nodes, so an array
+    call must give each point exactly what a scalar call gives; Weibull's
+    power is C pow on both paths."""
+    methods = [model.tail_density] + ([model.tail_rate] if model.has_tail_rate else [])
+    with np.errstate(over="ignore"):
+        for method in methods:
+            assert np.array_equal(method(_DENSITY_GRID),
+                                  [method(float(t)) for t in _DENSITY_GRID])
+
+
+def test_weibull_power_overflow_gives_inf():
+    model = Weibull(0.005)   # (-ln t)^199 overflows for t below about e^-35
+    for method in (model.tail_density, model.tail_rate):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert method(1e-300) == math.inf
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            out = method(np.array([1e-300, 0.1]))
+        assert out[0] == math.inf and math.isfinite(out[1])
 
 
 @settings(max_examples=30, deadline=None)
