@@ -14,6 +14,12 @@ the tests.  Two auxiliary statistics ride along: MAX, the normalized
 sample maximum against its Gumbel limit, and BDH, the rescaled uniform
 tail mass n(1-U_{n-k,n})/k which concentrates at 1.
 
+STATISTICS is the one place that says what each statistic is checked
+against: its target CDF (BDH has none), its target variance (BDH's is
+1/k, from the cell) and its default bounds.  BOUNDS says, per bound key,
+which values are valid, which statistics it applies to and when a
+summary fails it; the config validates tolerances against it.
+
 Experiments draw a cell as a matrix, one replicate per row, in row
 chunks of about 2^14 order statistics so memory stays flat in the number
 of replicates.  Reproducibility comes from the streams, not the schedule:
@@ -33,12 +39,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import special
 
-from .errors import NumericError, QuadratureError
+from .errors import ConfigError, NumericError, QuadratureError
 from .functionals import rate_integral, tail_mean, tail_scale
 from .models import TailModel
 from .sampling import ReplicateDraw, SeedSpec, _rescaled_threshold_tail, draw_batch
-
-STATISTIC_IDS = ("T1", "T2", "T3", "MAX", "BDH")
 
 # Fraction of replicates allowed to produce non-finite statistics before
 # the experiment is considered numerically broken.
@@ -209,27 +213,93 @@ def gumbel_cdf(x):
     return np.exp(-np.exp(-np.asarray(x, dtype=np.float64)))
 
 
-TARGET_CDFS = {
-    "T1": lambda x: special.ndtr(np.asarray(x) / math.sqrt(2.0)),
-    "T2": lambda x: special.ndtr(np.asarray(x)),
-    "T3": lambda x: special.ndtr(np.asarray(x)),
-    "MAX": gumbel_cdf,
+@dataclass(frozen=True)
+class Statistic:
+    cdf: object              # target law, None where there is none to test
+    variance: float | None   # target variance, None for BDH's 1/k
+    bounds: dict             # default bounds, keyed as in BOUNDS
+
+
+STATISTICS = {
+    "T1": Statistic(lambda x: special.ndtr(np.asarray(x) / math.sqrt(2.0)), 2.0,
+                    {"mean": (-0.1, 0.1), "var": (1.8, 2.2), "ks": 0.05}),
+    "T2": Statistic(lambda x: special.ndtr(np.asarray(x)), 1.0,
+                    {"var": (0.85, 1.15), "ks": 0.05}),
+    "T3": Statistic(lambda x: special.ndtr(np.asarray(x)), 1.0,
+                    {"var": (0.85, 1.15), "ks": 0.05}),
+    "MAX": Statistic(gumbel_cdf, math.pi**2 / 6.0, {"ks": 0.05}),
+    "BDH": Statistic(None, None, {"mean": (0.9, 1.1), "sd_factor": 2.0}),
 }
 
-TARGET_VARIANCES = {
-    "T1": 2.0,
-    "T2": 1.0,
-    "T3": 1.0,
-    "MAX": math.pi**2 / 6.0,
+STATISTIC_IDS = tuple(STATISTICS)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_pair(x) -> bool:
+    return (isinstance(x, (list, tuple)) and len(x) == 2
+            and all(map(_is_number, x)) and x[0] <= x[1])
+
+
+def _outside(label, x, bound):
+    lo, hi = bound
+    return None if lo <= x <= hi else f"{label} {x:.4g} outside [{lo:g}, {hi:g}]"
+
+
+def _sd_failure(summary, factor, k):
+    sd = math.sqrt(summary.variance)
+    ref = 1.0 / math.sqrt(k)
+    if not ref / factor <= sd <= ref * factor:
+        return f"sd {sd:.4g} outside factor {factor:g} of {ref:.4g}"
+
+
+@dataclass(frozen=True)
+class Bound:
+    valid: object     # shape and range test for a configured value
+    want: str         # what a valid value is
+    applies: object   # Statistic -> whether the bound means anything for it
+    failure: object   # (summary, value, k) -> failure text, None when met
+
+
+_RANGE = "a [lo, hi] pair of numbers with lo <= hi"
+
+# A summary's failed_bounds follow this order.  No valid value is one
+# that no sample can meet: below 1 the sd band is empty.
+BOUNDS = {
+    "mean": Bound(_is_pair, _RANGE, lambda st: True,
+                  lambda s, bound, k: _outside("mean", s.mean, bound)),
+    "var": Bound(_is_pair, _RANGE, lambda st: True,
+                 lambda s, bound, k: _outside("var", s.variance, bound)),
+    "ks": Bound(lambda x: _is_number(x) and 0 <= x <= 1, "a number in [0, 1]",
+                lambda st: st.cdf is not None,
+                lambda s, limit, k: None if s.ks <= limit
+                else f"ks {s.ks:.4g} above {limit:g}"),
+    "sd_factor": Bound(lambda x: _is_number(x) and x >= 1, "a number >= 1",
+                       lambda st: st.variance is None, _sd_failure),
 }
 
-DEFAULT_TOLERANCES = {
-    "T1": {"mean": (-0.1, 0.1), "var": (1.8, 2.2), "ks": 0.05},
-    "T2": {"var": (0.85, 1.15), "ks": 0.05},
-    "T3": {"var": (0.85, 1.15), "ks": 0.05},
-    "MAX": {"ks": 0.05},
-    "BDH": {"mean": (0.9, 1.1), "sd_factor": 2.0},
-}
+
+def check_tolerances(tolerances) -> None:
+    """Raise ConfigError unless ``tolerances`` maps statistics to bounds
+    that apply to them and that some sample could meet."""
+    if not isinstance(tolerances, dict):
+        raise ConfigError("tolerances must be an object")
+    for stat, bounds in tolerances.items():
+        if stat not in STATISTICS:
+            raise ConfigError(f"unknown statistic {stat!r} in tolerances; "
+                              f"allowed: {list(STATISTIC_IDS)}")
+        if not isinstance(bounds, dict):
+            raise ConfigError(f"tolerances for {stat} must be an object")
+        allowed = [key for key, b in BOUNDS.items() if b.applies(STATISTICS[stat])]
+        for key, value in bounds.items():
+            if key not in allowed:
+                kind = "inapplicable" if key in BOUNDS else "unknown"
+                raise ConfigError(f"{kind} tolerance key {stat}.{key}; "
+                                  f"allowed for {stat}: {allowed}")
+            if not BOUNDS[key].valid(value):
+                raise ConfigError(f"tolerance {stat}.{key} must be {BOUNDS[key].want}")
 
 
 @dataclass
@@ -296,59 +366,47 @@ def _central_moments(values: np.ndarray):
 
 
 def summarize_statistic(stat: str, values: np.ndarray, failures: int,
-                        tolerances=None) -> StatSummary:
+                        tolerances=None, k=None) -> StatSummary:
     """Moments, GOF distances and a verdict for one statistic's replicates.
 
-    Fewer than two finite values cannot support a variance, so the verdict
-    degrades to "insufficient" rather than guessing.
+    ``tolerances`` override the default bounds key by key; BDH needs the
+    cell's ``k``.  Fewer than two finite values cannot support a variance,
+    so the verdict degrades to "insufficient" rather than guessing.
     """
     from .gof import anderson_darling, ks_distance
 
-    tol = dict(DEFAULT_TOLERANCES.get(stat, {}))
+    spec = STATISTICS[stat]
     if tolerances:
-        tol.update(tolerances)
+        check_tolerances({stat: tolerances})
     r = int(values.size)
     nan = float("nan")
-    # BDH's reference spread depends on k; _verdict_bdh fills it in.
-    target_var = TARGET_VARIANCES.get(stat, nan)
 
     if r < 2:
         mean = float(values[0]) if r else nan
         return StatSummary(
             statistic_id=stat, count=r, numeric_failures=failures,
             mean=mean, variance=nan, skewness=nan, excess_kurtosis=nan,
-            ks=nan, ad=nan, target_variance=target_var,
+            ks=nan, ad=nan,
+            target_variance=nan if spec.variance is None else spec.variance,
             verdict="insufficient", failed_bounds=("variance undefined",),
         )
 
     mean, m2, m3, m4 = _central_moments(values)
-    variance = float(np.var(values, ddof=1))
-    skew = m3 / m2**1.5 if m2 > 0.0 else nan
-    kurt = m4 / (m2 * m2) - 3.0 if m2 > 0.0 else nan
-
-    cdf = TARGET_CDFS.get(stat)
-    ks = ks_distance(values, cdf) if cdf is not None else nan
-    ad = anderson_darling(values, cdf) if cdf is not None else nan
-
-    failed = []
-    if "mean" in tol:
-        lo, hi = tol["mean"]
-        if not lo <= mean <= hi:
-            failed.append(f"mean {mean:.4g} outside [{lo:g}, {hi:g}]")
-    if "var" in tol:
-        lo, hi = tol["var"]
-        if not lo <= variance <= hi:
-            failed.append(f"var {variance:.4g} outside [{lo:g}, {hi:g}]")
-    if "ks" in tol and cdf is not None:
-        if not ks <= tol["ks"]:
-            failed.append(f"ks {ks:.4g} above {tol['ks']:g}")
-    verdict = "pass" if not failed else "fail"
-    return StatSummary(
+    cdf = spec.cdf
+    summary = StatSummary(
         statistic_id=stat, count=r, numeric_failures=failures,
-        mean=mean, variance=variance, skewness=skew, excess_kurtosis=kurt,
-        ks=ks, ad=ad, target_variance=target_var,
-        verdict=verdict, failed_bounds=tuple(failed),
+        mean=mean, variance=float(np.var(values, ddof=1)),
+        skewness=m3 / m2**1.5 if m2 > 0.0 else nan,
+        excess_kurtosis=m4 / (m2 * m2) - 3.0 if m2 > 0.0 else nan,
+        ks=ks_distance(values, cdf) if cdf is not None else nan,
+        ad=anderson_darling(values, cdf) if cdf is not None else nan,
+        target_variance=1.0 / k if spec.variance is None else spec.variance,
+        verdict="pass",
     )
+    tol = {**spec.bounds, **(tolerances or {})}
+    failed = tuple(filter(None, (BOUNDS[key].failure(summary, tol[key], k)
+                                 for key in BOUNDS if key in tol)))
+    return replace(summary, verdict="fail", failed_bounds=failed) if failed else summary
 
 
 def _row_chunks(replicates: int, count: int):
@@ -430,10 +488,7 @@ def run_experiment(config) -> ExperimentResult:
                     )
                 values = raw[finite]
                 tol = (config.tolerances or {}).get(stat)
-                summary = summarize_statistic(stat, values, failures, tol)
-                if stat == "BDH" and summary.verdict != "insufficient":
-                    summary = _verdict_bdh(summary, k, tol)
-                summaries.append(summary)
+                summaries.append(summarize_statistic(stat, values, failures, tol, k))
                 cell_samples[stat] = StatSample(
                     statistic_id=stat, n=n, k=k, values=raw,
                     seed=SeedSpec(config.master_seed, stream_base),
@@ -449,23 +504,3 @@ def run_experiment(config) -> ExperimentResult:
             )
             result.samples[(model.describe(), n)] = cell_samples
     return result
-
-
-def _verdict_bdh(summary: StatSummary, k: int, tolerances=None) -> StatSummary:
-    """BDH gets a spread bound relative to 1/sqrt(k) on top of the mean gate."""
-    tol = dict(DEFAULT_TOLERANCES["BDH"])
-    if tolerances:
-        tol.update(tolerances)
-    factor = tol.get("sd_factor")
-    failed = list(summary.failed_bounds)
-    if factor:
-        sd = math.sqrt(summary.variance)
-        ref = 1.0 / math.sqrt(k)
-        if not ref / factor <= sd <= ref * factor:
-            failed.append(
-                f"sd {sd:.4g} outside factor {factor:g} of {ref:.4g}"
-            )
-    return replace(
-        summary, target_variance=1.0 / k,
-        verdict="pass" if not failed else "fail", failed_bounds=tuple(failed),
-    )

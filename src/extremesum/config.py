@@ -13,7 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .clt import STATISTIC_IDS, KRule
+from .clt import STATISTIC_IDS, KRule, check_tolerances
 from .errors import ConfigError
 from .functionals import SGrid
 from .limits import DEFAULT_CHECKS
@@ -32,45 +32,6 @@ _SGRID_KEYS = {"start", "ratio", "count"}
 def _is_int(x) -> bool:
     # bool is an int subclass, but `"replicates": true` is a typo, not 1
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_pair(x) -> bool:
-    return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_number, x))
-
-
-# tolerance key -> (shape test, what the value must be)
-_TOL_SHAPES = {
-    "mean": (_is_pair, "a [lo, hi] pair of numbers"),
-    "var": (_is_pair, "a [lo, hi] pair of numbers"),
-    "ks": (_is_number, "a number"),
-    "sd_factor": (_is_number, "a number"),
-}
-
-
-def _check_tolerances(tolerances) -> None:
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances must be an object")
-    for stat, bounds in tolerances.items():
-        if stat not in STATISTIC_IDS:
-            raise ConfigError(
-                f"unknown statistic {stat!r} in tolerances; "
-                f"allowed: {list(STATISTIC_IDS)}"
-            )
-        if not isinstance(bounds, dict):
-            raise ConfigError(f"tolerances for {stat} must be an object")
-        for key, value in bounds.items():
-            if key not in _TOL_SHAPES:
-                raise ConfigError(
-                    f"unknown tolerance key {stat}.{key}; "
-                    f"allowed: {list(_TOL_SHAPES)}"
-                )
-            ok, want = _TOL_SHAPES[key]
-            if not ok(value):
-                raise ConfigError(f"tolerance {stat}.{key} must be {want}")
 
 
 DEFAULT_S_GRID = SGrid.geometric(0.5, 0.5, 3)
@@ -131,18 +92,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown checks {bad}; allowed: {list(DEFAULT_CHECKS)}"
             )
-        _check_tolerances(self.tolerances)
+        if self.s_grid.geometry is None:
+            # a hand-built grid has no (start, ratio, count) to record
+            raise ConfigError("s_grid must be built with SGrid.geometric")
+        check_tolerances(self.tolerances)
         return self
 
     def model_objects(self):
         return [parse_model(desc) for desc in self.models]
-
-    def _grid_geometry(self):
-        if self.s_grid.geometry is not None:
-            return self.s_grid.geometry
-        pts = self.s_grid.points
-        ratio = pts[1] / pts[0] if len(pts) > 1 else 0.5
-        return (pts[0], ratio, len(pts))
 
     # -- serialization -------------------------------------------------
 
@@ -163,9 +120,7 @@ class ExperimentConfig:
             "master_seed": self.master_seed,
             "statistics": list(self.statistics),
             "betas": [float(b) for b in self.betas],
-            "s_grid": dict(
-                zip(("start", "ratio", "count"), self._grid_geometry())
-            ),
+            "s_grid": dict(zip(("start", "ratio", "count"), self.s_grid.geometry)),
             "tolerances": self.tolerances,
             "checks": list(self.checks),
             "output_dir": self.output_dir,

@@ -14,10 +14,14 @@ Only models whose r has an elementary closed form carry the flag; the
 remaining Gumbel-domain members (normal, lognormal, gamma) are served by
 the extended identity rho(s) = mu(s) - s Q(1-s) further up the stack.
 
-Every tail quantity takes scalars and arrays, and an array call gives
-each element exactly the scalar call's value, so quadrature can batch
-its nodes.  Weibull's density and rate get there by one path for both:
-the power (-ln t)^(1/k - 1) is C pow on each element.
+Every tail quantity (``quantile``, ``tail_quantile``, ``tail_density``,
+``tail_rate``) has one entry on ``TailModel``: it checks that its
+argument lies strictly inside (0, 1), NaN included, runs the subclass
+formula on the argument flattened to 1-d, and returns the input's
+shape, a float for a scalar.  So an array call gives each element
+exactly the scalar call's value, and quadrature can batch its nodes.
+Weibull's density and rate keep C pow on each element for the power
+(-ln t)^(1/k - 1), the arithmetic a scalar has always taken.
 """
 
 from __future__ import annotations
@@ -74,6 +78,12 @@ def _check_prob(s, name="s"):
     return arr
 
 
+def _on_flat(fn, p):
+    """fn on p flattened to 1-d, as p's shape; a 0-d p gives a float."""
+    out = fn(p.ravel()).reshape(p.shape)
+    return out if out.ndim else float(out)
+
+
 def _split_at_half(p, near, far):
     """near(p) where p <= 1/2 and far(1 - p) elsewhere, as p's shape.
 
@@ -85,12 +95,11 @@ def _split_at_half(p, near, far):
     A 0-d p comes back as a float.
     """
     if not p.size or np.maximum.reduce(p, axis=None) <= 0.5:
-        out = near(p.ravel()).reshape(p.shape)
-    else:
-        lower = p <= 0.5
-        out = np.empty_like(p)
-        out[lower] = near(p[lower])
-        out[~lower] = far(1.0 - p[~lower])
+        return _on_flat(near, p)
+    lower = p <= 0.5
+    out = np.empty_like(p)
+    out[lower] = near(p[lower])
+    out[~lower] = far(1.0 - p[~lower])
     return out if out.ndim else float(out)
 
 
@@ -131,13 +140,22 @@ class TailModel:
 
     def tail_density(self, t):
         """Density q(t) = -d/dt Q(1-t) of dQ in the tail coordinate."""
-        raise NotImplementedError
+        return _on_flat(self._tail_density, _check_prob(t, "t"))
 
     def tail_rate(self, u):
         """Slowly varying rate r(u) = u * Q'(1-u) of the representation class."""
-        raise UnsupportedModelError(
-            f"{self.describe()} carries no analytic slowly varying tail rate"
-        )
+        if not self.has_tail_rate:
+            raise UnsupportedModelError(
+                f"{self.describe()} carries no analytic slowly varying tail rate"
+            )
+        return _on_flat(self._tail_rate, _check_prob(u, "u"))
+
+    # The formulas behind them see a 1-d float array inside (0, 1).
+    def _tail_density(self, t):
+        raise NotImplementedError
+
+    def _tail_rate(self, u):
+        raise NotImplementedError
 
     # -- optional closed forms; None means "use quadrature" -------------
 
@@ -190,11 +208,11 @@ class Exponential(TailModel):
         x = np.asarray(x, dtype=float)
         return np.where(x <= 0.0, 0.0, -np.expm1(-self.rate * x))
 
-    def tail_density(self, t):
-        return 1.0 / (self.rate * np.asarray(t, dtype=float))
+    def _tail_density(self, t):
+        return 1.0 / (self.rate * t)
 
-    def tail_rate(self, u):
-        return np.full_like(np.asarray(u, dtype=float), 1.0 / self.rate)
+    def _tail_rate(self, u):
+        return np.full_like(u, 1.0 / self.rate)
 
     def closed_mean_mass(self, s):
         return s * (1.0 - math.log(s)) / self.rate
@@ -233,12 +251,10 @@ class Gumbel(TailModel):
         x = np.asarray(x, dtype=float)
         return np.exp(-np.exp(-(x - self.loc) / self.scale))
 
-    def tail_density(self, t):
-        t = np.asarray(t, dtype=float)
+    def _tail_density(self, t):
         return self.scale / ((1.0 - t) * (-np.log1p(-t)))
 
-    def tail_rate(self, u):
-        u = np.asarray(u, dtype=float)
+    def _tail_rate(self, u):
         return self.scale * u / ((1.0 - u) * (-np.log1p(-u)))
 
     def closed_rate_integral(self, s):
@@ -284,22 +300,18 @@ class Weibull(TailModel):
         """(-ln t)^(1/k - 1) by a numpy float64 ``**`` on each element.
 
         That is C pow, the arithmetic a scalar t has always taken; numpy's
-        array power loop can differ from it in the last bit.  So scalar
-        and array input share this one path, and an overflow gives inf
-        with numpy's overflow warning (Python's float ``**`` would raise).
+        array power loop can differ from it in the last bit.  An overflow
+        gives inf with numpy's overflow warning (Python's float ``**``
+        would raise).
         """
-        lg = -np.log(t)
         e = 1.0 / self.shape - 1.0
-        return np.array([x**e for x in lg.flat]).reshape(lg.shape)
+        return np.array([x**e for x in -np.log(t)])
 
-    def tail_density(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self._log_power(t) / (self.shape * t)
-        return out if out.ndim else float(out)
+    def _tail_density(self, t):
+        return self._log_power(t) / (self.shape * t)
 
-    def tail_rate(self, u):
-        out = self._log_power(np.asarray(u, dtype=float)) / self.shape
-        return out if out.ndim else float(out)
+    def _tail_rate(self, u):
+        return self._log_power(u) / self.shape
 
     def closed_rate_integral(self, s):
         k = self.shape
@@ -335,8 +347,8 @@ class Normal(TailModel):
     def cdf(self, x):
         return special.ndtr(np.asarray(x, dtype=float))
 
-    def tail_density(self, t):
-        return 1.0 / _norm_pdf(special.ndtri(np.asarray(t, dtype=float)))
+    def _tail_density(self, t):
+        return 1.0 / _norm_pdf(special.ndtri(t))
 
     def closed_mean_mass(self, s):
         # int_z^inf x phi(x) dx = phi(z)
@@ -365,8 +377,8 @@ class LogNormal(TailModel):
         out[pos] = special.ndtr(np.log(x[pos]))
         return out if out.ndim else float(out)
 
-    def tail_density(self, t):
-        z = -special.ndtri(np.asarray(t, dtype=float))
+    def _tail_density(self, t):
+        z = -special.ndtri(t)
         return np.exp(z) / _norm_pdf(z)
 
     def closed_mean_mass(self, s):
@@ -401,7 +413,7 @@ class Gamma(TailModel):
         k = self.shape
         return np.exp((k - 1.0) * np.log(x) - x - special.gammaln(k))
 
-    def tail_density(self, t):
+    def _tail_density(self, t):
         return 1.0 / self._pdf(self.tail_quantile(t))
 
     def closed_mean_mass(self, s):
@@ -432,8 +444,7 @@ class Pareto(TailModel):
         x = np.asarray(x, dtype=float)
         return np.where(x <= 1.0, 0.0, -np.expm1(-self.index * np.log(np.maximum(x, 1.0))))
 
-    def tail_density(self, t):
-        t = np.asarray(t, dtype=float)
+    def _tail_density(self, t):
         a = self.index
         return t ** (-1.0 / a - 1.0) / a
 
@@ -468,8 +479,8 @@ class Uniform(TailModel):
     def cdf(self, x):
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
-    def tail_density(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
+    def _tail_density(self, t):
+        return np.ones_like(t)
 
     def closed_mean_mass(self, s):
         return s - 0.5 * s * s
@@ -505,11 +516,11 @@ class AffineModel(TailModel):
         x = np.asarray(x, dtype=float)
         return self.base.cdf((x - self.shift) / self.scale)
 
-    def tail_density(self, t):
-        return self.scale * self.base.tail_density(t)
+    def _tail_density(self, t):
+        return self.scale * self.base._tail_density(t)
 
-    def tail_rate(self, u):
-        return self.scale * self.base.tail_rate(u)
+    def _tail_rate(self, u):
+        return self.scale * self.base._tail_rate(u)
 
     def closed_mean_mass(self, s):
         inner = self.base.closed_mean_mass(s)

@@ -14,6 +14,7 @@ double survives a round trip through text unchanged.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -124,19 +125,8 @@ _REPORT_COLUMNS = (
 
 
 def _summary_dict(s) -> dict:
-    return {
-        "count": s.count,
-        "numeric_failures": s.numeric_failures,
-        "mean": s.mean,
-        "variance": s.variance,
-        "skewness": s.skewness,
-        "excess_kurtosis": s.excess_kurtosis,
-        "ks": s.ks,
-        "ad": s.ad,
-        "target_variance": s.target_variance,
-        "verdict": s.verdict,
-        "failed_bounds": list(s.failed_bounds),
-    }
+    """A StatSummary's fields after statistic_id, in declaration order."""
+    return {f.name: getattr(s, f.name) for f in dataclasses.fields(s)[1:]}
 
 
 def normality_report_json(result, config) -> str:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -151,6 +152,64 @@ def test_config_tolerance_shape_errors():
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig(tolerances=tol).validate()
     ExperimentConfig(tolerances={"BDH": {"mean": (0.5, 1.5), "sd_factor": 3}}).validate()
+
+
+@pytest.mark.parametrize("tol, allowed", [
+    ({"T1": {"sd_factor": 1.0000001}}, "['mean', 'var', 'ks']"),
+    ({"MAX": {"sd_factor": 2.0}}, "['mean', 'var', 'ks']"),
+    ({"BDH": {"ks": 0.0}}, "['mean', 'var', 'sd_factor']"),
+], ids=["T1.sd_factor", "MAX.sd_factor", "BDH.ks"])
+def test_exit_config_on_inapplicable_tolerance_key(tmp_path, capsys, tol, allowed):
+    # sd_factor means something for BDH only, ks only where there is a target law
+    cfg = _write_config(tmp_path / "cfg.json", statistics=["T1", "MAX", "BDH"],
+                        tolerances=tol)
+    assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+    ((stat, bounds),) = tol.items()
+    (key,) = bounds
+    err = capsys.readouterr().err
+    assert f"inapplicable tolerance key {stat}.{key}" in err
+    assert f"allowed for {stat}: {allowed}" in err
+
+
+def _simulate_exit(tmp_path, tolerances):
+    cfg = _write_config(tmp_path / "cfg.json", statistics=["T1", "T2", "BDH"],
+                        tolerances=tolerances)
+    return main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "out")])
+
+
+def test_exit_config_on_empty_range(tmp_path, capsys):
+    for tol in ({"T2": {"var": [2, 1]}}, {"BDH": {"mean": [1.1, 0.9]}}):
+        assert _simulate_exit(tmp_path, tol) == 2
+        assert "lo <= hi" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="lo <= hi"):
+        ExperimentConfig(tolerances={"T1": {"mean": (0.0, math.nan)}}).validate()
+    ExperimentConfig(tolerances={"T1": {"mean": (0.5, 0.5)}}).validate()
+
+
+def test_exit_config_on_ks_outside_unit_interval(tmp_path, capsys):
+    for ks in (-0.01, 1.5):
+        assert _simulate_exit(tmp_path, {"T1": {"ks": ks}}) == 2
+        assert "T1.ks must be a number in [0, 1]" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=r"in \[0, 1\]"):
+        ExperimentConfig(tolerances={"T1": {"ks": math.nan}}).validate()
+    for ks in (0, 1):
+        ExperimentConfig(tolerances={"T1": {"ks": ks}}).validate()
+
+
+def test_exit_config_on_sd_factor_below_one(tmp_path, capsys):
+    # below 1 the band [ref / f, ref * f] is empty; 0 used to skip the bound
+    for factor in (0, 0.5, 0.999):
+        assert _simulate_exit(tmp_path, {"BDH": {"sd_factor": factor}}) == 2
+        assert "BDH.sd_factor must be a number >= 1" in capsys.readouterr().err
+    ExperimentConfig(tolerances={"BDH": {"sd_factor": 1}}).validate()
+
+
+def test_config_rejects_s_grid_it_cannot_record():
+    # a hand-built grid would serialize as a geometric one it is not
+    with pytest.raises(ConfigError, match="s_grid"):
+        ExperimentConfig(s_grid=SGrid((0.5, 0.1, 0.05))).validate()
+    cfg = ExperimentConfig(s_grid=SGrid.geometric(0.5, 0.2, 3)).validate()
+    assert ExperimentConfig.from_dict(cfg.to_dict()).s_grid.points == cfg.s_grid.points
 
 
 def test_config_rejects_bool_integers():

@@ -258,6 +258,35 @@ def test_summarize_insufficient():
     assert s0.verdict == "insufficient" and s0.numeric_failures == 2
 
 
+def test_summarize_bdh_spread_bound_scales_with_k():
+    rng = np.random.default_rng(5)
+    k = 100
+    z = rng.normal(size=2000)
+    s = summarize_statistic("BDH", 1.0 + z / math.sqrt(k), 0, k=k)
+    assert s.verdict == "pass" and s.target_variance == 1.0 / k
+    assert math.isnan(s.ks) and math.isnan(s.ad)
+    wide = 1.0 + 3.0 * z / math.sqrt(k)
+    s = summarize_statistic("BDH", wide, 0, k=k)
+    assert s.verdict == "fail"
+    assert len(s.failed_bounds) == 1
+    assert s.failed_bounds[0].startswith("sd ")
+    assert s.failed_bounds[0].endswith("outside factor 2 of 0.1")
+    assert summarize_statistic("BDH", wide, 0, {"sd_factor": 4}, k=k).verdict == "pass"
+
+
+def test_summarize_insufficient_bdh_has_no_target_variance():
+    s = summarize_statistic("BDH", np.array([1.0]), 0, k=10)
+    assert s.verdict == "insufficient" and math.isnan(s.target_variance)
+
+
+def test_summarize_rejects_bounds_that_do_not_apply():
+    vals = np.random.default_rng(3).normal(size=100)
+    with pytest.raises(ConfigError, match=r"allowed for BDH: \['mean', 'var', 'sd_factor'\]"):
+        summarize_statistic("BDH", 1.0 + vals, 0, {"ks": 0.1}, k=10)
+    with pytest.raises(ConfigError, match="T2.var must be"):
+        summarize_statistic("T2", vals, 0, {"var": (1.2, 0.8)})
+
+
 # -- experiments --------------------------------------------------------
 
 

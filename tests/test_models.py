@@ -143,6 +143,22 @@ def test_tail_quantile_entry_contract(model):
         assert type(model.tail_quantile(scalar)) is float
 
 
+@pytest.mark.parametrize("model",
+                         [e.model for e in catalog()] + [AffineModel(Weibull(2.0), 3.0, -1.0)],
+                         ids=lambda m: str(m))
+def test_tail_density_and_rate_entry_contract(model):
+    methods = [model.tail_density] + ([model.tail_rate] if model.has_tail_rate else [])
+    for method in methods:
+        for bad in (math.nan, 0.0, 1.0, 1.5, np.array([0.1, math.nan])):
+            with pytest.raises(ValueError, match="must lie strictly inside"):
+                method(bad)
+        for scalar in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(method(scalar)) is float
+        grid = np.array([[0.1, 0.2, 0.3], [0.4, 0.6, 0.9]])
+        assert np.array_equal(method(grid),
+                              [[method(float(t)) for t in row] for row in grid])
+
+
 # -- tail rate ----------------------------------------------------------
 
 
