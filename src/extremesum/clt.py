@@ -443,6 +443,19 @@ def _run_cell(model, n, k, replicates, master_seed, stream_base, statistics):
     return arrays, cf
 
 
+def _integrate_scales(model, config):
+    """c(k/n) for every n of the config, and c(1/n) when MAX runs, in one
+    tail_scale call: the cells then find each ibp quadrature in its cache.
+    A failure, or a k/n outside (0, 1), is left for its own cell to raise."""
+    ss = [config.k_rule.resolve(n) / n for n in config.n_values]
+    if "MAX" in config.statistics:
+        ss += [1.0 / n for n in config.n_values]
+    try:
+        tail_scale(model, ss)
+    except (QuadratureError, ValueError):
+        pass
+
+
 def run_experiment(config) -> ExperimentResult:
     """Replicated statistics for every (model, n) cell of the config.
 
@@ -461,6 +474,7 @@ def run_experiment(config) -> ExperimentResult:
 
     cell_ordinal = 0
     for model in config.model_objects():
+        _integrate_scales(model, config)
         for n in config.n_values:
             k = config.k_rule.resolve(n)
             stream_base = cell_ordinal * 2 * config.replicates

@@ -34,6 +34,19 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _typed_list(data, key, ok, what):
+    """data[key] as a tuple after checking it is a list of ``what``; a
+    bare string would iterate as its characters, so it is refused."""
+    value = data[key]
+    if not isinstance(value, (list, tuple)) or not all(ok(x) for x in value):
+        raise ConfigError(f"{key} must be a list of {what}, got {value!r}")
+    return tuple(value)
+
+
 DEFAULT_S_GRID = SGrid.geometric(0.5, 0.5, 3)
 
 
@@ -144,12 +157,14 @@ class ExperimentConfig:
         if "model" in data:
             kwargs["models"] = (str(data["model"]),)
         if "models" in data:
-            models = data["models"]
-            if isinstance(models, str):
-                models = [models]
-            kwargs["models"] = tuple(str(m) for m in models)
+            if isinstance(data["models"], str):
+                kwargs["models"] = (data["models"],)
+            else:
+                kwargs["models"] = _typed_list(data, "models", lambda m: isinstance(m, str),
+                                               "model descriptors")
         if "n_values" in data:
-            kwargs["n_values"] = tuple(data["n_values"])
+            # each value's range is validate()'s business
+            kwargs["n_values"] = _typed_list(data, "n_values", lambda n: True, "integers")
         if "k_rule" in data:
             kr = data["k_rule"]
             if not isinstance(kr, dict):
@@ -165,11 +180,14 @@ class ExperimentConfig:
             if key in data:
                 kwargs[key] = data[key]
         if "statistics" in data:
-            kwargs["statistics"] = tuple(str(s) for s in data["statistics"])
+            kwargs["statistics"] = _typed_list(data, "statistics", lambda x: isinstance(x, str),
+                                               "statistic ids")
         if "betas" in data:
-            kwargs["betas"] = tuple(float(b) for b in data["betas"])
+            kwargs["betas"] = tuple(float(b) for b in _typed_list(data, "betas", _is_number,
+                                                                  "numbers"))
         if "checks" in data:
-            kwargs["checks"] = tuple(str(c) for c in data["checks"])
+            kwargs["checks"] = _typed_list(data, "checks", lambda x: isinstance(x, str),
+                                           "check ids")
         if "tolerances" in data:
             kwargs["tolerances"] = data["tolerances"]
         if "s_grid" in data:
@@ -179,12 +197,13 @@ class ExperimentConfig:
             unknown = set(sg) - _SGRID_KEYS
             if unknown:
                 raise ConfigError(f"unknown s_grid keys: {sorted(unknown)}")
+            start, ratio, count = sg.get("start", 0.5), sg.get("ratio", 0.5), sg.get("count", 3)
+            if not (_is_number(start) and _is_number(ratio)):
+                raise ConfigError("s_grid.start and s_grid.ratio must be numbers")
+            if not _is_int(count):
+                raise ConfigError(f"s_grid.count must be an integer, got {count!r}")
             try:
-                kwargs["s_grid"] = SGrid.geometric(
-                    float(sg.get("start", 0.5)),
-                    float(sg.get("ratio", 0.5)),
-                    int(sg.get("count", 3)),
-                )
+                kwargs["s_grid"] = SGrid.geometric(float(start), float(ratio), count)
             except ValueError as exc:
                 raise ConfigError(f"bad s_grid: {exc}") from exc
         try:

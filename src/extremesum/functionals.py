@@ -28,27 +28,39 @@ obtained from the symmetric double integral by two integrations by
 parts; q is the density of dQ in the tail coordinate and rho(s) equals
 mu(s) - s Q(1-s) for any differentiable model.
 
-The ibp scale quadrature is memoised: the limit suite asks for c(s,
-beta) at one s from several checks.  ``_scale_ibp`` is a
-``functools.lru_cache`` of its last 4096 (value, error) results, keyed
-on the model object, which hashes and compares by identity (TailModel
-defines no ``__eq__``), and on the exact floats s, beta and rel_tol.
-Models are treated as immutable, and an entry keeps its model alive
-until it is evicted.  A quadrature that raises stores nothing, so the
-next request integrates again and raises the same error.  Closed forms
-and the other routes are not cached.
+``tail_scale``, ``tail_mean``, ``rate_integral`` and ``tail_variance``
+take a tail mass or an array of them; an array gives arrays of its shape
+(a scalar gives a float).  The quadratures an array call needs run in
+one lockstep batch (see ``quadrature``), and each value and error bound
+equals the bits of the scalar call for that s.  An array that holds a
+failing s raises the QuadratureError the scalar call for the first such
+s raises.  Inside, each functional maps its list of s to per-s outcomes,
+(value, error) or the QuadratureError, and the public call settles them;
+``build_functional_table`` flags failed entries from the outcomes, and
+the limit ratios read them s by s in the order the scalar calls would
+raise.
 
-Quadrature integrands are batched (see ``quadrature``): each one gets
-the nodes of one bisection step and makes one array call per model
-quantity (``tail_quantile``, ``tail_density``, ``tail_rate``) for all of
-them, whose values equal the scalar ones bit for bit.  The node
-transforms and the factors exp(-beta w) stay scalar ``math`` calls:
-np.exp differs from math.exp in the last bit on some doubles.
+The ibp scale quadrature is memoised: the limit suite asks for c(s,
+beta) at one s from several checks.  ``_IBP_CACHE`` holds the last 4096
+(value, error) results, least recently used evicted first, keyed on the
+model object, which hashes and compares by identity (TailModel defines
+no ``__eq__``), and on the exact floats s, beta and rel_tol.  Each key of
+an array call is looked up on its own; the misses are integrated in one
+batch, a repeated key only once.  Models are treated as immutable, and
+an entry keeps its model alive until it is evicted.  A quadrature that
+fails stores nothing, so the next request integrates again and raises
+the same error.  Closed forms and the other routes are not cached.
+
+Each integrand call gets the nodes of one round, every unfinished
+quadrature of the batch, and makes one array call per model quantity
+(``tail_quantile``, ``tail_density``, ``tail_rate``), whose values equal
+the scalar ones bit for bit.  The factors exp(-beta w) stay libm's
+(``quadrature.exp_each``): np.exp differs from math.exp in the last bit
+on some doubles.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -56,7 +68,7 @@ import numpy as np
 
 from .errors import QuadratureError, UnsupportedModelError
 from .models import GUMBEL_DOMAIN, TailModel
-from .quadrature import DEFAULT_REL_TOL, log_interval_quad, tail_quad
+from .quadrature import DEFAULT_REL_TOL, exp_each, log_interval_quad, tail_quads
 
 __all__ = [
     "SGrid",
@@ -121,90 +133,167 @@ def _check_s(s):
     return s
 
 
-def _quantiles(model, ts):
-    """Q(1-t) at the nodes of one bisection step, in one array call."""
-    return model.tail_quantile(np.array(ts)).tolist()
+def _masses(s):
+    """s as a list of checked tail masses, and its shape (None for a scalar)."""
+    arr = np.asarray(s, dtype=float)
+    return [_check_s(x) for x in arr.ravel().tolist()], (arr.shape if arr.ndim else None)
+
+
+def _shaped(vals, shape):
+    """A list of floats as the caller's shape: a float for a scalar."""
+    return vals[0] if shape is None else np.array(vals).reshape(shape)
+
+
+def _values(*columns):
+    """The values of per-s outcome lists, read s by s in argument order;
+    raises the first QuadratureError met that way, the one a scalar call
+    per s would raise."""
+    for row in zip(*columns):
+        for out in row:
+            if isinstance(out, QuadratureError):
+                raise out
+    return [[val for val, _ in col] for col in columns]
+
+
+def _settle(outs, shape, with_error):
+    """A functional's return value from its per-s outcomes."""
+    vals = _shaped(_values(outs)[0], shape)
+    return (vals, _shaped([err for _, err in outs], shape)) if with_error else vals
 
 
 def _densities(model, ts):
-    """q(t) at the nodes of one bisection step, in one array call; only
-    the overflow warning is silenced, never the value."""
+    """q(t) at the nodes of one round, in one array call; only the
+    overflow warning is silenced, never the value."""
     with np.errstate(over="ignore"):
-        return model.tail_density(np.array(ts)).tolist()
+        return model.tail_density(ts)
 
 
-@functools.lru_cache(maxsize=4096)   # see the module docstring
-def _scale_ibp(model, s, beta, rel_tol):
-    qs = model.tail_quantile(s)
-
-    def g(ws, ts):
-        return [math.exp(-beta * w) * (q - qs)
-                for w, q in zip(ws, _quantiles(model, ts))]
-
-    val, err = tail_quad(g, s, rel_tol, what=f"c({s:g},{beta:g}) ibp")
-    return beta * val, beta * err
+_IBP_CACHE: dict = {}   # see the module docstring
+_IBP_CACHE_SIZE = 4096
 
 
-def _scale_stieltjes(model, s, beta, rel_tol):
-    def g(ws, ts):
+def _scale_ibp(model, ss, beta, rel_tol):
+    keys = [(model, s, beta, rel_tol) for s in ss]
+    found = {key: _IBP_CACHE.pop(key) for key in keys if key in _IBP_CACHE}
+    _IBP_CACHE.update(found)   # hits become the most recently used
+    misses = [key for key in dict.fromkeys(keys) if key not in found]
+    if misses:
+        todo = [s for _, s, _, _ in misses]
+        qs = model.tail_quantile(np.array(todo))
+
+        def g(rows, ws, ts):
+            return exp_each(-beta * ws) * (model.tail_quantile(ts) - qs[rows])
+
+        outs = tail_quads(g, todo, rel_tol, [f"c({s:g},{beta:g}) ibp" for s in todo])
+        for key, out in zip(misses, outs):
+            if isinstance(out, QuadratureError):
+                found[key] = out   # never stored
+            else:
+                found[key] = _IBP_CACHE[key] = (beta * out[0], beta * out[1])
+        while len(_IBP_CACHE) > _IBP_CACHE_SIZE:
+            del _IBP_CACHE[next(iter(_IBP_CACHE))]   # least recently used
+    return [found[key] for key in keys]
+
+
+def _scale_stieltjes(model, ss, beta, rel_tol):
+    def g(rows, ws, ts):
         # q(t) can exceed double range once t is astronomically small
         # (heavy-tailed controls); the e^{-beta w} factor has crushed the
         # true integrand long before that point, so such a node gives 0.
-        return [math.exp(-beta * w) * t * d if math.isfinite(d) else 0.0
-                for w, t, d in zip(ws, ts, _densities(model, ts))]
+        d = _densities(model, ts)
+        vals = np.zeros(d.size)
+        ok = np.isfinite(d)
+        vals[ok] = exp_each(-beta * ws[ok]) * ts[ok] * d[ok]
+        return vals
 
-    return tail_quad(g, s, rel_tol, what=f"c({s:g},{beta:g}) stieltjes")
+    return tail_quads(g, ss, rel_tol, [f"c({s:g},{beta:g}) stieltjes" for s in ss])
 
 
-def _resolve(model, what, method, with_error, closed, **routes):
-    """Closed form if the model has one, else quadrature.
+def _resolve(model, what, ss, method, closed, **routes):
+    """Per-s outcomes: the closed form where the model has one, else
+    quadrature.
 
-    ``method="auto"`` takes ``closed()`` unless it returns None, and the
-    first of ``routes`` then; any other method must name a route and
-    forces it.  A route returns (value, error bound); a value that is not
-    finite, closed or not, raises "<what> diverges for <model>".
+    ``method="auto"`` takes ``closed(s)`` unless it returns None, and the
+    first of ``routes`` for the other s; any other method must name a
+    route and forces it.  A route maps a list of s to their outcomes,
+    integrated in one lockstep batch.  An outcome is (value, error bound)
+    or a QuadratureError; a value that is not finite, closed or not,
+    becomes "<what(s)> diverges for <model>".
     """
     if method != "auto" and method not in routes:
         raise ValueError(f"unknown method {method!r}")
-    val = closed() if method == "auto" else None
-    if val is not None:
-        val, err = float(val), 0.0
-    else:
-        val, err = routes[next(iter(routes)) if method == "auto" else method]()
-    if not math.isfinite(val):
-        raise QuadratureError(f"{what} diverges for {model.describe()}",
-                              estimate=val, error_bound=err)
-    return (val, err) if with_error else val
+    outs = [None] * len(ss)
+    if method == "auto":
+        for i, s in enumerate(ss):
+            val = closed(s)
+            if val is not None:
+                outs[i] = (float(val), 0.0)
+    rest = [i for i, out in enumerate(outs) if out is None]
+    if rest:
+        route = routes[next(iter(routes)) if method == "auto" else method]
+        for i, out in zip(rest, route([ss[i] for i in rest])):
+            outs[i] = out
+    for i, out in enumerate(outs):
+        if not isinstance(out, QuadratureError) and not math.isfinite(out[0]):
+            outs[i] = QuadratureError(f"{what(ss[i])} diverges for {model.describe()}",
+                                      estimate=out[0], error_bound=out[1])
+    return outs
+
+
+def _scale(model, ss, beta, method="auto", rel_tol=DEFAULT_REL_TOL):
+    beta = float(beta)
+    if not beta > 0.0:
+        raise ValueError("beta must be strictly positive")
+    return _resolve(model, lambda s: f"c({s:g},{beta:g})", ss, method,
+                    lambda s: model.closed_scale(s, beta),
+                    ibp=lambda ss: _scale_ibp(model, ss, beta, rel_tol),
+                    stieltjes=lambda ss: _scale_stieltjes(model, ss, beta, rel_tol))
 
 
 def tail_scale(model: TailModel, s, beta: float = 1.0, method: str = "auto",
                rel_tol: float = DEFAULT_REL_TOL, with_error: bool = False):
     """Tail scale c(s, beta); c(s) is the beta = 1 case.
 
-    ``method`` selects the evaluation route: "auto" prefers a closed
-    form and falls back to "ibp"; "ibp" and "stieltjes" force the two
-    quadrature routes described in the module docstring.
+    ``s`` is a tail mass or an array of them; an array gives arrays of its
+    shape and integrates its quadratures together.  ``method`` selects the
+    evaluation route: "auto" prefers a closed form and falls back to
+    "ibp"; "ibp" and "stieltjes" force the two quadrature routes described
+    in the module docstring.
     """
-    s = _check_s(s)
-    beta = float(beta)
-    if not beta > 0.0:
-        raise ValueError("beta must be strictly positive")
-    return _resolve(model, f"c({s:g},{beta:g})", method, with_error,
-                    lambda: model.closed_scale(s, beta),
-                    ibp=lambda: _scale_ibp(model, s, beta, rel_tol),
-                    stieltjes=lambda: _scale_stieltjes(model, s, beta, rel_tol))
+    ss, shape = _masses(s)
+    return _settle(_scale(model, ss, beta, method, rel_tol), shape, with_error)
+
+
+def _mean(model, ss, method="auto", rel_tol=DEFAULT_REL_TOL):
+    return _resolve(model, lambda s: f"mu({s:g})", ss, method, model.closed_mean_mass,
+                    quadrature=lambda ss: tail_quads(
+                        lambda rows, ws, ts: ts * model.tail_quantile(ts),
+                        ss, rel_tol, [f"mu({s:g})" for s in ss]))
 
 
 def tail_mean(model: TailModel, s, method: str = "auto",
               rel_tol: float = DEFAULT_REL_TOL, with_error: bool = False):
     """Mean mass mu(s) = int_{1-s}^1 Q(u) du of the top s fraction."""
-    s = _check_s(s)
-    return _resolve(model, f"mu({s:g})", method, with_error,
-                    lambda: model.closed_mean_mass(s),
-                    quadrature=lambda: tail_quad(
-                        lambda ws, ts: [t * q for t, q in
-                                        zip(ts, _quantiles(model, ts))],
-                        s, rel_tol, what=f"mu({s:g})"))
+    ss, shape = _masses(s)
+    return _settle(_mean(model, ss, method, rel_tol), shape, with_error)
+
+
+def _rate(model, ss, extended=False, method="auto", rel_tol=DEFAULT_REL_TOL):
+    if model.has_tail_rate:
+        return _resolve(model, lambda s: f"rho({s:g})", ss, method,
+                        model.closed_rate_integral,
+                        quadrature=lambda ss: tail_quads(
+                            lambda rows, ws, us: us * model.tail_rate(us),
+                            ss, rel_tol, [f"rho({s:g})" for s in ss]))
+    if not extended:
+        raise UnsupportedModelError(
+            f"{model.describe()} has no analytic tail rate; "
+            "pass extended=True for the mean-mass identity"
+        )
+    mus = _mean(model, ss, method, rel_tol)
+    qs = model.tail_quantile(np.array(ss)).tolist()
+    return [mu if isinstance(mu, QuadratureError) else (mu[0] - s * q, mu[1])
+            for s, q, mu in zip(ss, qs, mus)]
 
 
 def rate_integral(model: TailModel, s, extended: bool = False,
@@ -217,72 +306,77 @@ def rate_integral(model: TailModel, s, extended: bool = False,
     rho(s) = mu(s) - s Q(1-s) supplies the value, with ``method``
     passed on to the mean mass.
     """
-    s = _check_s(s)
-    if model.has_tail_rate:
-        return _resolve(model, f"rho({s:g})", method, with_error,
-                        lambda: model.closed_rate_integral(s),
-                        quadrature=lambda: tail_quad(
-                            lambda ws, us: [u * r for u, r in zip(
-                                us, model.tail_rate(np.array(us)).tolist())],
-                            s, rel_tol, what=f"rho({s:g})"))
-    if not extended:
-        raise UnsupportedModelError(
-            f"{model.describe()} has no analytic tail rate; "
-            "pass extended=True for the mean-mass identity"
-        )
-    mu, mu_err = tail_mean(model, s, method=method, rel_tol=rel_tol,
-                           with_error=True)
-    val = mu - s * model.tail_quantile(s)
-    return (val, mu_err) if with_error else val
+    ss, shape = _masses(s)
+    return _settle(_rate(model, ss, extended, method, rel_tol), shape, with_error)
 
 
-def _variance_quad(model, s, rel_tol):
-    rho, rho_err = rate_integral(model, s, extended=True, rel_tol=rel_tol,
-                                 with_error=True)
-    qs = model.tail_quantile(s)
+def _variance_quad(model, ss, rel_tol):
+    outs = _rate(model, ss, extended=True, rel_tol=rel_tol)
+    live = [i for i, out in enumerate(outs) if not isinstance(out, QuadratureError)]
+    todo = [ss[i] for i in live]
+    qs = model.tail_quantile(np.array(todo))
 
-    def g(ws, ys):
+    def g(rows, ws, ys):
         # an inf density is the honest divergence signal (heavy tails)
-        return [y * (y * d) * (q - qs) for y, d, q in
-                zip(ys, _densities(model, ys), _quantiles(model, ys))]
+        d, q = _densities(model, ys), model.tail_quantile(ys)
+        with np.errstate(over="ignore", invalid="ignore"):   # as Python floats
+            return ys * (ys * d) * (q - qs[rows])
 
-    j2, j2_err = tail_quad(g, s, rel_tol, what=f"sigma2({s:g})")
-    return 2.0 * j2 - rho * rho, 2.0 * j2_err + 2.0 * abs(rho) * rho_err
+    j2s = tail_quads(g, todo, rel_tol, [f"sigma2({s:g})" for s in todo])
+    for i, j2 in zip(live, j2s):
+        rho, rho_err = outs[i]
+        outs[i] = j2 if isinstance(j2, QuadratureError) else (
+            2.0 * j2[0] - rho * rho, 2.0 * j2[1] + 2.0 * abs(rho) * rho_err)
+    return outs
+
+
+def _variance(model, ss, method="auto", rel_tol=DEFAULT_REL_TOL):
+    return _resolve(model, lambda s: f"sigma2({s:g})", ss, method,
+                    model.closed_variance,
+                    quadrature=lambda ss: _variance_quad(model, ss, rel_tol))
 
 
 def tail_variance(model: TailModel, s, method: str = "auto",
                   rel_tol: float = DEFAULT_REL_TOL, with_error: bool = False):
     """Variance driver sigma2(s) of the extreme-sum limit theorem."""
-    s = _check_s(s)
-    return _resolve(model, f"sigma2({s:g})", method, with_error,
-                    lambda: model.closed_variance(s),
-                    quadrature=lambda: _variance_quad(model, s, rel_tol))
+    ss, shape = _masses(s)
+    return _settle(_variance(model, ss, method, rel_tol), shape, with_error)
 
 
 # -- limit ratios -------------------------------------------------------
+#
+# Each ratio takes a tail mass or an array of them.  An array integrates
+# each functional once for all its s and raises the error that the first
+# failing scalar call would raise.
 
 
-def spacing_log_ratio(model: TailModel, s, x: float) -> float:
+def _ratios(nums, dens, shape):
+    # Python division, as for scalars: a zero denominator raises
+    return _shaped([a / b for a, b in zip(nums, dens)], shape)
+
+
+def spacing_log_ratio(model: TailModel, s, x: float):
     """(Q(1-xs) - Q(1-s)) / c(s); tends to -ln x in the Gumbel domain."""
-    s = _check_s(s)
+    ss, shape = _masses(s)
     x = float(x)
     if not x > 0.0:
         raise ValueError("x must be strictly positive")
-    _check_s(x * s)
-    num = model.tail_quantile(x * s) - model.tail_quantile(s)
-    return num / tail_scale(model, s)
+    xs = [_check_s(x * s) for s in ss]
+    nums = (model.tail_quantile(np.array(xs)) - model.tail_quantile(np.array(ss))).tolist()
+    return _ratios(nums, *_values(_scale(model, ss, 1.0)), shape)
 
 
-def scale_beta_ratio(model: TailModel, s, beta: float) -> float:
+def scale_beta_ratio(model: TailModel, s, beta: float):
     """c(s, beta) / c(s); tends to 1/beta in the Gumbel domain."""
-    return tail_scale(model, s, beta) / tail_scale(model, s)
+    ss, shape = _masses(s)
+    return _ratios(*_values(_scale(model, ss, beta), _scale(model, ss, 1.0)), shape)
 
 
-def variance_scale_ratio(model: TailModel, s) -> float:
+def variance_scale_ratio(model: TailModel, s):
     """sigma2(s) / (2 s c(s)^2); tends to 1 in the Gumbel domain."""
-    s = _check_s(s)
-    c = tail_scale(model, s)
-    return tail_variance(model, s) / (2.0 * s * c * c)
+    ss, shape = _masses(s)
+    cs, sig = _values(_scale(model, ss, 1.0), _variance(model, ss))
+    return _ratios(sig, [2.0 * s * c * c for s, c in zip(ss, cs)], shape)
 
 
 def representation_residual(model: TailModel, s, anchor: float = 0.25,
@@ -302,9 +396,12 @@ def representation_residual(model: TailModel, s, anchor: float = 0.25,
     if not s < anchor:
         raise ValueError("need s < anchor")
 
+    def integrand(us):
+        us = np.array(us)
+        return (tail_scale(model, us, rel_tol=rel_tol) / us).tolist()
+
     integral, _ = log_interval_quad(
-        lambda us: [tail_scale(model, u, rel_tol=rel_tol) / u for u in us],
-        s, anchor, rel_tol=max(rel_tol, 1e-10),
+        integrand, s, anchor, rel_tol=max(rel_tol, 1e-10),
         what=f"int c(u)/u over ({s:g},{anchor:g})",
     )
     lhs = model.tail_quantile(s) - model.tail_quantile(anchor)
@@ -382,23 +479,32 @@ def build_functional_table(model: TailModel, grid: SGrid, betas=(),
     an infinite error bound; the build itself never aborts.
     """
     betas = tuple(sorted(float(b) for b in betas))
-    specs = [("c", tail_scale, ())]
-    specs += [(f"c_beta_{format(b, 'g')}", tail_scale, (b,)) for b in betas]
-    specs += [("sigma2", tail_variance, ()), ("mu", tail_mean, ())]
+    ss = list(grid.points)
+    specs = [("c", lambda: _scale(model, ss, 1.0, rel_tol=rel_tol))]
+    specs += [(f"c_beta_{format(b, 'g')}", lambda b=b: _scale(model, ss, b, rel_tol=rel_tol))
+              for b in betas]
+    specs += [("sigma2", lambda: _variance(model, ss, rel_tol=rel_tol)),
+              ("mu", lambda: _mean(model, ss, rel_tol=rel_tol))]
     if model.has_tail_rate:
-        specs.append(("rho", rate_integral, ()))
-    columns = {name: [] for name, _, _ in specs}
-    errors = {name: [] for name, _, _ in specs}
+        specs.append(("rho", lambda: _rate(model, ss, rel_tol=rel_tol)))
+    # one call per column; its entries are flagged one by one, s by s
+    outcomes = {}
+    for name, column in specs:
+        try:
+            outcomes[name] = column()
+        except UnsupportedModelError as exc:
+            outcomes[name] = [exc] * len(ss)
+    columns = {name: [] for name, _ in specs}
+    errors = {name: [] for name, _ in specs}
     notes: list = []
-    for s in grid.points:
-        for name, fn, args in specs:
-            try:
-                val, err = fn(model, s, *args, rel_tol=rel_tol, with_error=True)
-            except (QuadratureError, UnsupportedModelError) as exc:
-                notes.append(f"{name} at s={format(s, 'g')}: {exc}")
-                val, err = math.nan, math.inf
-            columns[name].append(val)
-            errors[name].append(err)
+    for i, s in enumerate(ss):
+        for name, outs in outcomes.items():
+            out = outs[i]
+            if isinstance(out, (QuadratureError, UnsupportedModelError)):
+                notes.append(f"{name} at s={format(s, 'g')}: {out}")
+                out = (math.nan, math.inf)
+            columns[name].append(out[0])
+            errors[name].append(out[1])
 
     return FunctionalTable(model=model, grid=grid, betas=betas,
                            columns=columns, errors=errors, notes=notes)

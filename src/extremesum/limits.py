@@ -11,6 +11,12 @@ That power differs within the class: the Weibull(2) spacing error is about
 -0.467/ln(1/s), but the LogNormal converges only like 1/sqrt(2 ln(1/s)),
 so its beta = 0.5 scale ratio still sits 0.417 above its limit 2 at
 s = 1e-6 and fails the loose tolerance at desk s.
+
+A grid check evaluates its whole grid at once: one array call per
+functional (per beta, and over the grid and its lambda-scaled copies for
+slow variation), so the quadratures of a grid run in lockstep.  A row
+fails with the error its first failing point would raise in a scalar
+evaluation of the grid.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import QuadratureError, UnsupportedModelError
 from .functionals import (
@@ -208,8 +216,14 @@ def slow_variation_check(f, lam: float, grid: SGrid, tol: float) -> LimitCheckRe
 # (grid, values, target, note).  run_limit_suite supplies the rest.
 
 
-def _on_grid(grid, ratio, target):
-    return lambda: (grid.points, tuple(ratio(s) for s in grid.points), target, "")
+def _on_grid(grid, ratios, target):
+    # ratios maps the grid's points, as one array, to their values
+    return lambda: (grid.points, tuple(np.asarray(ratios(np.array(grid.points))).tolist()),
+                    target, "")
+
+
+def _each(ratio):
+    return lambda ss: [ratio(s) for s in ss.tolist()]
 
 
 def _fields(rep: LimitCheckReport):
@@ -221,37 +235,56 @@ def _domain_ratio(model, betas):
     return [(tuple(zip("xzyw", probe)), lambda: _fields(domain_check(model, probe)))]
 
 
+def _pointwise(f, points):
+    """f at each of ``points`` from one array call, as a scalar function of
+    those points.  If the array call fails, each point gets its own scalar
+    call, so a point raises exactly the error it raises alone."""
+    try:
+        return dict(zip(points, f(np.array(points)).tolist())).__getitem__
+    except (QuadratureError, ValueError):
+        return f
+
+
 def _scale_slow_variation(model, betas):
     grid = _default_grid(1e-6)
+    lams = (0.5, 2.0)
+    points = [p for s in grid.points for p in (s, *(lam * s for lam in lams))]
+    scales = {}
 
     def run(beta, lam):
-        # the suite applies its own tolerance; the report's is discarded
-        return lambda: _fields(slow_variation_check(
-            lambda s: tail_scale(model, s, beta=beta), lam, grid, 0.0))
+        def row():
+            # one tail_scale call per beta, shared by its lam rows
+            if beta not in scales:
+                scales[beta] = _pointwise(lambda s: tail_scale(model, s, beta=beta), points)
+            # the suite applies its own tolerance; the report's is discarded
+            return _fields(slow_variation_check(scales[beta], lam, grid, 0.0))
+
+        return row
 
     return [((("beta", beta), ("lam", lam)), run(beta, lam))
-            for beta in (1.0, *betas) for lam in (0.5, 2.0)]
+            for beta in (1.0, *betas) for lam in lams]
 
 
 def _representation_residual(model, betas):
     return [((("anchor", 0.25),), _on_grid(
-        SGrid((1e-4,)), lambda s: representation_residual(model, s, anchor=0.25), 0.0))]
+        SGrid((1e-4,)), _each(lambda s: representation_residual(model, s, anchor=0.25)),
+        0.0))]
 
 
 def _spacing_log_limit(model, betas):
     return [((("x", 2.0),), _on_grid(
-        _default_grid(1e-8), lambda s: spacing_log_ratio(model, s, 2.0), -math.log(2.0)))]
+        _default_grid(1e-8), lambda ss: spacing_log_ratio(model, ss, 2.0), -math.log(2.0)))]
 
 
 def _scale_beta_limit(model, betas):
     return [((("beta", b),), _on_grid(
-        _default_grid(1e-6), lambda s, b=b: scale_beta_ratio(model, s, b), 1.0 / b))
+        _default_grid(1e-6), lambda ss, b=b: scale_beta_ratio(model, ss, b), 1.0 / b))
         for b in betas]
 
 
 def _variance_scale_limit(model, betas):
     return [((), _on_grid(
-        _default_grid(1e-4, count=3), lambda s: variance_scale_ratio(model, s), 1.0))]
+        _default_grid(1e-4, count=3), lambda ss: variance_scale_ratio(model, ss), 1.0))]
 
 
 def _sequence_slowvar_limit(model, betas):
@@ -260,7 +293,7 @@ def _sequence_slowvar_limit(model, betas):
         return sequence_slowvar_ratio(
             lambda u: tail_scale(model, u), 1.0, lambda m: m**-0.5, 1.0 / s)
 
-    return [((("beta", 1.0),), _on_grid(SGrid((1e-2, 1e-4, 1e-6)), ratio, 0.0))]
+    return [((("beta", 1.0),), _on_grid(SGrid((1e-2, 1e-4, 1e-6)), _each(ratio), 0.0))]
 
 
 def _rate_scale_limit(model, betas):
@@ -268,7 +301,7 @@ def _rate_scale_limit(model, betas):
     if not model.has_tail_rate:
         return []
     return [((), _on_grid(
-        _default_grid(1e-6), lambda s: model.tail_rate(s) / tail_scale(model, s), 1.0))]
+        _default_grid(1e-6), lambda ss: model.tail_rate(ss) / tail_scale(model, ss), 1.0))]
 
 
 _CHECKS = {

@@ -10,7 +10,7 @@ The machinery is QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber and
 Kahaner, 1983), ported operation for operation from its Fortran:
 
 * QAGI with the 15-point rule QK15I on (0, 1), after x = 1/(1 + w), for
-  ``semiinf_quad`` and ``tail_quad``;
+  ``semiinf_quad``, ``tail_quad`` and ``tail_quads``;
 * QAGS with the 21-point rule QK21 for ``log_interval_quad``;
 * one shared bisection driver with QPSRT (error-ordered interval list)
   and QELG (the epsilon algorithm that extrapolates the partial sums).
@@ -23,12 +23,29 @@ its NaN behaviour (a Fortran ``if (a .le. b) goto`` reads ``not a <= b``
 where the branch matters), C's ``fmax``/``fmin`` and C's IEEE results
 where Python would raise (a division by zero, an overflowing power).
 
-Integrands are batched: ``fn`` receives a list of nodes and returns
-their values as a sequence of floats.  The first call gets the 15 or 21
-nodes of the whole range; each bisection step after that sends the nodes
-of both halves in one call (30 for QK15I, 42 for QK21), so a model is
-called once per bisection step, not once per node.  Each half keeps its
-own Kronrod sums in QUADPACK's order.
+Quadratures run in lockstep.  ``_adapt`` is QUADPACK's driver written
+as a generator: it yields the intervals of its next rule evaluation,
+first the whole range and then both halves of each bisection, and is
+sent their Kronrod sums back.  ``_lockstep`` advances a list of such
+quadratures one bisection round at a time: it lays out the nodes of
+every unfinished quadrature in one numpy array, makes one integrand call
+``fn(rows, xs)`` for all of them (row j of xs holds the nodes of
+quadrature ``rows[j]``: 15 or 21 per interval, both halves side by side)
+and forms every Gauss and Kronrod sum in one pass.  Those sums are
+sequential ``np.add.accumulate`` chains along the node axis in
+QUADPACK's order, never pairwise sums, and QK21's Gauss sum skips its
+Kronrod-only nodes.  The rest is elementwise IEEE arithmetic, so a
+quadrature's bits do not depend on the batch it runs in.  Exponentials
+and powers stay per element on libm (``exp_each``, ``x ** 1.5``):
+numpy's SIMD exp and power differ from libm in the last bit on some
+doubles.
+
+A batch of M quadratures makes max(last) integrand calls instead of the
+sum of them.  ``tail_quads`` is the batched tail integral the
+functionals use.  ``semiinf_quad``, ``log_interval_quad`` and
+``tail_quad`` are the one-quadrature case of the same driver, and they
+hand their integrands lists of Python floats.  Every quadrature enters
+through ``_run_quads``.
 """
 
 from __future__ import annotations
@@ -36,9 +53,12 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
+
 from .errors import QuadratureError
 
-__all__ = ["DEFAULT_REL_TOL", "semiinf_quad", "log_interval_quad", "tail_quad"]
+__all__ = ["DEFAULT_REL_TOL", "semiinf_quad", "log_interval_quad", "tail_quad",
+           "tail_quads", "exp_each"]
 
 DEFAULT_REL_TOL = 1e-11
 
@@ -107,76 +127,112 @@ def _div(a, b):
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _nodes(intervals, xgk):
-    """The nodes of every (a, b) in one list, each interval's as its centre
-    and then the pairs centre -/+ half-length * x_j; and the half-lengths."""
-    xs, hlgths = [], []
-    for a, b in intervals:
-        centr = 0.5 * (a + b)
-        hlgth = 0.5 * (b - a)
-        xs.append(centr)
-        for x in xgk:
-            absc = hlgth * x
-            xs += (centr - absc, centr + absc)
-        hlgths.append(hlgth)
-    return xs, hlgths
+def exp_each(x):
+    """math.exp on each element of the array x, as an array.
 
-
-def _kronrod(fv, hlgth, wgk, wg, order):
-    """QUADPACK's Kronrod and Gauss sums and error estimate over the values
-    fv of one interval laid out as ``_nodes``; sums run over the pairs in
-    ``order``.
-
-    Returns (result, abserr, resabs, resasc).
+    numpy's exp differs from libm's in the last bit on some doubles, so
+    every exponential that feeds a quadrature node or integrand is libm's.
     """
-    fc, fv1, fv2 = fv[0], fv[1::2], fv[2::2]
-    resg = 0.0 if wg[-1] is None else wg[-1] * fc
-    resk = wgk[-1] * fc
-    resabs = abs(resk)
-    for j in order:
-        fval1, fval2 = fv1[j], fv2[j]
-        fsum = fval1 + fval2
-        if wg[j] is not None:
-            resg = resg + wg[j] * fsum
-        resk = resk + wgk[j] * fsum
-        resabs = resabs + wgk[j] * (abs(fval1) + abs(fval2))
+    return np.fromiter(map(math.exp, x.tolist()), float, x.size)
+
+
+def _table(xgk, wgk, wg, order):
+    """A rule's arrays: abscissae, the centre's Kronrod weight, the Kronrod
+    weights in summation order with that order, the centre's Gauss weight
+    (None when the centre is a Kronrod-only node), the Gauss weights with
+    their node indices, and the Kronrod weights of the pairs in node order."""
+    gauss = [j for j in range(len(xgk)) if wg[j] is not None]
+    return (np.array(xgk), wgk[-1], np.array([wgk[j] for j in order]),
+            np.array(order, dtype=int), wg[-1], np.array([wg[j] for j in gauss]),
+            np.array(gauss, dtype=int), np.array(wgk[:-1]))
+
+
+# QK15I sums its Gauss terms over every pair, zero weights included (a
+# zero times an inf value is NaN there, as in the Fortran); QK21 sums the
+# Gauss nodes first, then the Kronrod-only ones, and skips the latter in
+# its Gauss sum.
+_K15I = _table(_XGK15, _WGK15, _WG15, range(7))
+_K21 = _table(_XGK21, _WGK21, _WG21, (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
+
+
+def _nodes(a, b, xgk, rows):
+    """The nodes of every interval (a[i], b[i]): its centre, then the pairs
+    centre -/+ half-length * x_j; a quadrature's intervals side by side in
+    one of ``rows`` rows.  Also returns the half-lengths."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = hlgth[:, None] * xgk
+    xs = np.empty((a.size, 2 * xgk.size + 1))
+    xs[:, 0] = centr
+    xs[:, 1::2] = centr[:, None] - absc
+    xs[:, 2::2] = centr[:, None] + absc
+    return xs.reshape(rows, -1), hlgth
+
+
+def _sums(f, hlgth, table):
+    """QUADPACK's Kronrod and Gauss sums and error estimate on each row of
+    f, the values at one interval's nodes laid out as ``_nodes``.
+
+    Every sum runs left to right in the Fortran loop's order: a sequential
+    ``np.add.accumulate`` along the node axis, never a pairwise sum.  Only
+    pow(r, 1.5) is per element: C pow, not numpy's power loop.  Returns
+    the arrays (result, abserr, resabs, resasc).
+    """
+    _, wkc, wk, order, wgc, wg, gauss, wkpairs = table
+    fc, fv1, fv2 = f[:, 0], f[:, 1::2], f[:, 2::2]
+    fsum = fv1 + fv2
+    kc = wkc * fc
+    # rows of the Kronrod, absolute and Gauss sums; the Gauss sum is the
+    # shorter one for QK21 and is read where its terms end
+    ng = gauss.size + 1
+    terms = np.zeros((3, fc.size, order.size + 1))
+    terms[0, :, 0] = kc
+    terms[1, :, 0] = np.abs(kc)
+    if wgc is not None:
+        terms[2, :, 0] = wgc * fc
+    terms[0, :, 1:] = wk * fsum[:, order]
+    terms[1, :, 1:] = wk * (np.abs(fv1) + np.abs(fv2))[:, order]
+    terms[2, :, 1:ng] = wg * fsum[:, gauss]
+    sums = np.add.accumulate(terms, axis=2)
+    resk, resabs, resg = sums[0, :, -1], sums[1, :, -1], sums[2, :, ng - 1]
     reskh = resk * 0.5
-    resasc = wgk[-1] * abs(fc - reskh)
-    for w, fval1, fval2 in zip(wgk, fv1, fv2):
-        resasc = resasc + w * (abs(fval1 - reskh) + abs(fval2 - reskh))
-    dhlgth = abs(hlgth)
+    dev = reskh[:, None]
+    terms = np.empty((fc.size, wkpairs.size + 1))
+    terms[:, 0] = wkc * np.abs(fc - reskh)
+    terms[:, 1:] = wkpairs * (np.abs(fv1 - dev) + np.abs(fv2 - dev))
+    resasc = np.add.accumulate(terms, axis=1)[:, -1]
+    dhlgth = np.abs(hlgth)
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and abserr != 0.0:
-        r = 200.0 * abserr / resasc
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    if scaled.any():
+        r = 200.0 * abserr[scaled] / resasc[scaled]
         # fmin(1, pow(r, 1.5)); NaN gives 1 and r >= 1 cannot overflow
-        abserr = resasc * (r**1.5 if r < 1.0 else 1.0)
-    if resabs > _UFLOW / (50.0 * _EPMACH):
-        abserr = _fmax(_EPMACH * 50.0 * resabs, abserr)
-    return resk * hlgth, abserr, resabs, resasc
+        abserr[scaled] = resasc[scaled] * np.array(
+            [x**1.5 if x < 1.0 else 1.0 for x in r.tolist()])
+    floor = _EPMACH * 50.0 * resabs
+    # fmax(floor, abserr) where resabs is above the underflow bound
+    return resk * hlgth, np.where(
+        (resabs > _UFLOW / (50.0 * _EPMACH)) & ((floor >= abserr) | (abserr != abserr)),
+        floor, abserr), resabs, resasc
 
 
-def _kronrods(fv, hlgths, wgk, wg, order):
-    """``_kronrod`` on each interval's share of the values fv."""
-    n = len(fv) // len(hlgths)
-    return [_kronrod(fv[i * n:(i + 1) * n], hlgth, wgk, wg, order)
-            for i, hlgth in enumerate(hlgths)]
+def _qk15i(fn, rows, a, b):
+    """QK15I on each interval (a[i], b[i]) within (0, 1) for int_0^inf,
+    w = (1 - x)/x."""
+    xs, hlgth = _nodes(a, b, _K15I[0], len(rows))
+    fv = np.asarray(fn(rows, (1.0 - xs) / xs), dtype=float).reshape(xs.shape)
+    with np.errstate(over="ignore", invalid="ignore"):   # Python floats are silent
+        return _sums(((fv / xs) / xs).reshape(hlgth.size, -1), hlgth, _K15I)
 
 
-def _qk15i(fn, *intervals):
-    """QK15I on each (a, b) within (0, 1) for int_0^inf, w = (1 - x)/x."""
-    xs, hlgths = _nodes(intervals, _XGK15)
-    fv = fn([(1.0 - x) / x for x in xs])
-    return _kronrods([(float(f) / x) / x for f, x in zip(fv, xs)], hlgths,
-                     _WGK15, _WG15, range(7))
-
-
-def _qk21(fn, *intervals):
-    """QK21 on each (a, b): Gauss nodes summed first, then the Kronrod-only ones."""
-    xs, hlgths = _nodes(intervals, _XGK21)
-    return _kronrods([float(f) for f in fn(xs)], hlgths, _WGK21, _WG21,
-                     (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
+def _qk21(fn, rows, a, b):
+    """QK21 on each interval (a[i], b[i])."""
+    xs, hlgth = _nodes(a, b, _K21[0], len(rows))
+    fv = np.asarray(fn(rows, xs), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sums(fv.reshape(hlgth.size, -1), hlgth, _K21)
 
 
 def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
@@ -277,9 +333,13 @@ def _qelg(n, epstab, res3la, nres):
     return n, result, _fmax(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
-def _adapt(rule, fn, a, b, epsrel, limit=_LIMIT):
-    """QAGSE / QAGIE: (result, abserr, ier, last) of int_a^b by ``rule``.
+def _adapt(a, b, epsrel, limit=_LIMIT):
+    """QAGSE / QAGIE as a generator: returns (result, abserr, ier, last) of
+    int_a^b.
 
+    It yields the intervals of each rule evaluation, first ((a, b),) and
+    then the two halves of a bisection, and is sent their Kronrod tuples
+    (result, abserr, resabs, resasc) back; ``_lockstep`` drives it.
     Lists are 1-based as in the Fortran; ier is the user-facing code.
     """
     epsabs = _ABS_FLOOR
@@ -288,7 +348,7 @@ def _adapt(rule, fn, a, b, epsrel, limit=_LIMIT):
     iord = [0] * (limit + 1)
     alist[1], blist[1] = a, b
     ier = 0
-    result, abserr, defabs, resabs = rule(fn, (a, b))[0]
+    result, abserr, defabs, resabs = (yield ((a, b),))[0]
     dres = abs(result)
     errbnd = _fmax(epsabs, epsrel * dres)
     last = 1
@@ -314,8 +374,8 @@ def _adapt(rule, fn, a, b, epsrel, limit=_LIMIT):
         a1, b2 = alist[maxerr], blist[maxerr]
         b1 = a2 = 0.5 * (alist[maxerr] + blist[maxerr])
         erlast = errmax
-        (area1, error1, _, defab1), (area2, error2, _, defab2) = rule(
-            fn, (a1, b1), (a2, b2))
+        (area1, error1, _, defab1), (area2, error2, _, defab2) = yield (
+            (a1, b1), (a2, b2))
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -436,21 +496,72 @@ def _adapt(rule, fn, a, b, epsrel, limit=_LIMIT):
     return result, abserr, ier - 1 if ier > 2 else ier, last
 
 
-def _run_quad(rule, fn, lo, hi, rel_tol, what):
-    value, abserr, ier, _ = _adapt(rule, fn, lo, hi, rel_tol)
+def _lockstep(rule, fn, bounds, epsrel, limit=_LIMIT):
+    """(result, abserr, ier, last) of the integral over each (a, b) in
+    ``bounds`` by ``rule``, the quadratures run in lockstep.
+
+    Each round collects the intervals every unfinished quadrature asks
+    for, both halves of its next bisection, and evaluates them all with
+    one ``rule`` call and so one integrand call ``fn(rows, xs)``: row j of
+    the node matrix xs holds the nodes of quadrature ``rows[j]``.  A
+    quadrature leaves the round in which it finishes, so a batch makes
+    max(last) integrand calls.  Each quadrature's arithmetic is its own
+    and elementwise, so its numbers do not depend on the batch around it.
+    """
+    runs = [_adapt(a, b, epsrel, limit) for a, b in bounds]
+    out = [None] * len(runs)
+    rows = list(range(len(runs)))
+    asks = [next(run) for run in runs]
+    while rows:
+        ends = np.array([ab for ask in asks for ab in ask])
+        sums = list(zip(*(v.tolist() for v in rule(fn, rows, ends[:, 0], ends[:, 1]))))
+        per = len(sums) // len(rows)
+        live, asks = [], []
+        for j, i in enumerate(rows):
+            try:
+                asks.append(runs[i].send(sums[j * per:(j + 1) * per]))
+                live.append(i)
+            except StopIteration as done:
+                out[i] = done.value
+        rows = live
+    return out
+
+
+def _outcome(value, abserr, ier, rel_tol, what):
+    """(value, abserr), or the QuadratureError the quadrature earns."""
     if ier:
         # QUADPACK attached a warning: accuracy not certified.
         tol = max(_ABS_FLOOR, rel_tol * abs(value))
         if not math.isfinite(value) or abserr > 100.0 * tol:
-            raise QuadratureError(
+            return QuadratureError(
                 f"{what}: quadrature did not converge "
                 f"({_MESSAGES[ier].format(limit=_LIMIT)})",
                 estimate=value,
                 error_bound=abserr,
             )
     if not math.isfinite(value):
-        raise QuadratureError(f"{what}: integral is not finite", estimate=value)
+        return QuadratureError(f"{what}: integral is not finite", estimate=value)
     return value, abserr
+
+
+def _run_quads(rule, fn, bounds, rel_tol, whats):
+    """Every quadrature of the package starts here: one ``_lockstep`` batch,
+    labelled quadrature by quadrature with ``whats``.  Returns each one's
+    (value, abserr) or its QuadratureError, returned, not raised."""
+    return [_outcome(value, abserr, ier, rel_tol, what) for (value, abserr, ier, _), what
+            in zip(_lockstep(rule, fn, bounds, rel_tol), whats)]
+
+
+def _settled(outcome):
+    if isinstance(outcome, QuadratureError):
+        raise outcome
+    return outcome
+
+
+def _listwise(fn):
+    """``fn``, which maps a list of nodes (Python floats) to their values,
+    as the integrand of a one-quadrature batch."""
+    return lambda rows, xs: np.asarray(fn(xs.ravel().tolist()), dtype=float)
 
 
 def semiinf_quad(fn, rel_tol=DEFAULT_REL_TOL, what="integral"):
@@ -458,7 +569,7 @@ def semiinf_quad(fn, rel_tol=DEFAULT_REL_TOL, what="integral"):
 
     ``fn`` maps a list of nodes w to their values (QAGI).
     """
-    return _run_quad(_qk15i, fn, 0.0, 1.0, rel_tol, what)
+    return _settled(_run_quads(_qk15i, _listwise(fn), [(0.0, 1.0)], rel_tol, [what])[0])
 
 
 def log_interval_quad(fn, a, b, rel_tol=DEFAULT_REL_TOL, what="integral"):
@@ -473,31 +584,48 @@ def log_interval_quad(fn, a, b, rel_tol=DEFAULT_REL_TOL, what="integral"):
         us = [math.exp(-y) for y in ys]
         return [u * v for u, v in zip(us, fn(us))]
 
-    return _run_quad(_qk21, g, -math.log(b), -math.log(a), rel_tol, what)
+    return _settled(_run_quads(_qk21, _listwise(g), [(-math.log(b), -math.log(a))],
+                               rel_tol, [what])[0])
+
+
+def tail_quads(fn, ss, rel_tol, whats):
+    """int_0^inf fn(w, t) dw along t = s e^{-w} for every s in ``ss``, in
+    lockstep; ``whats`` labels each quadrature.
+
+    ``fn(rows, ws, ts)`` gets the nodes of one round as flat arrays, every
+    node of every unfinished quadrature, and ``rows[j]`` is the index in
+    ``ss`` of node j's quadrature; it returns their values.  It only ever
+    sees strictly positive t.  A node where t underflows past the
+    smallest subnormal contributes exactly zero.  A tail integral
+    int_0^s f(t) dt is ``fn = t * f(t)`` per node.
+
+    Returns one (value, error) per s, or the QuadratureError its
+    quadrature earns, returned, not raised.
+    """
+    ss = np.array(ss, dtype=float)
+    if not ((ss > 0.0) & (ss < 1.0)).all():
+        raise ValueError("need 0 < s < 1")
+
+    def g(rows, ws):
+        rows = np.repeat(rows, ws.shape[1])
+        ws = ws.ravel()
+        ts = ss[rows] * exp_each(-ws)
+        live = ts > 0.0
+        if live.all():
+            return fn(rows, ws, ts)
+        vals = np.zeros(ws.size)
+        if live.any():
+            vals[live] = fn(rows[live], ws[live], ts[live])
+        return vals
+
+    return _run_quads(_qk15i, g, [(0.0, 1.0)] * ss.size, rel_tol, whats)
 
 
 def tail_quad(fn, s, rel_tol=DEFAULT_REL_TOL, what="tail integral"):
-    """int_0^inf fn(w, t) dw along the substitution t = s e^{-w}.
+    """One ``tail_quads`` quadrature; raises its QuadratureError.
 
     ``fn(ws, ts)`` gets the nodes of one bisection step (both halves) as
-    two lists and returns their values; it only ever sees strictly
-    positive t.  A node where t underflows past the smallest subnormal
-    contributes exactly zero.  A tail integral int_0^s f(t) dt is
-    ``fn = t * f(t)`` per node.
+    two lists and returns their values.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError("need 0 < s < 1")
-
-    def g(ws):
-        ts = [s * math.exp(-w) for w in ws]
-        if 0.0 not in ts:
-            return fn(ws, ts)
-        live = [i for i, t in enumerate(ts) if t > 0.0]
-        out = [0.0] * len(ts)
-        if live:
-            vals = fn([ws[i] for i in live], [ts[i] for i in live])
-            for i, v in zip(live, vals):
-                out[i] = v
-        return out
-
-    return semiinf_quad(g, rel_tol, what=what)
+    return _settled(tail_quads(lambda rows, ws, ts: fn(ws.tolist(), ts.tolist()),
+                               [s], rel_tol, [what])[0])

@@ -212,6 +212,27 @@ def test_config_rejects_s_grid_it_cannot_record():
     assert ExperimentConfig.from_dict(cfg.to_dict()).s_grid.points == cfg.s_grid.points
 
 
+@pytest.mark.parametrize("field, named", [
+    ({"n_values": 5}, "n_values"),
+    ({"models": 5}, "models"),
+    ({"betas": ["x"]}, "betas"),
+    ({"betas": [None]}, "betas"),
+    ({"s_grid": {"start": [1]}}, "s_grid.start"),
+    ({"s_grid": {"count": 2.7}}, "s_grid.count"),
+    ({"statistics": "T1"}, "statistics must be a list"),
+], ids=["n_values", "models", "betas-str", "betas-null", "s_grid-start",
+        "s_grid-count", "statistics-str"])
+def test_exit_config_on_wrong_field_type(tmp_path, capsys, field, named):
+    """A field of the wrong type is a config error (exit 2) named in the
+    message, never a traceback or a silently converted value."""
+    cfg = _write_config(tmp_path / "cfg.json", **field)
+    assert main(["lemmas", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert "['T', '1']" not in err
+
+
 def test_config_rejects_bool_integers():
     for kwargs in (
         {"replicates": True},

@@ -395,15 +395,15 @@ def test_non_finite_closed_form_raises(functional, what):
 
 @pytest.fixture
 def quad_calls(monkeypatch):
-    """Count the QUADPACK calls behind every tail quadrature."""
+    """Record the label of every quadrature, lockstepped or alone."""
     calls = []
-    real = quadrature.semiinf_quad
+    real = quadrature._run_quads
 
-    def counted(fn, *args, **kwargs):
-        calls.append(kwargs.get("what"))
-        return real(fn, *args, **kwargs)
+    def counted(rule, fn, bounds, rel_tol, whats):
+        calls.extend(whats)
+        return real(rule, fn, bounds, rel_tol, whats)
 
-    monkeypatch.setattr(quadrature, "semiinf_quad", counted)
+    monkeypatch.setattr(quadrature, "_run_quads", counted)
     return calls
 
 
@@ -440,6 +440,17 @@ def test_cache_key_is_exact(quad_calls):
     # the same s reached by another float is another key
     tail_scale(a, float(np.nextafter(0.01, 1.0)))
     assert len(quad_calls) == calls + 1
+
+
+def test_array_call_integrates_each_missing_key_once(quad_calls):
+    model = LogNormal()   # a fresh instance: nothing cached for it yet
+    first = tail_scale(model, np.array([0.01, 0.02, 0.01, 0.02]), 2.0)
+    assert quad_calls == ["c(0.01,2) ibp", "c(0.02,2) ibp"]
+    assert first[0] == first[2] and first[1] == first[3]
+    # hits are looked up key by key; only the miss is integrated
+    again = tail_scale(model, np.array([0.03, 0.02, 0.01]), 2.0)
+    assert quad_calls[2:] == ["c(0.03,2) ibp"]
+    assert again[1:].tolist() == [first[1], first[0]]
 
 
 def test_failed_quadrature_is_never_cached(quad_calls):

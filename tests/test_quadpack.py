@@ -6,7 +6,8 @@ same error-bound bits, the same subinterval count and the same first
 line of scipy's warning message, at the package's epsabs and on the
 rule the port uses (QAGI on (0, inf), QAGS on a finite interval).
 The port evaluates both halves of a bisection in one integrand call;
-the last tests pin that call shape.
+the last tests pin that call shape.  The package runs most quadratures
+in lockstep batches; each of them is compared on its own.
 """
 
 import math
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -34,8 +36,13 @@ from extremesum import (
 from extremesum.errors import QuadratureError
 
 
+def _alone(rule, fn, a, b, epsrel, limit=quadrature._LIMIT):
+    """One quadrature of a list integrand through the lockstep driver."""
+    return quadrature._lockstep(rule, quadrature._listwise(fn), [(a, b)], epsrel, limit)[0]
+
+
 def _port(rule, fn, a, b, epsrel, limit):
-    value, abserr, ier, last = quadrature._adapt(rule, fn, a, b, epsrel, limit)
+    value, abserr, ier, last = _alone(rule, fn, a, b, epsrel, limit)
     message = quadrature._MESSAGES[ier].format(limit=limit) if ier else None
     return float(value).hex(), float(abserr).hex(), message, last
 
@@ -58,17 +65,24 @@ def catalog_quadratures():
     """(what, rule, fn, a, b, rel_tol) of every quadrature that the limit
     suite and the functional tables run over the catalog, plus the routes
     neither of them takes there: the stieltjes cross-check, and the mean
-    mass and rate integral by quadrature (the catalog has them closed)."""
+    mass and rate integral by quadrature (the catalog has them closed).
+    Every quadrature of a lockstep batch is recorded on its own: ``fn``
+    maps a list of nodes to their values through the batch integrand, as
+    that quadrature's row."""
     calls = []
-    real = quadrature._run_quad
+    real = quadrature._run_quads
 
-    def recording(rule, fn, lo, hi, rel_tol, what):
-        calls.append((what, rule, fn, lo, hi, rel_tol))
-        return real(rule, fn, lo, hi, rel_tol, what)
+    def recording(rule, fn, bounds, rel_tol, whats):
+        for i, ((lo, hi), what) in enumerate(zip(bounds, whats)):
+            def alone(xs, i=i):
+                return np.asarray(fn([i], np.array([xs]))).ravel().tolist()
 
-    functionals._scale_ibp.cache_clear()   # so no quadrature is skipped
+            calls.append((what, rule, alone, lo, hi, rel_tol))
+        return real(rule, fn, bounds, rel_tol, whats)
+
+    functionals._IBP_CACHE.clear()   # so no quadrature is skipped
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        mp.setattr(quadrature, "_run_quad", recording)
+        mp.setattr(quadrature, "_run_quads", recording)
         warnings.simplefilter("ignore")
         grid = SGrid.geometric(0.1, 0.1, 8)
         for entry in catalog():
@@ -168,7 +182,7 @@ def test_battery_reaches_every_warning():
     seen = {quadrature._qk15i: set(), quadrature._qk21: set()}
     for _, rule, f, a, b in _battery():
         for epsrel, limit in _TOLERANCES:
-            seen[rule].add(quadrature._adapt(rule, _batched(f), a, b, epsrel, limit)[2])
+            seen[rule].add(_alone(rule, _batched(f), a, b, epsrel, limit)[2])
     assert seen[quadrature._qk15i] == {0, 1, 2, 3, 4, 5}
     assert seen[quadrature._qk21] >= {0, 1, 2, 3, 5}
 
@@ -195,7 +209,7 @@ def _batch_sizes(rule, f, a, b):
         sizes.append(len(xs))
         return [f(x) for x in xs]
 
-    last = quadrature._adapt(rule, fn, a, b, 1e-11)[3]
+    last = _alone(rule, fn, a, b, 1e-11)[3]
     return sizes, last
 
 
@@ -224,7 +238,7 @@ def test_error_on_a_second_half_node_propagates(rule, node):
         return [1.0 / (x - node) for x in xs]
 
     with pytest.raises(ZeroDivisionError, match="float division by zero"):
-        quadrature._adapt(rule, fn, 0.0, 1.0, 1e-11)
+        _alone(rule, fn, 0.0, 1.0, 1e-11)
     assert len(sizes) == 2
 
 
@@ -233,20 +247,20 @@ def test_one_model_call_per_integrand_call(monkeypatch):
     counts = dict.fromkeys(("integrand", "tail_quantile", "tail_density",
                             "tail_rate"), 0)
     inside = []
-    real_run = quadrature._run_quad
+    real_run = quadrature._run_quads
 
     def run(rule, fn, *args):
-        def counted(xs):
+        def counted(rows, xs):
             counts["integrand"] += 1
             inside.append(True)
             try:
-                return fn(xs)
+                return fn(rows, xs)
             finally:
                 inside.pop()
 
         return real_run(rule, counted, *args)
 
-    monkeypatch.setattr(quadrature, "_run_quad", run)
+    monkeypatch.setattr(quadrature, "_run_quads", run)
 
     def counting(model):
         for name in ("tail_quantile", "tail_density", "tail_rate"):
