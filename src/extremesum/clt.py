@@ -27,8 +27,9 @@ every replicate owns a counter-based stream keyed by (master_seed,
 stream id), its row equals the single draw of that stream bit for bit,
 and its statistics land in its own slot of a preallocated array, so the
 chunk size never changes a report byte.  Each statistic is one formula
-evaluated on floats for a single draw and on arrays for a chunk; row sums
-use math.fsum on both paths.
+evaluated on floats for a single draw and on arrays for a chunk; a single
+draw's top-k sum is math.fsum, and a chunk's row sums come from
+_row_fsums, which equals math.fsum on every row bit for bit.
 """
 
 from __future__ import annotations
@@ -373,7 +374,7 @@ def summarize_statistic(stat: str, values: np.ndarray, failures: int,
     cell's ``k``.  Fewer than two finite values cannot support a variance,
     so the verdict degrades to "insufficient" rather than guessing.
     """
-    from .gof import anderson_darling, ks_distance
+    from .gof import distances
 
     spec = STATISTICS[stat]
     if tolerances:
@@ -392,14 +393,13 @@ def summarize_statistic(stat: str, values: np.ndarray, failures: int,
         )
 
     mean, m2, m3, m4 = _central_moments(values)
-    cdf = spec.cdf
+    ks, ad = (nan, nan) if spec.cdf is None else distances(values, spec.cdf)
     summary = StatSummary(
         statistic_id=stat, count=r, numeric_failures=failures,
         mean=mean, variance=float(np.var(values, ddof=1)),
         skewness=m3 / m2**1.5 if m2 > 0.0 else nan,
         excess_kurtosis=m4 / (m2 * m2) - 3.0 if m2 > 0.0 else nan,
-        ks=ks_distance(values, cdf) if cdf is not None else nan,
-        ad=anderson_darling(values, cdf) if cdf is not None else nan,
+        ks=ks, ad=ad,
         target_variance=1.0 / k if spec.variance is None else spec.variance,
         verdict="pass",
     )
@@ -407,6 +407,51 @@ def summarize_statistic(stat: str, values: np.ndarray, failures: int,
     failed = tuple(filter(None, (BOUNDS[key].failure(summary, tol[key], k)
                                  for key in BOUNDS if key in tol)))
     return replace(summary, verdict="fail", failed_bounds=failed) if failed else summary
+
+
+def _row_fsums(x: np.ndarray) -> np.ndarray:
+    """math.fsum of every row of a 2-d float array, bit for bit.
+
+    A pairwise TwoSum tree gives each row's float sum S and its m exact
+    error terms e, so the row's exact sum is S + sum(e).  With E = fl(sum e)
+    and (hi, lo) = TwoSum(S, E), the exact sum is hi + lo + (sum e - E),
+    and |sum e - E| < delta = 2(m+1) 2^-53 fl(sum |e|) (plus the smallest
+    subnormal, for delta's own underflow).  hi is then the correctly
+    rounded sum when lo + delta < up/2 and lo - delta > -down/2, where up
+    and down are the gaps from hi to its neighbours; rounding is monotone
+    and up/2 is exact, so the computed test implies the exact one and a
+    tie is never accepted.  A row whose magnitudes sum below 2^1021 cannot
+    overflow here or in fsum's own partials.  Every other row (ties,
+    zeros, inf, NaN, huge values) takes math.fsum itself, with its
+    exceptions.
+    """
+    rows, width = x.shape
+    s = np.array(x, dtype=np.float64)
+    e = np.empty((rows, width - 1))
+    pos = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = np.abs(s).sum(axis=1) < 2.0**1021
+        while width > 1:
+            h = width // 2
+            a, b = s[:, :h], s[:, width - h:width]  # an odd middle column stays
+            hi = a + b
+            bv = hi - a
+            e[:, pos:pos + h] = (a - (hi - bv)) + (b - bv)
+            s[:, :h] = hi
+            pos += h
+            width -= h
+        total = s[:, 0]
+        err = e.sum(axis=1)
+        delta = (2 * (pos + 1) * 2.0**-53) * np.abs(e).sum(axis=1) + 2.0**-1074
+        hi = total + err
+        bv = hi - total
+        lo = (total - (hi - bv)) + (err - bv)
+        up = np.nextafter(hi, np.inf) - hi
+        down = hi - np.nextafter(hi, -np.inf)
+    ok = small & (hi != 0.0) & (lo + delta < up / 2) & (lo - delta > -down / 2)
+    for r in np.flatnonzero(~ok):
+        hi[r] = math.fsum(x[r].tolist())
+    return hi
 
 
 def _row_chunks(replicates: int, count: int):
@@ -423,8 +468,7 @@ def _run_cell(model, n, k, replicates, master_seed, stream_base, statistics):
         for lo, hi in _row_chunks(replicates, k + 1):
             seed = SeedSpec(master_seed, stream_base + lo)
             tails, xs, _ = draw_batch(seed, hi - lo, n, k + 1, model)
-            # math.fsum as for one draw; np.sum rounds differently
-            s_k = np.array([math.fsum(row) for row in xs[:, :k].tolist()])
+            s_k = _row_fsums(xs[:, :k])
             x_k = xs[:, k]
             values = {
                 "T1": _t1(s_k, cf),

@@ -14,6 +14,7 @@ _AD_EPS = 1e-12
 
 
 def _prepare(sample, target_cdf):
+    """Target CDF values at the sorted sample, clipped to [0, 1]."""
     x = np.sort(np.asarray(sample, dtype=np.float64))
     if x.size == 0:
         raise ValueError("sample must be nonempty")
@@ -22,7 +23,24 @@ def _prepare(sample, target_cdf):
     f = np.asarray(target_cdf(x), dtype=np.float64)
     if np.any(f < -1e-9) or np.any(f > 1.0 + 1e-9):
         raise ValueError("target_cdf returned values outside [0, 1]")
-    return x, np.clip(f, 0.0, 1.0)
+    return np.clip(f, 0.0, 1.0)
+
+
+def _ks(f) -> float:
+    r = f.size
+    i = np.arange(1, r + 1, dtype=np.float64)
+    d_plus = np.max(i / r - f)
+    d_minus = np.max(f - (i - 1.0) / r)
+    return float(max(d_plus, d_minus, 0.0))
+
+
+def _ad(f) -> float:
+    r = f.size
+    f = np.clip(f, _AD_EPS, 1.0 - _AD_EPS)
+    i = np.arange(1, r + 1, dtype=np.float64)
+    # The reversed term uses 1 - F at the mirror-ordered points.
+    terms = (2.0 * i - 1.0) * (np.log(f) + np.log1p(-f[::-1]))
+    return float(-r - np.mean(terms))
 
 
 def ks_distance(sample, target_cdf) -> float:
@@ -31,12 +49,7 @@ def ks_distance(sample, target_cdf) -> float:
     The empirical CDF jumps from (i-1)/R to i/R at the i-th sorted point,
     so the sup distance is attained on one of the two envelopes there.
     """
-    x, f = _prepare(sample, target_cdf)
-    r = x.size
-    i = np.arange(1, r + 1, dtype=np.float64)
-    d_plus = np.max(i / r - f)
-    d_minus = np.max(f - (i - 1.0) / r)
-    return float(max(d_plus, d_minus, 0.0))
+    return _ks(_prepare(sample, target_cdf))
 
 
 def anderson_darling(sample, target_cdf) -> float:
@@ -46,10 +59,10 @@ def anderson_darling(sample, target_cdf) -> float:
     a sample point far outside the target support then contributes a huge
     but finite penalty instead of an infinity.
     """
-    x, f = _prepare(sample, target_cdf)
-    r = x.size
-    f = np.clip(f, _AD_EPS, 1.0 - _AD_EPS)
-    i = np.arange(1, r + 1, dtype=np.float64)
-    # The reversed term uses 1 - F at the mirror-ordered points.
-    terms = (2.0 * i - 1.0) * (np.log(f) + np.log1p(-f[::-1]))
-    return float(-r - np.mean(terms))
+    return _ad(_prepare(sample, target_cdf))
+
+
+def distances(sample, target_cdf):
+    """(ks_distance, anderson_darling), sorting and evaluating the CDF once."""
+    f = _prepare(sample, target_cdf)
+    return _ks(f), _ad(f)

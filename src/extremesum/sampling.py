@@ -15,10 +15,13 @@ numerically safe branch for exactly this regime.
 Streams: every replicate owns a counter-based Philox stream keyed by
 (master_seed, stream_id), so any subset of replicates can be drawn in any
 order and reproduce bit for bit.  A batch draws consecutive streams as
-the rows of one matrix from a single Philox that is re-keyed per row,
-with a zero counter and an empty buffer: each row gets exactly the bits
+the rows of one matrix, each row exactly the bits
 ``SeedSpec(master_seed, stream_id).generator()`` would give, without
-building a generator per stream.  ``draw_top_k`` and ``draw_sample_max``
+building a generator per stream.  Many rows of at most four uniforms (one
+Philox4x64-10 block, such as the sample maxima) get that block computed
+for all rows at once in numpy; other batches come from a single Philox
+re-keyed per row, with a zero counter and an empty buffer.  The choice
+depends on the batch's shape only.  ``draw_top_k`` and ``draw_sample_max``
 are the one-row case of that batch.
 """
 
@@ -81,8 +84,52 @@ class ReplicateDraw:
     clamped: bool
 
 
+# Philox4x64-10 round multipliers (as a column of counter words 0 and 2,
+# split into 32-bit halves) and key increments.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_M_LO = _PHILOX_M & np.uint64(0xFFFFFFFF)
+_M_HI = _PHILOX_M >> np.uint64(32)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+# Rows of at most one Philox block (4 words) are computed in numpy from
+# this many rows on; below it, or for wider rows, re-keying is faster.
+_BLOCK_KERNEL_MIN_ROWS = 128
+
+
+def _philox_first_block(seed: SeedSpec, rows: int) -> np.ndarray:
+    """(4, rows) words: block 1 of each stream ``seed.child(r)``.
+
+    A fresh numpy Philox first draws counter (1, 0, 0, 0) under key
+    (master_seed, stream_id); each round maps counter words (c0, c1, c2,
+    c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)).
+    Products are 64x64 -> 128 bits from 32-bit halves; uint64 arrays wrap.
+    """
+    m32 = np.uint64(0xFFFFFFFF)
+    s32 = np.uint64(32)
+    key1 = np.arange(rows, dtype=np.uint64) + np.uint64(seed.stream_id)
+    even = np.zeros((2, rows), dtype=np.uint64)  # counter words 0 and 2
+    even[0] = 1
+    odd = np.zeros((2, rows), dtype=np.uint64)   # counter words 1 and 3
+    for i in range(10):
+        x_lo = even & m32
+        x_hi = even >> s32
+        lh = x_lo * _M_HI
+        hl = x_hi * _M_LO
+        mid = ((x_lo * _M_LO) >> s32) + (lh & m32) + (hl & m32)
+        hi = x_hi * _M_HI + (lh >> s32) + (hl >> s32) + (mid >> s32)
+        lo = even * _PHILOX_M
+        k0 = np.uint64((seed.master_seed + i * _PHILOX_W[0]) & _MASK64)
+        k1 = key1 + np.uint64(i * _PHILOX_W[1] & _MASK64)
+        even = np.stack([hi[1] ^ odd[0] ^ k0, hi[0] ^ odd[1] ^ k1])
+        odd = lo[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]])
+
+
 def _uniform_rows(seed: SeedSpec, rows: int, count: int) -> np.ndarray:
     """(rows, count) uniforms; row r is stream ``seed.child(r)``'s first draws."""
+    if count <= 4 and rows >= _BLOCK_KERNEL_MIN_ROWS:
+        words = _philox_first_block(seed, rows)[:count].T >> np.uint64(11)
+        return np.ascontiguousarray(words * 2.0**-53)
     key = np.array([seed.master_seed, seed.stream_id], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)

@@ -1,11 +1,13 @@
 """The batch draw is the per-stream draw, row by row.
 
-A batch re-keys one Philox per row instead of building a generator per
-stream.  Row r must carry exactly the uniforms of
+A batch either re-keys one Philox per row or, for many rows of at most
+one Philox block, computes that block for every row in numpy; neither
+builds a generator per stream.  Row r must carry exactly the uniforms of
 ``SeedSpec(seed, stream0 + r).generator()`` and, from them, exactly the
 tail masses, model values and clamp flag of the single draw of that
 stream, including where stream ids wrap past 2^64.  An experiment's
-reports must not depend on how its cells are cut into row chunks.
+reports must not depend on how its cells are cut into row chunks, which
+also decides which of the two paths draws them.
 """
 
 import hashlib
@@ -26,8 +28,9 @@ from extremesum import (
     draw_top_k,
     run_experiment,
 )
+from extremesum import sampling
 from extremesum.reports import normality_report_csv, normality_report_json
-from extremesum.sampling import _uniform_rows
+from extremesum.sampling import _BLOCK_KERNEL_MIN_ROWS, _uniform_rows
 
 _MAX64 = 2**64 - 1
 _TINY = 2.0**-53
@@ -61,6 +64,24 @@ def test_rekeyed_uniforms_equal_stream_generators(seed, stream0, rows, count):
     for r in range(rows):
         ref = SeedSpec(seed, stream0 + r).generator().random(count)
         assert np.array_equal(v[r], ref)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, stream0=stream0s, count=st.integers(1, 6),
+       rows=st.sampled_from([_BLOCK_KERNEL_MIN_ROWS - 1, _BLOCK_KERNEL_MIN_ROWS,
+                             _BLOCK_KERNEL_MIN_ROWS + 37]))
+@example(seed=_MAX64, stream0=_MAX64 - 60, count=4, rows=_BLOCK_KERNEL_MIN_ROWS)
+@example(seed=_MAX64, stream0=_MAX64, count=1, rows=_BLOCK_KERNEL_MIN_ROWS - 1)
+@example(seed=3, stream0=0, count=5, rows=_BLOCK_KERNEL_MIN_ROWS)
+def test_block_kernel_uniforms_equal_stream_generators(seed, stream0, count, rows):
+    # Rows of at most 4 uniforms come from the numpy Philox block from
+    # _BLOCK_KERNEL_MIN_ROWS rows on; fewer or wider rows are re-keyed.
+    v = _uniform_rows(SeedSpec(seed, stream0), rows, count)
+    assert v.shape == (rows, count)
+    assert v.flags.c_contiguous
+    for r in range(rows):
+        ref = SeedSpec(seed, stream0 + r).generator().random(count)
+        assert np.array_equal(v[r], ref), r
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,12 +140,20 @@ _CONFIGS = {
 @pytest.mark.parametrize("name", sorted(_CONFIGS))
 def test_reports_do_not_depend_on_row_chunks(monkeypatch, name):
     config = ExperimentConfig(master_seed=7, statistics=STATISTIC_IDS, **_CONFIGS[name])
+    kernel_rows = []
+    block = sampling._philox_first_block
+    monkeypatch.setattr(sampling, "_philox_first_block",
+                        lambda seed, rows: kernel_rows.append(rows) or block(seed, rows))
     default = _experiment_digest(config)
-    # 1: one row per chunk everywhere; 7: the sample maxima in 7-row chunks;
-    # 7 * 77: the desk's top-k rows in 7-row chunks
+    # The desk's 500 sample maxima come from the block kernel by default.
+    assert (sum(kernel_rows) == 500) == (name == "desk")
+    # 1: one row per chunk everywhere; 7: the sample maxima in 7-row chunks
+    # (both re-keyed); 7 * 77: the desk's top-k rows in 7-row chunks
     for chunk in (1, 7, 7 * 77):
+        kernel_rows.clear()
         monkeypatch.setattr(clt, "_CHUNK_ORDER_STATS", chunk)
         assert _experiment_digest(config) == default, chunk
+        assert (sum(kernel_rows) == 500) == (name == "desk" and chunk == 7 * 77), chunk
 
 
 def test_batch_rejects_impossible_row_lengths():
