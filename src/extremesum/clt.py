@@ -426,23 +426,27 @@ def _row_fsums(x: np.ndarray) -> np.ndarray:
     exceptions.
     """
     rows, width = x.shape
-    s = np.array(x, dtype=np.float64)
-    e = np.empty((rows, width - 1))
+    # column-major, so every column block of the tree is one contiguous run
+    s = np.array(x, dtype=np.float64, order="F")
     pos = 0
     with np.errstate(over="ignore", invalid="ignore"):
         small = np.abs(s).sum(axis=1) < 2.0**1021
+        e = np.empty((rows, width - 1), order="F")
         while width > 1:
             h = width // 2
             a, b = s[:, :h], s[:, width - h:width]  # an odd middle column stays
             hi = a + b
             bv = hi - a
-            e[:, pos:pos + h] = (a - (hi - bv)) + (b - bv)
+            # (a - (hi - bv)) + (b - bv), formed in place to spare temporaries
+            ev = np.subtract(hi, bv, out=e[:, pos:pos + h])
+            np.subtract(a, ev, out=ev)
+            ev += np.subtract(b, bv, out=bv)
             s[:, :h] = hi
             pos += h
             width -= h
         total = s[:, 0]
         err = e.sum(axis=1)
-        delta = (2 * (pos + 1) * 2.0**-53) * np.abs(e).sum(axis=1) + 2.0**-1074
+        delta = (2 * (pos + 1) * 2.0**-53) * np.abs(e, out=e).sum(axis=1) + 2.0**-1074
         hi = total + err
         bv = hi - total
         lo = (total - (hi - bv)) + (err - bv)
