@@ -41,7 +41,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigError, NumericError, QuadratureError
-from .functionals import rate_integral, tail_mean, tail_scale
+from .functionals import rate_integral, tail_mean, tail_scale, tail_variance
 from .models import TailModel
 from .sampling import ReplicateDraw, SeedSpec, _rescaled_threshold_tail, draw_batch
 
@@ -186,8 +186,6 @@ def limiting_gaussian_moments(model: TailModel, n: int, k: int) -> GaussianMomen
     varZ tends to 2 and varDiff = varZ - varY tends to 1 as k/n -> 0,
     matching the N(0,2) and N(0,1) limits of T1 and T3.
     """
-    from .functionals import tail_variance
-
     n = int(n)
     k = int(k)
     if not 1 <= k < n:

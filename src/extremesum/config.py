@@ -105,6 +105,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown checks {bad}; allowed: {list(DEFAULT_CHECKS)}"
             )
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
+        if not isinstance(self.dump_samples, bool):
+            raise ConfigError(f"dump_samples must be true or false, got {self.dump_samples!r}")
         if self.s_grid.geometry is None:
             # a hand-built grid has no (start, ratio, count) to record
             raise ConfigError("s_grid must be built with SGrid.geometric")

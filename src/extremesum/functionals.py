@@ -396,12 +396,9 @@ def representation_residual(model: TailModel, s, anchor: float = 0.25,
     if not s < anchor:
         raise ValueError("need s < anchor")
 
-    def integrand(us):
-        us = np.array(us)
-        return (tail_scale(model, us, rel_tol=rel_tol) / us).tolist()
-
     integral, _ = log_interval_quad(
-        integrand, s, anchor, rel_tol=max(rel_tol, 1e-10),
+        lambda us: tail_scale(model, us, rel_tol=rel_tol) / us, s, anchor,
+        rel_tol=max(rel_tol, 1e-10),
         what=f"int c(u)/u over ({s:g},{anchor:g})",
     )
     lhs = model.tail_quantile(s) - model.tail_quantile(anchor)

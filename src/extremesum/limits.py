@@ -148,22 +148,18 @@ def domain_check(
         grid = _default_grid(1e-6)
     target = (math.log(x) - math.log(z)) / (math.log(y) - math.log(w))
 
-    kept_s, kept_v, dropped = [], [], []
-    for s in grid.points:
-        masses = (x * s, z * s, y * s, w * s)
-        if any(not 0.0 < m < 1.0 for m in masses):
-            dropped.append(s)
-            continue
-        num = model.tail_quantile(x * s) - model.tail_quantile(z * s)
-        den = model.tail_quantile(y * s) - model.tail_quantile(w * s)
-        if den == 0.0 or not math.isfinite(num) or not math.isfinite(den):
-            dropped.append(s)
-            continue
-        kept_s.append(s)
-        kept_v.append(num / den)
+    ss = np.array(grid.points, dtype=float)
+    ss = ss[np.logical_and.reduce([(p * ss > 0.0) & (p * ss < 1.0) for p in (x, z, y, w)])]
+    # one array call per probe mass; each element is the scalar call's value
+    qx, qz, qy, qw = (model.tail_quantile(p * ss) for p in (x, z, y, w))
+    with np.errstate(invalid="ignore"):   # inf - inf is dropped below
+        num, den = qx - qz, qy - qw
+    kept = (den != 0.0) & np.isfinite(num) & np.isfinite(den)
+    kept_s = ss[kept].tolist()
+    kept_v = (num[kept] / den[kept]).tolist()
     note = ""
-    if dropped:
-        note = "excluded %d grid point(s)" % len(dropped)
+    if len(kept_s) < len(grid.points):
+        note = "excluded %d grid point(s)" % (len(grid.points) - len(kept_s))
         warnings.warn(
             f"domain_check({model.describe()}): {note}", stacklevel=2
         )

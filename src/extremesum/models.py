@@ -1,9 +1,10 @@
 """Distribution catalog presented through quantile functions.
 
-Every model exposes the quantile Q, the CDF where available, and the
-tail-side quantities the functional layer needs: the tail quantile
-Q(1-t) evaluated stably for tiny t, and the density q(t) of the
-Stieltjes measure dQ expressed in the tail coordinate t = 1-u.
+Every model exposes the quantile Q and the tail-side quantities the
+functional layer needs: the tail quantile Q(1-t) evaluated stably for
+tiny t, and the density q(t) of the Stieltjes measure dQ expressed in
+the tail coordinate t = 1-u.  Nothing here needs the CDF F, so no model
+carries one.
 
 Models in the representation subclass of the Gumbel domain additionally
 expose the slowly varying rate r(u) with
@@ -133,9 +134,6 @@ class TailModel:
     def _tail_quantile_small(self, t):
         raise NotImplementedError
 
-    def cdf(self, x):
-        raise NotImplementedError
-
     # -- tail measure ----------------------------------------------------
 
     def tail_density(self, t):
@@ -204,10 +202,6 @@ class Exponential(TailModel):
     def _tail_quantile_small(self, t):
         return -np.log(t) / self.rate
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, -np.expm1(-self.rate * x))
-
     def _tail_density(self, t):
         return 1.0 / (self.rate * t)
 
@@ -246,10 +240,6 @@ class Gumbel(TailModel):
 
     def _tail_quantile_small(self, t):
         return self.loc - self.scale * np.log(-np.log1p(-t))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-np.exp(-(x - self.loc) / self.scale))
 
     def _tail_density(self, t):
         return self.scale / ((1.0 - t) * (-np.log1p(-t)))
@@ -291,10 +281,6 @@ class Weibull(TailModel):
 
     def _tail_quantile_small(self, t):
         return (-np.log(t)) ** (1.0 / self.shape)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, -np.expm1(-(np.maximum(x, 0.0) ** self.shape)))
 
     def _log_power(self, t):
         """(-ln t)^(1/k - 1) by a numpy float64 ``**`` on each element.
@@ -344,9 +330,6 @@ class Normal(TailModel):
     def _tail_quantile_small(self, t):
         return -special.ndtri(t)
 
-    def cdf(self, x):
-        return special.ndtr(np.asarray(x, dtype=float))
-
     def _tail_density(self, t):
         return 1.0 / _norm_pdf(special.ndtri(t))
 
@@ -369,13 +352,6 @@ class LogNormal(TailModel):
 
     def _tail_quantile_small(self, t):
         return np.exp(-special.ndtri(t))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        out[pos] = special.ndtr(np.log(x[pos]))
-        return out if out.ndim else float(out)
 
     def _tail_density(self, t):
         z = -special.ndtri(t)
@@ -404,10 +380,6 @@ class Gamma(TailModel):
 
     def _tail_quantile_small(self, t):
         return special.gammainccinv(self.shape, t)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, special.gammainc(self.shape, np.maximum(x, 0.0)))
 
     def _pdf(self, x):
         k = self.shape
@@ -439,10 +411,6 @@ class Pareto(TailModel):
 
     def _tail_quantile_small(self, t):
         return np.asarray(t, dtype=float) ** (-1.0 / self.index)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 1.0, 0.0, -np.expm1(-self.index * np.log(np.maximum(x, 1.0))))
 
     def _tail_density(self, t):
         a = self.index
@@ -476,9 +444,6 @@ class Uniform(TailModel):
     def _tail_quantile_small(self, t):
         return 1.0 - np.asarray(t, dtype=float)
 
-    def cdf(self, x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-
     def _tail_density(self, t):
         return np.ones_like(t)
 
@@ -511,10 +476,6 @@ class AffineModel(TailModel):
 
     def _tail_quantile_small(self, t):
         return self.scale * self.base._tail_quantile_small(t) + self.shift
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.base.cdf((x - self.shift) / self.scale)
 
     def _tail_density(self, t):
         return self.scale * self.base._tail_density(t)
@@ -591,7 +552,8 @@ def parse_model(text: str) -> TailModel:
     """Build a model from a descriptor like ``"weibull(2.0)"``.
 
     The descriptor grammar is ``name(p1,p2,...)``; the parameter list may
-    be empty or absent when the model has defaults.
+    be empty or absent when the model has defaults.  Every parameter
+    must be a finite number.
     """
     m = _DESCRIPTOR_RE.match(text)
     if m is None:
@@ -605,11 +567,16 @@ def parse_model(text: str) -> TailModel:
     if raw is not None and raw.strip():
         for piece in raw.split(","):
             try:
-                params.append(float(piece))
+                value = float(piece)
             except ValueError:
+                value = math.nan
+            # inf and nan would slip past the constructors' `> 0` guards
+            if not math.isfinite(value):
                 raise ValueError(
-                    f"bad parameter {piece.strip()!r} in descriptor {text!r}"
-                ) from None
+                    f"bad parameter {piece.strip()!r} in descriptor {text!r}; "
+                    "parameters must be finite numbers"
+                )
+            params.append(value)
     factory, lo, hi = _MODEL_FACTORIES[name]
     if not lo <= len(params) <= hi:
         raise ValueError(

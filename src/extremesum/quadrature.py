@@ -10,7 +10,7 @@ The machinery is QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber and
 Kahaner, 1983), ported operation for operation from its Fortran:
 
 * QAGI with the 15-point rule QK15I on (0, 1), after x = 1/(1 + w), for
-  ``semiinf_quad``, ``tail_quad`` and ``tail_quads``;
+  ``semiinf_quad`` and ``tail_quads``;
 * QAGS with the 21-point rule QK21 for ``log_interval_quad``;
 * one shared bisection driver with QPSRT (error-ordered interval list)
   and QELG (the epsilon algorithm that extrapolates the partial sums).
@@ -42,10 +42,10 @@ doubles.
 
 A batch of M quadratures makes max(last) integrand calls instead of the
 sum of them.  ``tail_quads`` is the batched tail integral the
-functionals use.  ``semiinf_quad``, ``log_interval_quad`` and
-``tail_quad`` are the one-quadrature case of the same driver, and they
-hand their integrands lists of Python floats.  Every quadrature enters
-through ``_run_quads``.
+functionals use.  ``semiinf_quad`` and ``log_interval_quad`` are the
+one-quadrature case of the same driver; they hand their integrands the
+nodes of one round as a 1-d array.  Every quadrature enters through
+``_run_quads``.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["DEFAULT_REL_TOL", "semiinf_quad", "log_interval_quad", "tail_quad",
-           "tail_quads", "exp_each"]
+__all__ = ["DEFAULT_REL_TOL", "semiinf_quad", "log_interval_quad", "tail_quads",
+           "exp_each"]
 
 DEFAULT_REL_TOL = 1e-11
 
@@ -558,33 +558,28 @@ def _settled(outcome):
     return outcome
 
 
-def _listwise(fn):
-    """``fn``, which maps a list of nodes (Python floats) to their values,
-    as the integrand of a one-quadrature batch."""
-    return lambda rows, xs: np.asarray(fn(xs.ravel().tolist()), dtype=float)
-
-
 def semiinf_quad(fn, rel_tol=DEFAULT_REL_TOL, what="integral"):
     """int_0^inf fn(w) dw with error estimate; raises QuadratureError on failure.
 
-    ``fn`` maps a list of nodes w to their values (QAGI).
+    ``fn`` maps an array of nodes w to their values (QAGI).
     """
-    return _settled(_run_quads(_qk15i, _listwise(fn), [(0.0, 1.0)], rel_tol, [what])[0])
+    return _settled(_run_quads(_qk15i, lambda rows, ws: fn(ws.ravel()), [(0.0, 1.0)],
+                               rel_tol, [what])[0])
 
 
 def log_interval_quad(fn, a, b, rel_tol=DEFAULT_REL_TOL, what="integral"):
     """int_a^b fn(u) du for 0 < a < b < 1, integrated on the log scale u = e^{-y}.
 
-    ``fn`` maps a list of nodes u to their values (QAGS).
+    ``fn`` maps an array of nodes u to their values (QAGS).
     """
     if not 0.0 < a < b < 1.0:
         raise ValueError("need 0 < a < b < 1")
 
-    def g(ys):
-        us = [math.exp(-y) for y in ys]
-        return [u * v for u, v in zip(us, fn(us))]
+    def g(rows, ys):
+        us = exp_each(-ys.ravel())
+        return us * fn(us)
 
-    return _settled(_run_quads(_qk21, _listwise(g), [(-math.log(b), -math.log(a))],
+    return _settled(_run_quads(_qk21, g, [(-math.log(b), -math.log(a))],
                                rel_tol, [what])[0])
 
 
@@ -620,12 +615,3 @@ def tail_quads(fn, ss, rel_tol, whats):
 
     return _run_quads(_qk15i, g, [(0.0, 1.0)] * ss.size, rel_tol, whats)
 
-
-def tail_quad(fn, s, rel_tol=DEFAULT_REL_TOL, what="tail integral"):
-    """One ``tail_quads`` quadrature; raises its QuadratureError.
-
-    ``fn(ws, ts)`` gets the nodes of one bisection step (both halves) as
-    two lists and returns their values.
-    """
-    return _settled(tail_quads(lambda rows, ws, ts: fn(ws.tolist(), ts.tolist()),
-                               [s], rel_tol, [what])[0])

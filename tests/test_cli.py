@@ -116,6 +116,22 @@ def test_exit_config_on_unknown_model(tmp_path, capsys):
     assert "zeta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, model", [
+    ("lemmas", "exponential(inf)"),
+    ("simulate", "gumbel(nan,1)"),
+    ("simulate", "gumbel(inf,1)"),
+    ("functionals", "gamma(inf)"),
+])
+def test_exit_config_on_nonfinite_model_parameter(tmp_path, capsys, command, model):
+    # inf and nan pass the constructors' `> 0` guards; the descriptor refuses them
+    cfg = _write_config(tmp_path / "cfg.json", models=[model])
+    assert main([command, "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite numbers" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_exit_config_on_empty_models(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", models=[])
     assert main(["lemmas", "--config", cfg]) == 2
@@ -220,8 +236,13 @@ def test_config_rejects_s_grid_it_cannot_record():
     ({"s_grid": {"start": [1]}}, "s_grid.start"),
     ({"s_grid": {"count": 2.7}}, "s_grid.count"),
     ({"statistics": "T1"}, "statistics must be a list"),
+    ({"output_dir": 5}, "output_dir must be a string"),
+    ({"dump_samples": "yes"}, "dump_samples must be true or false"),
+    ({"dump_samples": 1}, "dump_samples must be true or false"),
+    ({"dump_samples": None}, "dump_samples must be true or false"),
 ], ids=["n_values", "models", "betas-str", "betas-null", "s_grid-start",
-        "s_grid-count", "statistics-str"])
+        "s_grid-count", "statistics-str", "output_dir-int", "dump_samples-str",
+        "dump_samples-int", "dump_samples-null"])
 def test_exit_config_on_wrong_field_type(tmp_path, capsys, field, named):
     """A field of the wrong type is a config error (exit 2) named in the
     message, never a traceback or a silently converted value."""

@@ -2,7 +2,7 @@
 
 The limit-suite and LogNormal digests were recorded before the limit
 suite became table-driven and before the tail integrals moved onto
-``quadrature.tail_quad``; the normality-report and catalog-table digests
+``quadrature.tail_quads``; the normality-report and catalog-table digests
 before the two quantile methods and the four functionals each got one
 code path.  Any change to them is a change in what the package computes
 and must be explained.

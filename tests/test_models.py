@@ -71,10 +71,10 @@ def test_quantile_matches_scipy(model, frozen):
 
 @pytest.mark.parametrize("model,frozen", ORACLES, ids=lambda m: str(m))
 def test_cdf_round_trip(model, frozen):
-    # |F(Q(s)) - s| small on a dense grid, using the model's own cdf.
+    # |F(Q(s)) - s| small on a dense grid, F the independent scipy.stats cdf.
     grid = np.linspace(1e-6, 1 - 1e-6, 500)
     q = np.array([model.quantile(s) for s in grid])
-    back = np.array([model.cdf(x) for x in q])
+    back = frozen.cdf(q)
     assert np.max(np.abs(back - grid)) <= 1e-9
     # generalized-inverse direction
     assert np.all(back >= grid - 1e-12)

@@ -37,8 +37,13 @@ from extremesum.errors import QuadratureError
 
 
 def _alone(rule, fn, a, b, epsrel, limit=quadrature._LIMIT):
-    """One quadrature of a list integrand through the lockstep driver."""
-    return quadrature._lockstep(rule, quadrature._listwise(fn), [(a, b)], epsrel, limit)[0]
+    """One quadrature of a list integrand through the lockstep driver:
+    ``fn`` maps a list of nodes (Python floats) to their values, so Python
+    float arithmetic, and its ZeroDivisionError, reach it unchanged."""
+    def listwise(rows, xs):
+        return np.asarray(fn(xs.ravel().tolist()), dtype=float)
+
+    return quadrature._lockstep(rule, listwise, [(a, b)], epsrel, limit)[0]
 
 
 def _port(rule, fn, a, b, epsrel, limit):
