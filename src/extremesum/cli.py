@@ -69,10 +69,7 @@ def _outdir(cfg: ExperimentConfig) -> str:
 def cmd_functionals(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
-    tables = [
-        build_functional_table(model, cfg.s_grid, betas=cfg.betas)
-        for model in cfg.model_objects()
-    ]
+    tables = build_functional_table(cfg.model_objects(), cfg.s_grid, betas=cfg.betas)
     outputs = rep.write_functional_tables(tables, out)
     rep.write_manifest(out, cfg, outputs)
     for name in outputs:
@@ -86,11 +83,7 @@ def cmd_functionals(args) -> int:
 def cmd_lemmas(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
-    all_reports = []
-    for model in cfg.model_objects():
-        all_reports.extend(
-            run_limit_suite(model, checks=cfg.checks, betas=cfg.betas)
-        )
+    all_reports = run_limit_suite(cfg.model_objects(), checks=cfg.checks, betas=cfg.betas)
     outputs = rep.write_limit_reports(all_reports, out)
     rep.write_manifest(out, cfg, outputs)
     print(os.path.join(out, "limit_checks.csv"))

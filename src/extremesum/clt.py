@@ -41,7 +41,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigError, NumericError, QuadratureError
-from .functionals import rate_integral, tail_mean, tail_scale, tail_variance
+from .functionals import _scale, rate_integral, tail_mean, tail_scale, tail_variance
 from .models import TailModel
 from .sampling import ReplicateDraw, SeedSpec, _rescaled_threshold_tail, draw_batch
 
@@ -489,17 +489,15 @@ def _run_cell(model, n, k, replicates, master_seed, stream_base, statistics):
     return arrays, cf
 
 
-def _integrate_scales(model, config):
-    """c(k/n) for every n of the config, and c(1/n) when MAX runs, in one
-    tail_scale call: the cells then find each ibp quadrature in its cache.
-    A failure, or a k/n outside (0, 1), is left for its own cell to raise."""
+def _integrate_scales(models, config):
+    """c(k/n) for every model and n of the config, and c(1/n) when MAX
+    runs, in one request across the models: the cells then find each ibp
+    quadrature in its cache.  A failure, or a k/n outside (0, 1), is left
+    for its own cell to raise."""
     ss = [config.k_rule.resolve(n) / n for n in config.n_values]
     if "MAX" in config.statistics:
         ss += [1.0 / n for n in config.n_values]
-    try:
-        tail_scale(model, ss)
-    except (QuadratureError, ValueError):
-        pass
+    _scale([(model, s) for model in models for s in ss if 0.0 < s < 1.0], 1.0)
 
 
 def run_experiment(config) -> ExperimentResult:
@@ -519,8 +517,9 @@ def run_experiment(config) -> ExperimentResult:
     result = ExperimentResult()
 
     cell_ordinal = 0
-    for model in config.model_objects():
-        _integrate_scales(model, config)
+    models = config.model_objects()
+    _integrate_scales(models, config)
+    for model in models:
         for n in config.n_values:
             k = config.k_rule.resolve(n)
             stream_base = cell_ordinal * 2 * config.replicates

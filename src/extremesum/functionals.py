@@ -34,11 +34,14 @@ take a tail mass or an array of them; an array gives arrays of its shape
 one lockstep batch (see ``quadrature``), and each value and error bound
 equals the bits of the scalar call for that s.  An array that holds a
 failing s raises the QuadratureError the scalar call for the first such
-s raises.  Inside, each functional maps its list of s to per-s outcomes,
-(value, error) or the QuadratureError, and the public call settles them;
-``build_functional_table`` flags failed entries from the outcomes, and
-the limit ratios read them s by s in the order the scalar calls would
-raise.
+s raises.  Inside, a request is a list of (model, s) keys that may span
+models: each functional maps it to per-key outcomes, (value, error) or
+the QuadratureError, in one batch for all the models, and the public
+call settles them.  ``build_functional_table`` integrates each column
+across all the models it is given and flags failed entries from the
+outcomes; the limit suite (see ``limits``) requests each functional
+step across all its models and reads the outcomes s by s in the order
+the scalar calls would raise.
 
 The ibp scale quadrature is memoised: the limit suite asks for c(s,
 beta) at one s from several checks.  ``_IBP_CACHE`` holds the last 4096
@@ -53,8 +56,9 @@ the same error.  Closed forms and the other routes are not cached.
 
 Each integrand call gets the nodes of one round, every unfinished
 quadrature of the batch, and makes one array call per model quantity
-(``tail_quantile``, ``tail_density``, ``tail_rate``), whose values equal
-the scalar ones bit for bit.  The factors exp(-beta w) stay libm's
+(``tail_quantile``, ``tail_density``, ``tail_rate``) for each model
+present, on that model's nodes; the values equal the scalar ones bit for
+bit.  The factors exp(-beta w) stay libm's
 (``quadrature.exp_each``): np.exp differs from math.exp in the last bit
 on some doubles.
 """
@@ -68,7 +72,7 @@ import numpy as np
 
 from .errors import QuadratureError, UnsupportedModelError
 from .models import GUMBEL_DOMAIN, TailModel
-from .quadrature import DEFAULT_REL_TOL, exp_each, log_interval_quad, tail_quads
+from .quadrature import DEFAULT_REL_TOL, exp_each, log_interval_quads, tail_quads
 
 __all__ = [
     "SGrid",
@@ -146,11 +150,11 @@ def _shaped(vals, shape):
 
 def _values(*columns):
     """The values of per-s outcome lists, read s by s in argument order;
-    raises the first QuadratureError met that way, the one a scalar call
-    per s would raise."""
+    raises the first error met that way, the one a scalar call per s would
+    raise."""
     for row in zip(*columns):
         for out in row:
-            if isinstance(out, QuadratureError):
+            if isinstance(out, Exception):
                 raise out
     return [[val for val, _ in col] for col in columns]
 
@@ -159,6 +163,47 @@ def _settle(outs, shape, with_error):
     """A functional's return value from its per-s outcomes."""
     vals = _shaped(_values(outs)[0], shape)
     return (vals, _shaped([err for _, err in outs], shape)) if with_error else vals
+
+
+def _per_model(keys):
+    """A function ``each(rows, compute)``: the values at the entries
+    ``rows`` of ``keys``, (model, s) pairs that may span models, from one
+    ``compute(model, i, at)`` call per model present, models by identity;
+    ``i`` are that model's entries and ``at`` their mask in ``rows``."""
+    index = {}
+    owner = np.array([index.setdefault(id(model), len(index)) for model, _ in keys], dtype=int)
+    models = list({id(model): model for model, _ in keys}.values())
+
+    def each(rows, compute):
+        vals = np.empty(rows.size)
+        who = owner[rows]
+        for j in np.flatnonzero(np.bincount(who)).tolist():
+            at = who == j
+            vals[at] = compute(models[j], rows[at], at)
+        return vals
+
+    return each
+
+
+def _at_s(keys, each):
+    """Q(1-s) of every key, one array call per model."""
+    ss = np.array([s for _, s in keys])
+    return each(np.arange(ss.size), lambda model, i, at: model.tail_quantile(ss[i]))
+
+
+def _tail_quads(keys, integrand, label, rel_tol, at_s=False):
+    """Outcomes of the tail quadratures of ``keys``, (model, s) pairs that
+    may span models, in one lockstep batch; ``label(s)`` labels each.
+
+    Each round calls ``integrand(model, rows, ws, ts, qs)`` once for every
+    model present, on its nodes only; ``rows`` index ``keys``, and ``qs``
+    holds Q(1-s) of every key when ``at_s`` is set, else None.
+    """
+    each = _per_model(keys)
+    qs = _at_s(keys, each) if at_s else None
+    return tail_quads(lambda rows, ws, ts: each(rows, lambda model, i, at: integrand(
+        model, i, ws[at], ts[at], qs)), [s for _, s in keys], rel_tol,
+        [label(s) for _, s in keys])
 
 
 def _densities(model, ts):
@@ -172,19 +217,17 @@ _IBP_CACHE: dict = {}   # see the module docstring
 _IBP_CACHE_SIZE = 4096
 
 
-def _scale_ibp(model, ss, beta, rel_tol):
-    keys = [(model, s, beta, rel_tol) for s in ss]
+def _scale_ibp(keys, beta, rel_tol):
+    keys = [(model, s, beta, rel_tol) for model, s in keys]
     found = {key: _IBP_CACHE.pop(key) for key in keys if key in _IBP_CACHE}
     _IBP_CACHE.update(found)   # hits become the most recently used
     misses = [key for key in dict.fromkeys(keys) if key not in found]
     if misses:
-        todo = [s for _, s, _, _ in misses]
-        qs = model.tail_quantile(np.array(todo))
-
-        def g(rows, ws, ts):
+        def g(model, rows, ws, ts, qs):
             return exp_each(-beta * ws) * (model.tail_quantile(ts) - qs[rows])
 
-        outs = tail_quads(g, todo, rel_tol, [f"c({s:g},{beta:g}) ibp" for s in todo])
+        outs = _tail_quads([key[:2] for key in misses], g,
+                           lambda s: f"c({s:g},{beta:g}) ibp", rel_tol, at_s=True)
         for key, out in zip(misses, outs):
             if isinstance(out, QuadratureError):
                 found[key] = out   # never stored
@@ -195,8 +238,8 @@ def _scale_ibp(model, ss, beta, rel_tol):
     return [found[key] for key in keys]
 
 
-def _scale_stieltjes(model, ss, beta, rel_tol):
-    def g(rows, ws, ts):
+def _scale_stieltjes(keys, beta, rel_tol):
+    def g(model, rows, ws, ts, qs):
         # q(t) can exceed double range once t is astronomically small
         # (heavy-tailed controls); the e^{-beta w} factor has crushed the
         # true integrand long before that point, so such a node gives 0.
@@ -206,48 +249,49 @@ def _scale_stieltjes(model, ss, beta, rel_tol):
         vals[ok] = exp_each(-beta * ws[ok]) * ts[ok] * d[ok]
         return vals
 
-    return tail_quads(g, ss, rel_tol, [f"c({s:g},{beta:g}) stieltjes" for s in ss])
+    return _tail_quads(keys, g, lambda s: f"c({s:g},{beta:g}) stieltjes", rel_tol)
 
 
-def _resolve(model, what, ss, method, closed, **routes):
-    """Per-s outcomes: the closed form where the model has one, else
-    quadrature.
+def _resolve(keys, what, method, closed, **routes):
+    """Per-key outcomes for ``keys``, (model, s) pairs that may span
+    models: the closed form where the model has one, else quadrature.
 
-    ``method="auto"`` takes ``closed(s)`` unless it returns None, and the
-    first of ``routes`` for the other s; any other method must name a
-    route and forces it.  A route maps a list of s to their outcomes,
-    integrated in one lockstep batch.  An outcome is (value, error bound)
-    or a QuadratureError; a value that is not finite, closed or not,
-    becomes "<what(s)> diverges for <model>".
+    ``method="auto"`` takes ``closed(model, s)`` unless it returns None,
+    and the first of ``routes`` for the other keys; any other method must
+    name a route and forces it.  A route maps a list of keys to their
+    outcomes, integrated in one lockstep batch.  An outcome is (value,
+    error bound) or a QuadratureError; a value that is not finite, closed
+    or not, becomes "<what(s)> diverges for <model>".
     """
     if method != "auto" and method not in routes:
         raise ValueError(f"unknown method {method!r}")
-    outs = [None] * len(ss)
+    outs = [None] * len(keys)
     if method == "auto":
-        for i, s in enumerate(ss):
-            val = closed(s)
+        for i, (model, s) in enumerate(keys):
+            val = closed(model, s)
             if val is not None:
                 outs[i] = (float(val), 0.0)
     rest = [i for i, out in enumerate(outs) if out is None]
     if rest:
         route = routes[next(iter(routes)) if method == "auto" else method]
-        for i, out in zip(rest, route([ss[i] for i in rest])):
+        for i, out in zip(rest, route([keys[i] for i in rest])):
             outs[i] = out
     for i, out in enumerate(outs):
         if not isinstance(out, QuadratureError) and not math.isfinite(out[0]):
-            outs[i] = QuadratureError(f"{what(ss[i])} diverges for {model.describe()}",
+            model, s = keys[i]
+            outs[i] = QuadratureError(f"{what(s)} diverges for {model.describe()}",
                                       estimate=out[0], error_bound=out[1])
     return outs
 
 
-def _scale(model, ss, beta, method="auto", rel_tol=DEFAULT_REL_TOL):
+def _scale(keys, beta, method="auto", rel_tol=DEFAULT_REL_TOL):
     beta = float(beta)
     if not beta > 0.0:
         raise ValueError("beta must be strictly positive")
-    return _resolve(model, lambda s: f"c({s:g},{beta:g})", ss, method,
-                    lambda s: model.closed_scale(s, beta),
-                    ibp=lambda ss: _scale_ibp(model, ss, beta, rel_tol),
-                    stieltjes=lambda ss: _scale_stieltjes(model, ss, beta, rel_tol))
+    return _resolve(keys, lambda s: f"c({s:g},{beta:g})", method,
+                    lambda model, s: model.closed_scale(s, beta),
+                    ibp=lambda keys: _scale_ibp(keys, beta, rel_tol),
+                    stieltjes=lambda keys: _scale_stieltjes(keys, beta, rel_tol))
 
 
 def tail_scale(model: TailModel, s, beta: float = 1.0, method: str = "auto",
@@ -261,39 +305,53 @@ def tail_scale(model: TailModel, s, beta: float = 1.0, method: str = "auto",
     in the module docstring.
     """
     ss, shape = _masses(s)
-    return _settle(_scale(model, ss, beta, method, rel_tol), shape, with_error)
+    return _settle(_scale(_keys(model, ss), beta, method, rel_tol), shape, with_error)
 
 
-def _mean(model, ss, method="auto", rel_tol=DEFAULT_REL_TOL):
-    return _resolve(model, lambda s: f"mu({s:g})", ss, method, model.closed_mean_mass,
-                    quadrature=lambda ss: tail_quads(
-                        lambda rows, ws, ts: ts * model.tail_quantile(ts),
-                        ss, rel_tol, [f"mu({s:g})" for s in ss]))
+def _keys(model, ss):
+    return [(model, s) for s in ss]
+
+
+def _mean(keys, method="auto", rel_tol=DEFAULT_REL_TOL):
+    return _resolve(keys, lambda s: f"mu({s:g})", method,
+                    lambda model, s: model.closed_mean_mass(s),
+                    quadrature=lambda keys: _tail_quads(
+                        keys, lambda model, rows, ws, ts, qs: ts * model.tail_quantile(ts),
+                        lambda s: f"mu({s:g})", rel_tol))
 
 
 def tail_mean(model: TailModel, s, method: str = "auto",
               rel_tol: float = DEFAULT_REL_TOL, with_error: bool = False):
     """Mean mass mu(s) = int_{1-s}^1 Q(u) du of the top s fraction."""
     ss, shape = _masses(s)
-    return _settle(_mean(model, ss, method, rel_tol), shape, with_error)
+    return _settle(_mean(_keys(model, ss), method, rel_tol), shape, with_error)
 
 
-def _rate(model, ss, extended=False, method="auto", rel_tol=DEFAULT_REL_TOL):
-    if model.has_tail_rate:
-        return _resolve(model, lambda s: f"rho({s:g})", ss, method,
-                        model.closed_rate_integral,
-                        quadrature=lambda ss: tail_quads(
-                            lambda rows, ws, us: us * model.tail_rate(us),
-                            ss, rel_tol, [f"rho({s:g})" for s in ss]))
-    if not extended:
+def _rate(keys, extended=False, method="auto", rel_tol=DEFAULT_REL_TOL):
+    rated = [i for i, (model, _) in enumerate(keys) if model.has_tail_rate]
+    unrated = [i for i, (model, _) in enumerate(keys) if not model.has_tail_rate]
+    if unrated and not extended:
         raise UnsupportedModelError(
-            f"{model.describe()} has no analytic tail rate; "
+            f"{keys[unrated[0]][0].describe()} has no analytic tail rate; "
             "pass extended=True for the mean-mass identity"
         )
-    mus = _mean(model, ss, method, rel_tol)
-    qs = model.tail_quantile(np.array(ss)).tolist()
-    return [mu if isinstance(mu, QuadratureError) else (mu[0] - s * q, mu[1])
-            for s, q, mu in zip(ss, qs, mus)]
+    outs = [None] * len(keys)
+    if rated:
+        for i, out in zip(rated, _resolve(
+                [keys[i] for i in rated], lambda s: f"rho({s:g})", method,
+                lambda model, s: model.closed_rate_integral(s),
+                quadrature=lambda keys: _tail_quads(
+                    keys, lambda model, rows, ws, us, qs: us * model.tail_rate(us),
+                    lambda s: f"rho({s:g})", rel_tol))):
+            outs[i] = out
+    if unrated:
+        # rho(s) = mu(s) - s Q(1-s)
+        keys = [keys[i] for i in unrated]
+        mus = _mean(keys, method, rel_tol)
+        qs = _at_s(keys, _per_model(keys)).tolist()
+        for i, (_, s), q, mu in zip(unrated, keys, qs, mus):
+            outs[i] = mu if isinstance(mu, QuadratureError) else (mu[0] - s * q, mu[1])
+    return outs
 
 
 def rate_integral(model: TailModel, s, extended: bool = False,
@@ -307,22 +365,21 @@ def rate_integral(model: TailModel, s, extended: bool = False,
     passed on to the mean mass.
     """
     ss, shape = _masses(s)
-    return _settle(_rate(model, ss, extended, method, rel_tol), shape, with_error)
+    return _settle(_rate(_keys(model, ss), extended, method, rel_tol), shape, with_error)
 
 
-def _variance_quad(model, ss, rel_tol):
-    outs = _rate(model, ss, extended=True, rel_tol=rel_tol)
+def _variance_quad(keys, rel_tol):
+    outs = _rate(keys, extended=True, rel_tol=rel_tol)
     live = [i for i, out in enumerate(outs) if not isinstance(out, QuadratureError)]
-    todo = [ss[i] for i in live]
-    qs = model.tail_quantile(np.array(todo))
 
-    def g(rows, ws, ys):
+    def g(model, rows, ws, ys, qs):
         # an inf density is the honest divergence signal (heavy tails)
         d, q = _densities(model, ys), model.tail_quantile(ys)
         with np.errstate(over="ignore", invalid="ignore"):   # as Python floats
             return ys * (ys * d) * (q - qs[rows])
 
-    j2s = tail_quads(g, todo, rel_tol, [f"sigma2({s:g})" for s in todo])
+    j2s = _tail_quads([keys[i] for i in live], g, lambda s: f"sigma2({s:g})", rel_tol,
+                      at_s=True)
     for i, j2 in zip(live, j2s):
         rho, rho_err = outs[i]
         outs[i] = j2 if isinstance(j2, QuadratureError) else (
@@ -330,29 +387,37 @@ def _variance_quad(model, ss, rel_tol):
     return outs
 
 
-def _variance(model, ss, method="auto", rel_tol=DEFAULT_REL_TOL):
-    return _resolve(model, lambda s: f"sigma2({s:g})", ss, method,
-                    model.closed_variance,
-                    quadrature=lambda ss: _variance_quad(model, ss, rel_tol))
+def _variance(keys, method="auto", rel_tol=DEFAULT_REL_TOL):
+    return _resolve(keys, lambda s: f"sigma2({s:g})", method,
+                    lambda model, s: model.closed_variance(s),
+                    quadrature=lambda keys: _variance_quad(keys, rel_tol))
 
 
 def tail_variance(model: TailModel, s, method: str = "auto",
                   rel_tol: float = DEFAULT_REL_TOL, with_error: bool = False):
     """Variance driver sigma2(s) of the extreme-sum limit theorem."""
     ss, shape = _masses(s)
-    return _settle(_variance(model, ss, method, rel_tol), shape, with_error)
+    return _settle(_variance(_keys(model, ss), method, rel_tol), shape, with_error)
 
 
 # -- limit ratios -------------------------------------------------------
 #
 # Each ratio takes a tail mass or an array of them.  An array integrates
 # each functional once for all its s and raises the error that the first
-# failing scalar call would raise.
+# failing scalar call would raise.  The limit suite computes the same
+# ratios from outcomes it requested across models.
 
 
-def _ratios(nums, dens, shape):
+def _ratios(nums, dens):
     # Python division, as for scalars: a zero denominator raises
-    return _shaped([a / b for a, b in zip(nums, dens)], shape)
+    return [a / b for a, b in zip(nums, dens)]
+
+
+def _spacings(model, ss, x, cs):
+    """(Q(1-xs) - Q(1-s)) / c(s) from the outcomes ``cs`` of c(s)."""
+    xs = np.array([x * s for s in ss])
+    nums = (model.tail_quantile(xs) - model.tail_quantile(np.array(ss))).tolist()
+    return _ratios(nums, *_values(cs))
 
 
 def spacing_log_ratio(model: TailModel, s, x: float):
@@ -361,22 +426,70 @@ def spacing_log_ratio(model: TailModel, s, x: float):
     x = float(x)
     if not x > 0.0:
         raise ValueError("x must be strictly positive")
-    xs = [_check_s(x * s) for s in ss]
-    nums = (model.tail_quantile(np.array(xs)) - model.tail_quantile(np.array(ss))).tolist()
-    return _ratios(nums, *_values(_scale(model, ss, 1.0)), shape)
+    for s in ss:
+        _check_s(x * s)
+    return _shaped(_spacings(model, ss, x, _scale(_keys(model, ss), 1.0)), shape)
 
 
 def scale_beta_ratio(model: TailModel, s, beta: float):
     """c(s, beta) / c(s); tends to 1/beta in the Gumbel domain."""
     ss, shape = _masses(s)
-    return _ratios(*_values(_scale(model, ss, beta), _scale(model, ss, 1.0)), shape)
+    keys = _keys(model, ss)
+    return _shaped(_ratios(*_values(_scale(keys, beta), _scale(keys, 1.0))), shape)
+
+
+def _variance_ratios(ss, cs, sigmas):
+    """sigma2(s) / (2 s c(s)^2) from the outcomes of c(s) and sigma2(s)."""
+    cs, sig = _values(cs, sigmas)
+    return _ratios(sig, [2.0 * s * c * c for s, c in zip(ss, cs)])
 
 
 def variance_scale_ratio(model: TailModel, s):
     """sigma2(s) / (2 s c(s)^2); tends to 1 in the Gumbel domain."""
     ss, shape = _masses(s)
-    cs, sig = _values(_scale(model, ss, 1.0), _variance(model, ss))
-    return _ratios(sig, [2.0 * s * c * c for s, c in zip(ss, cs)], shape)
+    keys = _keys(model, ss)
+    return _shaped(_variance_ratios(ss, _scale(keys, 1.0), _variance(keys)), shape)
+
+
+def _residuals(models, s, anchor, rel_tol=DEFAULT_REL_TOL):
+    """The anchored representation residual of every model at one s, as
+    one function per model that returns it or raises its error.
+
+    Every model's int_s^anchor c(u)/u du runs in one lockstep QAGS, whose
+    rounds each request c(u) at every model's nodes at once; c(s) and
+    c(anchor) are one more request.  A model whose c(u) fails at a node
+    fails with the first such error of its round, in node order.
+    """
+    # model index -> its first c(u) error; from then on its nodes read NaN,
+    # which ends its QAGS within ten rounds (each NaN round adds one to
+    # iroff1 + iroff2, and ten of them set ier)
+    failed = {}
+
+    def c_over_u(rows, us):
+        rows, nodes = rows.tolist(), us.tolist()
+        todo = [j for j, i in enumerate(rows) if i not in failed]
+        vals = np.full(us.size, math.nan)
+        cs = _scale([(models[rows[j]], nodes[j]) for j in todo], 1.0, rel_tol=rel_tol)
+        for j, out in zip(todo, cs):
+            if isinstance(out, QuadratureError):
+                failed.setdefault(rows[j], out)
+            else:
+                vals[j] = out[0]
+        return vals / us
+
+    integrals = log_interval_quads(
+        c_over_u, [(s, anchor)] * len(models), max(rel_tol, 1e-10),
+        [f"int c(u)/u over ({s:g},{anchor:g})"] * len(models))
+    ends = _scale([(model, x) for model in models for x in (s, anchor)], 1.0,
+                  rel_tol=rel_tol)
+
+    def residual(i):
+        [integral], = _values([failed.get(i, integrals[i])])
+        lhs = models[i].tail_quantile(s) - models[i].tail_quantile(anchor)
+        [c_s], [c_anchor] = _values(ends[2 * i:2 * i + 1], ends[2 * i + 1:2 * i + 2])
+        return abs(lhs - (-c_s + c_anchor + integral))
+
+    return [lambda i=i: residual(i) for i in range(len(models))]
 
 
 def representation_residual(model: TailModel, s, anchor: float = 0.25,
@@ -395,15 +508,7 @@ def representation_residual(model: TailModel, s, anchor: float = 0.25,
     anchor = _check_s(anchor)
     if not s < anchor:
         raise ValueError("need s < anchor")
-
-    integral, _ = log_interval_quad(
-        lambda us: tail_scale(model, us, rel_tol=rel_tol) / us, s, anchor,
-        rel_tol=max(rel_tol, 1e-10),
-        what=f"int c(u)/u over ({s:g},{anchor:g})",
-    )
-    lhs = model.tail_quantile(s) - model.tail_quantile(anchor)
-    rhs = -tail_scale(model, s, rel_tol=rel_tol) + tail_scale(model, anchor, rel_tol=rel_tol) + integral
-    return abs(lhs - rhs)
+    return _residuals([model], s, anchor, rel_tol)[0]()
 
 
 def sequence_slowvar_ratio(slowvar, beta: float, a_of_n, n) -> float:
@@ -468,40 +573,42 @@ class FunctionalTable:
             fh.write(",".join(row) + "\n")
 
 
-def build_functional_table(model: TailModel, grid: SGrid, betas=(),
-                           rel_tol: float = DEFAULT_REL_TOL) -> FunctionalTable:
+def build_functional_table(model, grid: SGrid, betas=(),
+                           rel_tol: float = DEFAULT_REL_TOL):
     """Evaluate c, c(., beta), sigma2, mu (and rho when analytic) on a grid.
 
-    Entries whose quadrature fails or diverges are flagged with NaN and
-    an infinite error bound; the build itself never aborts.
+    ``model`` is a TailModel, which gives its FunctionalTable, or a
+    sequence of them, which gives a list with one table per model; each
+    column is then one request across every model.  Entries whose
+    evaluation fails or diverges are flagged with NaN and an infinite
+    error bound; the build itself never aborts.
     """
+    models = [model] if isinstance(model, TailModel) else list(model)
     betas = tuple(sorted(float(b) for b in betas))
     ss = list(grid.points)
-    specs = [("c", lambda: _scale(model, ss, 1.0, rel_tol=rel_tol))]
-    specs += [(f"c_beta_{format(b, 'g')}", lambda b=b: _scale(model, ss, b, rel_tol=rel_tol))
-              for b in betas]
-    specs += [("sigma2", lambda: _variance(model, ss, rel_tol=rel_tol)),
-              ("mu", lambda: _mean(model, ss, rel_tol=rel_tol))]
-    if model.has_tail_rate:
-        specs.append(("rho", lambda: _rate(model, ss, rel_tol=rel_tol)))
-    # one call per column; its entries are flagged one by one, s by s
-    outcomes = {}
-    for name, column in specs:
-        try:
-            outcomes[name] = column()
-        except UnsupportedModelError as exc:
-            outcomes[name] = [exc] * len(ss)
-    columns = {name: [] for name, _ in specs}
-    errors = {name: [] for name, _ in specs}
-    notes: list = []
-    for i, s in enumerate(ss):
-        for name, outs in outcomes.items():
-            out = outs[i]
-            if isinstance(out, (QuadratureError, UnsupportedModelError)):
-                notes.append(f"{name} at s={format(s, 'g')}: {out}")
-                out = (math.nan, math.inf)
-            columns[name].append(out[0])
-            errors[name].append(out[1])
-
-    return FunctionalTable(model=model, grid=grid, betas=betas,
-                           columns=columns, errors=errors, notes=notes)
+    keys = [(m, s) for m in models for s in ss]
+    columns = {"c": _scale(keys, 1.0, rel_tol=rel_tol)}
+    for b in betas:
+        columns[f"c_beta_{format(b, 'g')}"] = _scale(keys, b, rel_tol=rel_tol)
+    columns["sigma2"] = _variance(keys, rel_tol=rel_tol)
+    columns["mu"] = _mean(keys, rel_tol=rel_tol)
+    rated = [i for i, (m, _) in enumerate(keys) if m.has_tail_rate]
+    columns["rho"] = dict(zip(rated, _rate([keys[i] for i in rated], rel_tol=rel_tol)))
+    tables = []
+    for k, m in enumerate(models):
+        names = [name for name in columns if name != "rho" or m.has_tail_rate]
+        values = {name: [] for name in names}
+        errors = {name: [] for name in names}
+        notes: list = []
+        # entries are flagged one by one, s by s
+        for i, s in enumerate(ss, start=k * len(ss)):
+            for name in names:
+                out = columns[name][i]
+                if isinstance(out, QuadratureError):
+                    notes.append(f"{name} at s={format(s, 'g')}: {out}")
+                    out = (math.nan, math.inf)
+                values[name].append(out[0])
+                errors[name].append(out[1])
+        tables.append(FunctionalTable(model=m, grid=grid, betas=betas, columns=values,
+                                      errors=errors, notes=notes))
+    return tables[0] if isinstance(model, TailModel) else tables

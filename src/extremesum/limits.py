@@ -12,11 +12,16 @@ That power differs within the class: the Weibull(2) spacing error is about
 so its beta = 0.5 scale ratio still sits 0.417 above its limit 2 at
 s = 1e-6 and fails the loose tolerance at desk s.
 
-A grid check evaluates its whole grid at once: one array call per
-functional (per beta, and over the grid and its lambda-scaled copies for
-slow variation), so the quadratures of a grid run in lockstep.  A row
-fails with the error its first failing point would raise in a scalar
-evaluation of the grid.
+The suite runs check by check over all the models it is given, and each
+functional step of a check is one request across every model and grid
+point (per beta, and over the grid and its lambda-scaled copies for slow
+variation), so the quadratures of all the models run in lockstep.  The
+representation residual's outer quadratures run in one lockstep too, and
+each of their rounds requests c(u) at every model's nodes at once.  A
+row fails with the error its first failing point would raise in a scalar
+evaluation of the grid; an error one model raises outside its outcomes
+is isolated by running that request model by model, so it fails only
+that model's rows.
 """
 
 from __future__ import annotations
@@ -30,12 +35,14 @@ import numpy as np
 from .errors import QuadratureError, UnsupportedModelError
 from .functionals import (
     SGrid,
-    representation_residual,
-    scale_beta_ratio,
+    _ratios,
+    _residuals,
+    _scale,
+    _spacings,
+    _values,
+    _variance,
+    _variance_ratios,
     sequence_slowvar_ratio,
-    spacing_log_ratio,
-    tail_scale,
-    variance_scale_ratio,
 )
 from .models import TailModel
 
@@ -207,97 +214,130 @@ def slow_variation_check(f, lam: float, grid: SGrid, tol: float) -> LimitCheckRe
 
 # -- default suite ------------------------------------------------------
 #
-# Each check id maps to a function of (model, betas) that returns one
-# (params, run) pair per report row; run() evaluates the row and returns
-# (grid, values, target, note).  run_limit_suite supplies the rest.
+# Each check id maps to a function of (models, betas) that makes its
+# functional requests across all the models at once and returns, for
+# each model, one (params, run) pair per report row; run() reads that
+# model's outcomes and returns (grid, values, target, note), or raises
+# the error of its first failing point.  run_limit_suite supplies the rest.
+
+# The errors that fail a row, not the suite.
+_FAILURES = (QuadratureError, UnsupportedModelError, ValueError)
 
 
-def _on_grid(grid, ratios, target):
-    # ratios maps the grid's points, as one array, to their values
-    return lambda: (grid.points, tuple(np.asarray(ratios(np.array(grid.points))).tolist()),
-                    target, "")
+def _split(compute, models, failure):
+    """compute(models), one entry per model.  If it raises, each model is
+    computed alone, and a model that raises alone gets the entry
+    failure(error): one model's error never fails another's rows."""
+    try:
+        return compute(models)
+    except _FAILURES as exc:
+        if len(models) == 1:
+            return [failure(exc)]
+        return [entry for model in models for entry in _split(compute, [model], failure)]
 
 
-def _each(ratio):
-    return lambda ss: [ratio(s) for s in ss.tolist()]
+def _outcomes(request, models, ss, *args):
+    """The outcomes of one request over every (model, s) pair, per model."""
+    def compute(models):
+        outs = request([(model, s) for model in models for s in ss], *args)
+        return [outs[k * len(ss):(k + 1) * len(ss)] for k in range(len(models))]
+
+    return _split(compute, models, lambda exc: [exc] * len(ss))
+
+
+def _raising(exc):
+    def run():
+        raise exc
+
+    return run
+
+
+def _lookup(points, outs):
+    """The value at each of ``points`` from its outcome, as a function
+    that raises the point's error."""
+    table = dict(zip(points, outs))
+    return lambda s: _values([table[s]])[0][0]
+
+
+def _row(grid, ratios, target):
+    return lambda: (grid.points, tuple(ratios()), target, "")
 
 
 def _fields(rep: LimitCheckReport):
     return rep.grid, rep.values, rep.target, rep.note
 
 
-def _domain_ratio(model, betas):
+def _domain_ratio(models, betas):
     probe = (4.0, 1.0, 2.0, 1.0)
-    return [(tuple(zip("xzyw", probe)), lambda: _fields(domain_check(model, probe)))]
+    return [[(tuple(zip("xzyw", probe)), lambda m=m: _fields(domain_check(m, probe)))]
+            for m in models]
 
 
-def _pointwise(f, points):
-    """f at each of ``points`` from one array call, as a scalar function of
-    those points.  If the array call fails, each point gets its own scalar
-    call, so a point raises exactly the error it raises alone."""
-    try:
-        return dict(zip(points, f(np.array(points)).tolist())).__getitem__
-    except (QuadratureError, ValueError):
-        return f
-
-
-def _scale_slow_variation(model, betas):
+def _scale_slow_variation(models, betas):
     grid = _default_grid(1e-6)
     lams = (0.5, 2.0)
     points = [p for s in grid.points for p in (s, *(lam * s for lam in lams))]
-    scales = {}
+    # one request per beta, shared by its lam rows
+    scales = {beta: _outcomes(_scale, models, points, beta) for beta in (1.0, *betas)}
 
-    def run(beta, lam):
-        def row():
-            # one tail_scale call per beta, shared by its lam rows
-            if beta not in scales:
-                scales[beta] = _pointwise(lambda s: tail_scale(model, s, beta=beta), points)
-            # the suite applies its own tolerance; the report's is discarded
-            return _fields(slow_variation_check(scales[beta], lam, grid, 0.0))
+    def run(outs, lam):
+        # the suite applies its own tolerance; the report's is discarded
+        return lambda: _fields(slow_variation_check(_lookup(points, outs), lam, grid, 0.0))
 
-        return row
-
-    return [((("beta", beta), ("lam", lam)), run(beta, lam))
-            for beta in (1.0, *betas) for lam in lams]
+    return [[((("beta", beta), ("lam", lam)), run(scales[beta][k], lam))
+             for beta in (1.0, *betas) for lam in lams] for k in range(len(models))]
 
 
-def _representation_residual(model, betas):
-    return [((("anchor", 0.25),), _on_grid(
-        SGrid((1e-4,)), _each(lambda s: representation_residual(model, s, anchor=0.25)),
-        0.0))]
+def _representation_residual(models, betas):
+    grid = SGrid((1e-4,))
+    return [[((("anchor", 0.25),), _row(grid, lambda res=res: [res()], 0.0))]
+            for res in _split(lambda ms: _residuals(ms, 1e-4, 0.25), models, _raising)]
 
 
-def _spacing_log_limit(model, betas):
-    return [((("x", 2.0),), _on_grid(
-        _default_grid(1e-8), lambda ss: spacing_log_ratio(model, ss, 2.0), -math.log(2.0)))]
+def _spacing_log_limit(models, betas):
+    grid = _default_grid(1e-8)
+    return [[((("x", 2.0),), _row(
+        grid, lambda m=m, cs=cs: _spacings(m, grid.points, 2.0, cs), -math.log(2.0)))]
+        for m, cs in zip(models, _outcomes(_scale, models, grid.points, 1.0))]
 
 
-def _scale_beta_limit(model, betas):
-    return [((("beta", b),), _on_grid(
-        _default_grid(1e-6), lambda ss, b=b: scale_beta_ratio(model, ss, b), 1.0 / b))
-        for b in betas]
+def _scale_beta_limit(models, betas):
+    grid = _default_grid(1e-6)
+    ones = _outcomes(_scale, models, grid.points, 1.0)
+    per_beta = [(b, _outcomes(_scale, models, grid.points, b)) for b in betas]
+    return [[((("beta", b),), _row(grid, lambda cb=cbs[k], c1=ones[k]: _ratios(
+        *_values(cb, c1)), 1.0 / b)) for b, cbs in per_beta] for k in range(len(models))]
 
 
-def _variance_scale_limit(model, betas):
-    return [((), _on_grid(
-        _default_grid(1e-4, count=3), lambda ss: variance_scale_ratio(model, ss), 1.0))]
+def _variance_scale_limit(models, betas):
+    grid = _default_grid(1e-4, count=3)
+    cs = _outcomes(_scale, models, grid.points, 1.0)
+    sigmas = _outcomes(_variance, models, grid.points)
+    return [[((), _row(grid, lambda c=c, sig=sig: _variance_ratios(grid.points, c, sig),
+                       1.0))] for c, sig in zip(cs, sigmas)]
 
 
-def _sequence_slowvar_limit(model, betas):
+def _sequence_slowvar_limit(models, betas):
     # grid s = 1/n for n = 1e2, 1e4, 1e6; each reciprocal round-trips exactly
-    def ratio(s):
-        return sequence_slowvar_ratio(
-            lambda u: tail_scale(model, u), 1.0, lambda m: m**-0.5, 1.0 / s)
+    grid = SGrid((1e-2, 1e-4, 1e-6))
+    ns = [1.0 / s for s in grid.points]
+    points = [u for n in ns for u in (1.0 / n, n**-0.5)]   # c(1/n) and c(a_n)
 
-    return [((("beta", 1.0),), _on_grid(SGrid((1e-2, 1e-4, 1e-6)), _each(ratio), 0.0))]
+    def ratios(c):
+        return [sequence_slowvar_ratio(c, 1.0, lambda m: m**-0.5, n) for n in ns]
+
+    return [[((("beta", 1.0),), _row(grid, lambda c=_lookup(points, outs): ratios(c), 0.0))]
+            for outs in _outcomes(_scale, models, points, 1.0)]
 
 
-def _rate_scale_limit(model, betas):
+def _rate_scale_limit(models, betas):
     # no analytic rate, no quantity to test: the check yields no row
-    if not model.has_tail_rate:
-        return []
-    return [((), _on_grid(
-        _default_grid(1e-6), lambda ss: model.tail_rate(ss) / tail_scale(model, ss), 1.0))]
+    grid = _default_grid(1e-6)
+    rated = [m for m in models if m.has_tail_rate]
+    cs = dict(zip(rated, _outcomes(_scale, rated, grid.points, 1.0)))
+    ss = np.array(grid.points)
+    return [[((), _row(grid, lambda m=m: (m.tail_rate(ss) / np.array(
+        _values(cs[m])[0])).tolist(), 1.0))] if m.has_tail_rate else [] for m in models]
 
 
 _CHECKS = {
@@ -351,36 +391,39 @@ def convergence_class(model: TailModel) -> str:
 
 
 def run_limit_suite(
-    model: TailModel,
+    model,
     checks=DEFAULT_CHECKS,
     betas=(0.5, 2.0),
     tolerances=None,
 ) -> list:
-    """Run the configured limit checks for one model.
+    """Run the configured limit checks for a model or a sequence of them.
 
-    Returns one LimitCheckReport per (check, parameter) combination.
+    Returns one LimitCheckReport per (model, check, parameter)
+    combination, model by model.  The checks run check by check over all
+    the models, so each functional step is one request across them.
     Evaluation failures (divergent integrals, missing analytic rate) are
-    reported as failed rows with a note instead of aborting the suite;
-    the rate check is simply skipped for models outside the analytic-rate
-    class, because there is no quantity to test.
+    reported as failed rows of their model with a note instead of
+    aborting the suite; the rate check is simply skipped for models
+    outside the analytic-rate class, because there is no quantity to test.
     """
+    models = [model] if isinstance(model, TailModel) else list(model)
     unknown = [c for c in checks if c not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown check id: {unknown[0]}")
-    tol_map = dict(_CLASS_TOL[convergence_class(model)])
-    if tolerances:
-        tol_map.update(tolerances)
-    reports = []
+    tol_maps = [dict(_CLASS_TOL[convergence_class(m)], **(tolerances or {})) for m in models]
+    rows = [[] for _ in models]
     for check in checks:
-        tol = float(tol_map[check])
-        for params, run in _CHECKS[check](model, betas):
-            try:
-                grid, values, target, note = run()
-            except (QuadratureError, UnsupportedModelError, ValueError) as exc:
-                grid, values, target = (), (), math.nan
-                note = f"evaluation failed: {exc}"
-            reports.append(LimitCheckReport(
-                check_id=check, model=model.describe(), params=params, grid=grid,
-                values=values, target=target, tolerance=tol, note=note,
-            ))
-    return reports
+        for m, tol_map, model_rows, specs in zip(models, tol_maps, rows,
+                                                 _CHECKS[check](models, betas)):
+            for params, run in specs:
+                try:
+                    grid, values, target, note = run()
+                except _FAILURES as exc:
+                    grid, values, target = (), (), math.nan
+                    note = f"evaluation failed: {exc}"
+                model_rows.append(LimitCheckReport(
+                    check_id=check, model=m.describe(), params=params, grid=grid,
+                    values=values, target=target, tolerance=float(tol_map[check]),
+                    note=note,
+                ))
+    return [report for model_rows in rows for report in model_rows]

@@ -41,11 +41,15 @@ numpy's SIMD exp and power differ from libm in the last bit on some
 doubles.
 
 A batch of M quadratures makes max(last) integrand calls instead of the
-sum of them.  ``tail_quads`` is the batched tail integral the
+sum of them, and may mix models and checks: the functionals and the
+limit suite put every model's quadratures of one step in one batch.
+``tail_quads`` and ``log_interval_quads`` are the batched integrals the
 functionals use.  ``semiinf_quad`` and ``log_interval_quad`` are the
 one-quadrature case of the same driver; they hand their integrands the
 nodes of one round as a 1-d array.  Every quadrature enters through
-``_run_quads``.
+``_run_quads``.  A quadrature's interval lists grow with its number of
+subintervals ``last``, one slot per bisection, not to the limit of 200,
+so a batch of hundreds of short quadratures stays small in memory.
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["DEFAULT_REL_TOL", "semiinf_quad", "log_interval_quad", "tail_quads",
-           "exp_each"]
+__all__ = ["DEFAULT_REL_TOL", "semiinf_quad", "log_interval_quad", "log_interval_quads",
+           "tail_quads", "exp_each"]
 
 DEFAULT_REL_TOL = 1e-11
 
@@ -340,13 +344,12 @@ def _adapt(a, b, epsrel, limit=_LIMIT):
     It yields the intervals of each rule evaluation, first ((a, b),) and
     then the two halves of a bisection, and is sent their Kronrod tuples
     (result, abserr, resabs, resasc) back; ``_lockstep`` drives it.
-    Lists are 1-based as in the Fortran; ier is the user-facing code.
+    Lists are 1-based as in the Fortran and grow by one slot per
+    bisection: nothing reads or writes past index ``last``.  ier is the
+    user-facing code.
     """
     epsabs = _ABS_FLOOR
-    alist, blist = [0.0] * (limit + 1), [0.0] * (limit + 1)
-    rlist, elist = [0.0] * (limit + 1), [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    alist[1], blist[1] = a, b
+    alist, blist, rlist, elist, iord = [0.0, a], [0.0, b], [0.0, 0.0], [0.0, 0.0], [0, 0]
     ier = 0
     result, abserr, defabs, resabs = (yield ((a, b),))[0]
     dres = abs(result)
@@ -370,6 +373,9 @@ def _adapt(a, b, epsrel, limit=_LIMIT):
     small = erlarg = ertest = correc = 0.0
     tail = "check"   # where the loop leaves to: "check" or "sum"
     for last in range(2, limit + 1):
+        for column in (alist, blist, rlist, elist):
+            column.append(0.0)
+        iord.append(0)
         # bisect the subinterval with the nrmax-th largest error estimate
         a1, b2 = alist[maxerr], blist[maxerr]
         b1 = a2 = 0.5 * (alist[maxerr] + blist[maxerr])
@@ -572,15 +578,29 @@ def log_interval_quad(fn, a, b, rel_tol=DEFAULT_REL_TOL, what="integral"):
 
     ``fn`` maps an array of nodes u to their values (QAGS).
     """
-    if not 0.0 < a < b < 1.0:
+    return _settled(log_interval_quads(lambda rows, us: fn(us), [(a, b)], rel_tol,
+                                       [what])[0])
+
+
+def log_interval_quads(fn, bounds, rel_tol, whats):
+    """int_a^b fn(u) du for every (a, b) in ``bounds``, 0 < a < b < 1, on
+    the log scale u = e^{-y} and in lockstep; ``whats`` labels each
+    quadrature.
+
+    ``fn(rows, us)`` gets the nodes of one round as a flat array, and
+    ``rows[j]`` is the index in ``bounds`` of node j's quadrature; it
+    returns their values.  Returns one (value, error) per interval, or the
+    QuadratureError its quadrature earns, returned, not raised.
+    """
+    if not all(0.0 < a < b < 1.0 for a, b in bounds):
         raise ValueError("need 0 < a < b < 1")
 
     def g(rows, ys):
         us = exp_each(-ys.ravel())
-        return us * fn(us)
+        return us * fn(np.repeat(rows, ys.shape[1]), us)
 
-    return _settled(_run_quads(_qk21, g, [(-math.log(b), -math.log(a))],
-                               rel_tol, [what])[0])
+    return _run_quads(_qk21, g, [(-math.log(b), -math.log(a)) for a, b in bounds],
+                      rel_tol, whats)
 
 
 def tail_quads(fn, ss, rel_tol, whats):

@@ -10,21 +10,35 @@ batch around it: its order in the batch, or which other quadratures,
 failing ones included, share its rounds.
 """
 
+import io
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extremesum import (
+    Gamma,
     LogNormal,
     Normal,
     Pareto,
     QuadratureError,
+    SGrid,
+    UnsupportedModelError,
+    build_functional_table,
     catalog,
     functionals,
+    limits,
     quadrature,
+    representation_residual,
+    run_limit_suite,
+    scale_beta_ratio,
+    sequence_slowvar_ratio,
+    spacing_log_ratio,
     tail_scale,
     tail_variance,
+    variance_scale_ratio,
 )
 
 _MODELS = [entry.model for entry in catalog()]
@@ -166,3 +180,150 @@ def test_recorded_batch_holds_a_failure():
                                        _QUADS[0][2], [q[3] for q in _QUADS]))
     assert outs[0].startswith("c(0.1,0.5) ibp: quadrature did not converge")
     assert sum(isinstance(o, tuple) for o in outs) >= 5
+
+
+# -- one request across models ---------------------------------------------
+
+
+_BATCH_MODELS = [entry.model for entry in catalog()] + [Normal(), Pareto(0.5)]
+_GRID = SGrid.geometric(0.1, 0.1, 8)
+
+
+def _alone_and_together(run):
+    """run(models) once per model and once over all of them, each on an
+    empty ibp cache; returns both results model by model."""
+    functionals._IBP_CACHE.clear()
+    alone = [run([model]) for model in _BATCH_MODELS]
+    functionals._IBP_CACHE.clear()
+    return alone, run(_BATCH_MODELS)
+
+
+def _suite(models):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_limit_suite(models, betas=(1.0, 2.0))
+
+
+@pytest.fixture(scope="module")
+def suites():
+    alone, together = _alone_and_together(_suite)
+    return [report for reports in alone for report in reports], together
+
+
+def test_limit_suite_over_all_models_equals_one_call_per_model(suites):
+    alone, together = suites
+    assert [(str(r.row()), r.note) for r in together] == \
+        [(str(r.row()), r.note) for r in alone]
+    # the first model's scalar call is the single-model signature
+    assert [str(r.row()) for r in run_limit_suite(_BATCH_MODELS[0], betas=(1.0, 2.0))] == \
+        [str(r.row()) for r in alone if r.model == "exponential(1)"]
+
+
+def _residual_by_definition(model, s=1e-4, anchor=0.25):
+    """The anchored residual from one QAGS of tail_scale(u)/u, evaluated
+    in the order of its formula."""
+    integral, _ = quadrature.log_interval_quad(lambda us: tail_scale(model, us) / us,
+                                               s, anchor, rel_tol=1e-10)
+    lhs = model.tail_quantile(s) - model.tail_quantile(anchor)
+    return abs(lhs - (-tail_scale(model, s) + tail_scale(model, anchor) + integral))
+
+
+def _outcome_of(call):
+    try:
+        return call().hex()
+    except QuadratureError as exc:
+        return str(exc)
+
+
+def test_residual_equals_its_definition(suites):
+    _, together = suites
+    rows = [r for r in together if r.check_id == "representation_residual"]
+    for model, row in zip(_BATCH_MODELS, rows):
+        expected = _outcome_of(lambda: _residual_by_definition(model))
+        assert _outcome_of(lambda: representation_residual(model, 1e-4)) == expected
+        assert (row.values[0].hex() if row.values else row.note) in (
+            expected, f"evaluation failed: {expected}")
+
+
+def _scalar_points(model, report):
+    """One scalar evaluation per point of a suite row, in the order the
+    row's grid evaluation reads them."""
+    params = dict(report.params)
+    grid = limits._default_grid
+    return {
+        "scale_slow_variation": lambda: [
+            lambda p=p: tail_scale(model, p, params["beta"]) for s in grid(1e-6).points
+            for p in (s, params["lam"] * s)],
+        "representation_residual": lambda: [
+            lambda: _residual_by_definition(model)],
+        "spacing_log_limit": lambda: [
+            lambda s=s: spacing_log_ratio(model, s, 2.0) for s in grid(1e-8).points],
+        "scale_beta_limit": lambda: [
+            lambda s=s: scale_beta_ratio(model, s, params["beta"]) for s in grid(1e-6).points],
+        "variance_scale_limit": lambda: [
+            lambda s=s: variance_scale_ratio(model, s) for s in grid(1e-4, count=3).points],
+        "sequence_slowvar_limit": lambda: [
+            lambda s=s: sequence_slowvar_ratio(lambda u: tail_scale(model, u), 1.0,
+                                               lambda m: m**-0.5, 1.0 / s)
+            for s in (1e-2, 1e-4, 1e-6)],
+        "rate_scale_limit": lambda: [
+            lambda s=s: model.tail_rate(s) / tail_scale(model, s) for s in grid(1e-6).points],
+    }[report.check_id]()
+
+
+def test_failed_rows_carry_the_error_of_their_first_failing_point(suites):
+    _, together = suites
+    failed = [r for r in together if r.note.startswith("evaluation failed: ")]
+    assert {r.model for r in failed} == {"pareto(2)", "pareto(0.5)"}
+    assert len([r for r in failed if r.model == "pareto(0.5)"]) == 12
+    models = {model.describe(): model for model in _BATCH_MODELS}
+    for report in failed:
+        for point in _scalar_points(models[report.model], report):
+            try:
+                point()
+            except (QuadratureError, UnsupportedModelError, ValueError) as exc:
+                assert report.note == f"evaluation failed: {exc}"
+                break
+        else:
+            pytest.fail(f"no point of {report} fails on its own")
+
+
+def _csv(table):
+    out = io.StringIO()
+    table.to_csv(out)
+    return out.getvalue(), table.notes
+
+
+def test_tables_over_all_models_equal_one_call_per_model():
+    alone, together = _alone_and_together(
+        lambda models: build_functional_table(models, _GRID, betas=(1.0, 2.0)))
+    assert [_csv(t) for t in together] == [_csv(t) for [t] in alone]
+    notes = {t.model.describe(): t.notes for t in together}
+    assert len(notes["pareto(2)"]) == 8 and len(notes["pareto(0.5)"]) == 40
+    assert notes["uniform()"] == []
+    single = build_functional_table(_BATCH_MODELS[0], _GRID, betas=(1.0, 2.0))
+    assert _csv(single) == _csv(together[0])
+
+
+class _Raising(Normal):
+    """A model whose tail quantile raises inside the quadrature's nodes."""
+
+    name = "raising"
+
+    def tail_quantile(self, t):
+        if np.ndim(t) and np.min(t) < 1e-9:
+            raise ValueError("no quantile that far out")
+        return super().tail_quantile(t)
+
+
+def test_model_error_fails_only_that_models_rows():
+    models = [Normal(), _Raising(), Gamma(2.0)]
+    functionals._IBP_CACHE.clear()
+    together = _suite(models)
+    functionals._IBP_CACHE.clear()
+    alone = [r for model in models for r in _suite([model])]
+    assert [(str(r.row()), r.note) for r in together] == \
+        [(str(r.row()), r.note) for r in alone]
+    raised = [r for r in together if "no quantile that far out" in r.note]
+    assert raised and all(r.model == "raising()" for r in raised)
+    assert len(raised) < len(together) // 3

@@ -10,10 +10,12 @@ the last tests pin that call shape.  The package runs most quadratures
 in lockstep batches; each of them is compared on its own.
 """
 
+import json
 import math
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from extremesum import (
     Weibull,
     build_functional_table,
     catalog,
+    cli,
     functionals,
     quadrature,
     rate_integral,
@@ -108,6 +111,42 @@ def catalog_quadratures():
     return calls
 
 
+def _batches(run):
+    """The labels of every ``_run_quads`` batch that run() makes, batch by
+    batch, on an empty ibp cache."""
+    batches = []
+    real = quadrature._run_quads
+
+    def recording(rule, fn, bounds, rel_tol, whats):
+        batches.append(list(whats))
+        return real(rule, fn, bounds, rel_tol, whats)
+
+    functionals._IBP_CACHE.clear()
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(quadrature, "_run_quads", recording)
+        warnings.simplefilter("ignore")
+        run()
+    return batches
+
+
+@pytest.mark.parametrize("command, most", [("lemmas", 14), ("functionals", 4)])
+def test_catalog_commands_batch_across_models(tmp_path, capsys, command, most):
+    """The CLI integrates the catalog in one request per functional step:
+    few batches, and the quadratures of one call per model."""
+    models = [entry.model for entry in catalog()]
+    grid = SGrid.geometric(0.1, 0.1, 8)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"models": [m.describe() for m in models],
+                                  "s_grid": {"start": 0.1, "ratio": 0.1, "count": 8}}))
+    together = _batches(lambda: cli.main([command, "--config", str(config),
+                                          "--output-dir", str(tmp_path)]))
+    per_model = _batches(lambda: [
+        run_limit_suite(m, betas=(1.0, 2.0)) if command == "lemmas"
+        else build_functional_table(m, grid, betas=(1.0, 2.0)) for m in models])
+    assert len(together) <= most < len(per_model)
+    assert Counter(w for b in together for w in b) == Counter(w for b in per_model for w in b)
+
+
 def test_catalog_quadratures_cover_every_route(catalog_quadratures):
     labels = [what for what, *_ in catalog_quadratures]
     for route in ("ibp", "stieltjes", "mu(", "sigma2(", "rho(", "int c(u)/u"):
@@ -143,6 +182,7 @@ _QAGI_BATTERY = {
     "near-1/w": lambda w: w ** -0.999 * math.exp(-w) if w else math.inf,
     "nan": lambda w: math.nan,
     "nan-patch": lambda w: math.nan if 0.5 < w < 0.6 else math.exp(-w),
+    "square-wave": lambda w: (1.0 if math.sin(8.0 * w) > 0.0 else 0.5) * math.exp(-0.2 * w),
     "inf": lambda w: math.inf,
     "zero": lambda w: 0.0,
 }
@@ -154,6 +194,7 @@ _QAGS_BATTERY = {
     "principal-value": lambda x: _pole(x, 0.3),
     "abs-pole": lambda x: abs(_pole(x, 0.3)),
     "near-1/x": lambda x: abs(x) ** -0.9999 if x else math.inf,
+    "square-wave": lambda x: 1.0 if math.sin(80.0 * x) > 0.0 else 0.5,
     "nan": lambda x: math.nan,
     "inf": lambda x: math.inf,
     "zero": lambda x: 0.0,
@@ -190,6 +231,17 @@ def test_battery_reaches_every_warning():
             seen[rule].add(_alone(rule, _batched(f), a, b, epsrel, limit)[2])
     assert seen[quadrature._qk15i] == {0, 1, 2, 3, 4, 5}
     assert seen[quadrature._qk21] >= {0, 1, 2, 3, 5}
+
+
+def test_battery_fills_the_interval_list():
+    """Both rules pass last > limit // 2 + 2, where QPSRT sorts only the
+    lower part of the interval list, at a small and at the full limit."""
+    for rule in (quadrature._qk15i, quadrature._qk21):
+        for limit in (10, 200):
+            lasts = [_alone(rule, _batched(f), a, b, epsrel, limit)[3]
+                     for _, rul, f, a, b in _battery() if rul is rule
+                     for epsrel, lim in _TOLERANCES if lim == limit]
+            assert max(lasts) > limit // 2 + 2, (rule, limit)
 
 
 # -- scipy.integrate stays off the import path ---------------------------
