@@ -328,30 +328,25 @@ def tail_mean(model: TailModel, s, method: str = "auto",
 
 
 def _rate(keys, extended=False, method="auto", rel_tol=DEFAULT_REL_TOL):
-    rated = [i for i, (model, _) in enumerate(keys) if model.has_tail_rate]
-    unrated = [i for i, (model, _) in enumerate(keys) if not model.has_tail_rate]
+    rated = [key for key in keys if key[0].has_tail_rate]
+    unrated = [key for key in keys if not key[0].has_tail_rate]
     if unrated and not extended:
         raise UnsupportedModelError(
-            f"{keys[unrated[0]][0].describe()} has no analytic tail rate; "
+            f"{unrated[0][0].describe()} has no analytic tail rate; "
             "pass extended=True for the mean-mass identity"
         )
-    outs = [None] * len(keys)
-    if rated:
-        for i, out in zip(rated, _resolve(
-                [keys[i] for i in rated], lambda s: f"rho({s:g})", method,
-                lambda model, s: model.closed_rate_integral(s),
-                quadrature=lambda keys: _tail_quads(
-                    keys, lambda model, rows, ws, us, qs: us * model.tail_rate(us),
-                    lambda s: f"rho({s:g})", rel_tol))):
-            outs[i] = out
+    outs = dict(zip(rated, _resolve(
+        rated, lambda s: f"rho({s:g})", method, lambda model, s: model.closed_rate_integral(s),
+        quadrature=lambda keys: _tail_quads(
+            keys, lambda model, rows, ws, us, qs: us * model.tail_rate(us),
+            lambda s: f"rho({s:g})", rel_tol))))
     if unrated:
         # rho(s) = mu(s) - s Q(1-s)
-        keys = [keys[i] for i in unrated]
-        mus = _mean(keys, method, rel_tol)
-        qs = _at_s(keys, _per_model(keys)).tolist()
-        for i, (_, s), q, mu in zip(unrated, keys, qs, mus):
-            outs[i] = mu if isinstance(mu, QuadratureError) else (mu[0] - s * q, mu[1])
-    return outs
+        mus = _mean(unrated, method, rel_tol)
+        qs = _at_s(unrated, _per_model(unrated)).tolist()
+        for key, q, mu in zip(unrated, qs, mus):
+            outs[key] = mu if isinstance(mu, QuadratureError) else (mu[0] - key[1] * q, mu[1])
+    return [outs[key] for key in keys]
 
 
 def rate_integral(model: TailModel, s, extended: bool = False,
