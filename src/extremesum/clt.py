@@ -38,8 +38,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special
 
+from .cephes import ndtr
 from .errors import ConfigError, NumericError, QuadratureError
 from .functionals import _scale, rate_integral, tail_mean, tail_scale, tail_variance
 from .models import TailModel
@@ -220,12 +220,10 @@ class Statistic:
 
 
 STATISTICS = {
-    "T1": Statistic(lambda x: special.ndtr(np.asarray(x) / math.sqrt(2.0)), 2.0,
+    "T1": Statistic(lambda x: ndtr(np.asarray(x) / math.sqrt(2.0)), 2.0,
                     {"mean": (-0.1, 0.1), "var": (1.8, 2.2), "ks": 0.05}),
-    "T2": Statistic(lambda x: special.ndtr(np.asarray(x)), 1.0,
-                    {"var": (0.85, 1.15), "ks": 0.05}),
-    "T3": Statistic(lambda x: special.ndtr(np.asarray(x)), 1.0,
-                    {"var": (0.85, 1.15), "ks": 0.05}),
+    "T2": Statistic(ndtr, 1.0, {"var": (0.85, 1.15), "ks": 0.05}),
+    "T3": Statistic(ndtr, 1.0, {"var": (0.85, 1.15), "ks": 0.05}),
     "MAX": Statistic(gumbel_cdf, math.pi**2 / 6.0, {"ks": 0.05}),
     "BDH": Statistic(None, None, {"mean": (0.9, 1.1), "sd_factor": 2.0}),
 }

@@ -23,6 +23,11 @@ shape, a float for a scalar.  So an array call gives each element
 exactly the scalar call's value, and quadrature can batch its nodes.
 Weibull's density and rate keep C pow on each element for the power
 (-ln t)^(1/k - 1), the arithmetic a scalar has always taken.
+
+The families built on ``scipy.special`` (Gumbel, Weibull, Normal,
+LogNormal, Gamma) import it when constructed, so a config naming one
+pays for the import while it is validated, and a command on the other
+models never loads scipy.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ import math
 import re
 
 import numpy as np
-from scipy import special
 
+from .cephes import ndtr
 from .errors import UnsupportedModelError
 
 __all__ = [
@@ -63,6 +68,15 @@ UNKNOWN_DOMAIN = "unknown"
 _EULER_GAMMA = 0.5772156649015328606
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+special = None  # scipy.special, once a model that calls it is built
+
+
+def _load_special():
+    """Bind scipy.special here; called by the constructors that need it."""
+    global special
+    from scipy import special
 
 
 def _norm_pdf(x):
@@ -231,6 +245,7 @@ class Gumbel(TailModel):
     def __init__(self, loc: float = 0.0, scale: float = 1.0):
         if not scale > 0.0:
             raise ValueError("scale must be strictly positive")
+        _load_special()
         self.loc = float(loc)
         self.scale = float(scale)
         self.params = (self.loc, self.scale)
@@ -273,6 +288,7 @@ class Weibull(TailModel):
     def __init__(self, shape: float = 1.0):
         if not shape > 0.0:
             raise ValueError("shape must be strictly positive")
+        _load_special()
         self.shape = float(shape)
         self.params = (self.shape,)
 
@@ -322,6 +338,7 @@ class Normal(TailModel):
     domain_label = GUMBEL_DOMAIN
 
     def __init__(self):
+        _load_special()
         self.params = ()
 
     def _quantile_lower(self, s):
@@ -345,6 +362,7 @@ class LogNormal(TailModel):
     domain_label = GUMBEL_DOMAIN
 
     def __init__(self):
+        _load_special()
         self.params = ()
 
     def _quantile_lower(self, s):
@@ -360,7 +378,7 @@ class LogNormal(TailModel):
     def closed_mean_mass(self, s):
         # int_z^inf e^x phi(x) dx = sqrt(e) * Phi(1 - z), z the normal tail quantile
         z = -float(special.ndtri(s)) if s <= 0.5 else float(special.ndtri(1.0 - s))
-        return float(math.sqrt(math.e) * special.ndtr(1.0 - z))
+        return math.sqrt(math.e) * ndtr(1.0 - z)
 
 
 class Gamma(TailModel):
@@ -372,6 +390,7 @@ class Gamma(TailModel):
     def __init__(self, shape: float):
         if not shape > 0.0:
             raise ValueError("shape must be strictly positive")
+        _load_special()
         self.shape = float(shape)
         self.params = (self.shape,)
 

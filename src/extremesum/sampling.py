@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily, on first use: load it with the package
 
 from .models import TailModel
 
