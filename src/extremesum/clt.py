@@ -20,30 +20,38 @@ against: its target CDF (BDH has none), its target variance (BDH's is
 which values are valid, which statistics it applies to and when a
 summary fails it; the config validates tolerances against it.
 
-Experiments draw a cell as a matrix, one replicate per row, in row
-chunks of about 2^14 order statistics so memory stays flat in the number
-of replicates.  Reproducibility comes from the streams, not the schedule:
-every replicate owns a counter-based stream keyed by (master_seed,
-stream id), its row equals the single draw of that stream bit for bit,
-and its statistics land in its own slot of a preallocated array, so the
-chunk size never changes a report byte.  Each statistic is one formula
-evaluated on floats for a single draw and on arrays for a chunk; a single
-draw's top-k sum is math.fsum, and a chunk's row sums come from
-_row_fsums, which equals math.fsum on every row bit for bit.
+An experiment runs in three stages, each over all of its cells.  First,
+every cell's functionals (c, mu, rho and Q at k/n, and c and Q at 1/n for
+MAX) come from one request per functional across the models.  Second, at
+each n, the rows of every model, one replicate per row, are drawn one
+model after another in chunks of about 2^14 order statistics that may
+span models, so memory stays flat in the number of replicates.
+Reproducibility comes from the streams, not the schedule: every replicate
+owns a counter-based stream keyed by (master_seed, stream id) and its row
+equals the single draw of that stream bit for bit, so neither the chunks
+nor the grouping of models change a report byte.  Each statistic is one
+formula evaluated on floats for a single draw and on arrays over rows,
+each row with its cell's functionals; a single draw's top-k sum is
+math.fsum, and the rows' sums come from _row_fsums, which equals
+math.fsum on every row bit for bit.  Third, the samples of every (cell,
+statistic) of one length are summarised as the rows of one matrix, and a
+reduction along a row gives the bits of that reduction on the sample
+alone.  cell_functionals, _run_cell and summarize_statistic are the
+one-cell and one-sample cases of these stages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cephes import ndtr
 from .errors import ConfigError, NumericError, QuadratureError
-from .functionals import _scale, rate_integral, tail_mean, tail_scale, tail_variance
+from .functionals import _at_s, _mean, _per_model, _rate, _scale, tail_scale, tail_variance
 from .models import TailModel
-from .sampling import ReplicateDraw, SeedSpec, _rescaled_threshold_tail, draw_batch
+from .sampling import ReplicateDraw, SeedSpec, _draw_segments, _rescaled_threshold_tail
 
 # Fraction of replicates allowed to produce non-finite statistics before
 # the experiment is considered numerically broken.
@@ -104,21 +112,39 @@ class CellFunctionals:
     threshold_q: float  # Q(1 - k/n)
 
 
+def _functionals(cells, with_max=False):
+    """Per (model, n, k) cell, its CellFunctionals and, ``with_max``, the
+    norming (c(1/n), Q(1-1/n)) of its maximum, else None; or the first
+    QuadratureError of c(k/n), mu(k/n), rho(k/n) and c(1/n).  One request
+    per functional spans the cells, with one tail_quantile call per model."""
+    keys = [(model, k / n) for model, n, k in cells]
+    if with_max:
+        keys += [(model, 1.0 / n) for model, n, _ in cells]
+    scales = _scale(keys, 1.0)
+    means = _mean(keys[:len(cells)])
+    rates = _rate(keys[:len(cells)], extended=True)
+    qs = _at_s(keys, _per_model(keys)).tolist()
+    out = []
+    for i, (model, n, k) in enumerate(cells):
+        norming = scales[len(cells) + i] if with_max else None
+        error = next((o for o in (scales[i], means[i], rates[i], norming)
+                      if isinstance(o, QuadratureError)), None)
+        out.append(error if error is not None else (
+            CellFunctionals(n=n, k=k, s=keys[i][1], scale=scales[i][0], mean_mass=means[i][0],
+                            rate_mass=rates[i][0], threshold_q=qs[i]),
+            norming and (norming[0], qs[len(cells) + i])))
+    return out
+
+
 def cell_functionals(model: TailModel, n: int, k: int) -> CellFunctionals:
     n = int(n)
     k = int(k)
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    s = k / n
-    return CellFunctionals(
-        n=n,
-        k=k,
-        s=s,
-        scale=tail_scale(model, s),
-        mean_mass=tail_mean(model, s),
-        rate_mass=rate_integral(model, s, extended=True),
-        threshold_q=model.tail_quantile(s),
-    )
+    [out] = _functionals([(model, n, k)])
+    if isinstance(out, QuadratureError):
+        raise out
+    return out[0]
 
 
 def _functionals_for(draw: ReplicateDraw, model, cf):
@@ -130,7 +156,8 @@ def _functionals_for(draw: ReplicateDraw, model, cf):
 
 
 # The statistics as functions of the top-k sum s_k and the threshold x_k,
-# each a float for one draw or an array over a chunk of rows.
+# each a float for one draw or an array over rows; over rows of several
+# cells, the functionals hold one value per row.
 def _t1(s_k, cf: CellFunctionals):
     return (s_k - cf.n * cf.mean_mass) / (math.sqrt(cf.k) * cf.scale)
 
@@ -209,7 +236,8 @@ def gumbel_norming(model: TailModel, n: int):
 
 
 def gumbel_cdf(x):
-    return np.exp(-np.exp(-np.asarray(x, dtype=np.float64)))
+    with np.errstate(over="ignore"):   # exp(-x) overflows below x = -709: F is 0
+        return np.exp(-np.exp(-np.asarray(x, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -354,12 +382,73 @@ class ExperimentResult:
 
 
 def _central_moments(values: np.ndarray):
-    mean = float(np.mean(values))
-    d = values - mean
-    m2 = float(np.mean(d * d))
-    m3 = float(np.mean(d**3))
-    m4 = float(np.mean(d**4))
-    return mean, m2, m3, m4
+    """Mean and central moments 2 to 4 of each row."""
+    mean = np.mean(values, axis=-1)
+    d = values - mean[..., None]
+    return mean, np.mean(d * d, axis=-1), np.mean(d**3, axis=-1), np.mean(d**4, axis=-1)
+
+
+def _summary(stat, count, failures, moments, variance, ks, ad, tolerances, k):
+    """One sample's summary from its moments and distances, with its verdict."""
+    spec = STATISTICS[stat]
+    mean, m2, m3, m4 = moments
+    m2 = np.float64(m2)   # so that m2**1.5 overflows to inf, as a Python float cannot
+    summary = StatSummary(
+        statistic_id=stat, count=count, numeric_failures=failures,
+        mean=mean, variance=variance,
+        skewness=float(m3 / m2**1.5) if m2 > 0.0 else math.nan,
+        excess_kurtosis=float(m4 / (m2 * m2) - 3.0) if m2 > 0.0 else math.nan,
+        ks=ks, ad=ad,
+        target_variance=(1.0 / k if count > 1 else math.nan) if spec.variance is None
+        else spec.variance,
+        verdict="pass",
+    )
+    if count < 2:
+        summary.verdict, summary.failed_bounds = "insufficient", ("variance undefined",)
+        return summary
+    tol = {**spec.bounds, **(tolerances or {})}
+    failed = tuple(filter(None, (BOUNDS[key].failure(summary, tol[key], k)
+                                 for key in BOUNDS if key in tol)))
+    if failed:
+        summary.verdict, summary.failed_bounds = "fail", failed
+    return summary
+
+
+def _summaries(samples):
+    """summarize_statistic of every (stat, values, failures, tolerances, k)
+    sample: the samples of one length are the rows of one matrix, reduced
+    along its rows, with one ``gof.distances`` call per statistic."""
+    from .gof import distances
+
+    nan = math.nan
+    by_length = {}
+    for i, (stat, values, _, tolerances, _) in enumerate(samples):
+        if tolerances:
+            check_tolerances({stat: tolerances})
+        by_length.setdefault(values.size, []).append(i)
+    out = [None] * len(samples)
+    for r, at in by_length.items():
+        if r < 2:
+            for i in at:
+                stat, values, failures, _, k = samples[i]
+                mean = float(values[0]) if r else nan
+                out[i] = _summary(stat, r, failures, (mean, nan, nan, nan), nan, nan, nan, None, k)
+            continue
+        x = np.array([samples[i][1] for i in at], dtype=np.float64)
+        stats = [samples[i][0] for i in at]
+        ks, ad = np.full(len(at), nan), np.full(len(at), nan)
+        for stat in dict.fromkeys(stats):
+            if STATISTICS[stat].cdf is not None:
+                rows = [row for row, s in enumerate(stats) if s == stat]
+                ks[rows], ad[rows] = distances(x[rows], STATISTICS[stat].cdf)
+        # huge or tiny values give inf or nan moments, as they would on floats
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            moments = zip(*(m.tolist() for m in _central_moments(x)))
+            variances = np.var(x, axis=1, ddof=1).tolist()
+            for i, m, v, d_ks, d_ad in zip(at, moments, variances, ks.tolist(), ad.tolist()):
+                stat, _, failures, tolerances, k = samples[i]
+                out[i] = _summary(stat, r, failures, m, v, d_ks, d_ad, tolerances, k)
+    return out
 
 
 def summarize_statistic(stat: str, values: np.ndarray, failures: int,
@@ -370,39 +459,7 @@ def summarize_statistic(stat: str, values: np.ndarray, failures: int,
     cell's ``k``.  Fewer than two finite values cannot support a variance,
     so the verdict degrades to "insufficient" rather than guessing.
     """
-    from .gof import distances
-
-    spec = STATISTICS[stat]
-    if tolerances:
-        check_tolerances({stat: tolerances})
-    r = int(values.size)
-    nan = float("nan")
-
-    if r < 2:
-        mean = float(values[0]) if r else nan
-        return StatSummary(
-            statistic_id=stat, count=r, numeric_failures=failures,
-            mean=mean, variance=nan, skewness=nan, excess_kurtosis=nan,
-            ks=nan, ad=nan,
-            target_variance=nan if spec.variance is None else spec.variance,
-            verdict="insufficient", failed_bounds=("variance undefined",),
-        )
-
-    mean, m2, m3, m4 = _central_moments(values)
-    ks, ad = (nan, nan) if spec.cdf is None else distances(values, spec.cdf)
-    summary = StatSummary(
-        statistic_id=stat, count=r, numeric_failures=failures,
-        mean=mean, variance=float(np.var(values, ddof=1)),
-        skewness=m3 / m2**1.5 if m2 > 0.0 else nan,
-        excess_kurtosis=m4 / (m2 * m2) - 3.0 if m2 > 0.0 else nan,
-        ks=ks, ad=ad,
-        target_variance=1.0 / k if spec.variance is None else spec.variance,
-        verdict="pass",
-    )
-    tol = {**spec.bounds, **(tolerances or {})}
-    failed = tuple(filter(None, (BOUNDS[key].failure(summary, tol[key], k)
-                                 for key in BOUNDS if key in tol)))
-    return replace(summary, verdict="fail", failed_bounds=failed) if failed else summary
+    return _summaries([(stat, values, failures, tolerances, k)])[0]
 
 
 def _row_fsums(x: np.ndarray) -> np.ndarray:
@@ -454,48 +511,56 @@ def _row_fsums(x: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _row_chunks(replicates: int, count: int):
-    """(lo, hi) row ranges holding about _CHUNK_ORDER_STATS draws each."""
-    step = max(1, _CHUNK_ORDER_STATS // count)
-    for lo in range(0, replicates, step):
-        yield lo, min(lo + step, replicates)
+def _run_cells(cells, n, k, replicates, master_seed, statistics):
+    """The replicate arrays of ``statistics`` for every (model, cf,
+    norming, stream_base) cell at one n; row r of a cell draws its top k+1
+    values from stream stream_base + r and its maximum from stream_base +
+    replicates + r."""
+    total = len(cells) * replicates
+    values = {stat: np.empty(total) for stat in statistics}
+
+    def chunks(count, offset, columns):
+        """Each chunk's rows, its draw and, per row, the cell's ``columns``."""
+        step = max(1, _CHUNK_ORDER_STATS // count)
+        for lo in range(0, total, step):
+            hi = min(lo + step, total)
+            at = range(lo // replicates, (hi - 1) // replicates + 1)
+            firsts = [max(lo - j * replicates, 0) for j in at]
+            sizes = [min(hi - j * replicates, replicates) - a for j, a in zip(at, firsts)]
+            segments = [(SeedSpec(master_seed, cells[j][3] + offset + a), size, cells[j][0])
+                        for j, a, size in zip(at, firsts, sizes)]
+            yield (slice(lo, hi), _draw_segments(segments, n, count),
+                   [np.repeat(column[at.start:at.stop], sizes) for column in columns])
+
+    if values.keys() & {"T1", "T2", "T3", "BDH"}:
+        columns = np.array([[getattr(cell[1], name) for cell in cells]
+                            for name in ("scale", "mean_mass", "rate_mass", "threshold_q")])
+        for rows, (tails, xs, _), per_row in chunks(k + 1, 0, columns):
+            cf = CellFunctionals(n, k, k / n, *per_row)
+            s_k, x_k = _row_fsums(xs[:, :k]), xs[:, k]
+            # a non-finite replicate is counted against the budget, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                chunk = {"T1": _t1(s_k, cf), "T2": _t2(x_k, cf), "T3": _t3(s_k, x_k, cf),
+                         "BDH": _rescaled_threshold_tail(n, k, tails[:, k])}
+            for stat in values.keys() & chunk.keys():
+                values[stat][rows] = chunk[stat]
+    if "MAX" in values:
+        columns = np.array([cell[2] for cell in cells]).T
+        for rows, (_, xs, _), (a_n, b_n) in chunks(1, replicates, columns):
+            with np.errstate(over="ignore", invalid="ignore"):
+                values["MAX"][rows] = (xs[:, 0] - b_n) / a_n
+    return [{stat: values[stat][j * replicates:(j + 1) * replicates] for stat in statistics}
+            for j in range(len(cells))]
 
 
 def _run_cell(model, n, k, replicates, master_seed, stream_base, statistics):
-    cf = cell_functionals(model, n, k)
-    arrays = {s: np.full(replicates, np.nan) for s in statistics}
-    if arrays.keys() & {"T1", "T2", "T3", "BDH"}:
-        for lo, hi in _row_chunks(replicates, k + 1):
-            seed = SeedSpec(master_seed, stream_base + lo)
-            tails, xs, _ = draw_batch(seed, hi - lo, n, k + 1, model)
-            s_k = _row_fsums(xs[:, :k])
-            x_k = xs[:, k]
-            values = {
-                "T1": _t1(s_k, cf),
-                "T2": _t2(x_k, cf),
-                "T3": _t3(s_k, x_k, cf),
-                "BDH": _rescaled_threshold_tail(n, k, tails[:, k]),
-            }
-            for stat in arrays.keys() & values.keys():
-                arrays[stat][lo:hi] = values[stat]
-    if "MAX" in arrays:
-        a_n, b_n = gumbel_norming(model, n)
-        for lo, hi in _row_chunks(replicates, 1):
-            seed = SeedSpec(master_seed, stream_base + replicates + lo)
-            _, xs, _ = draw_batch(seed, hi - lo, n, 1, model)
-            arrays["MAX"][lo:hi] = (xs[:, 0] - b_n) / a_n
-    return arrays, cf
-
-
-def _integrate_scales(models, config):
-    """c(k/n) for every model and n of the config, and c(1/n) when MAX
-    runs, in one request across the models: the cells then find each ibp
-    quadrature in its cache.  A failure, or a k/n outside (0, 1), is left
-    for its own cell to raise."""
-    ss = [config.k_rule.resolve(n) / n for n in config.n_values]
-    if "MAX" in config.statistics:
-        ss += [1.0 / n for n in config.n_values]
-    _scale([(model, s) for model in models for s in ss if 0.0 < s < 1.0], 1.0)
+    """The replicate arrays and functionals of one experiment cell."""
+    [out] = _functionals([(model, n, k)], "MAX" in statistics)
+    if isinstance(out, QuadratureError):
+        raise out
+    [arrays] = _run_cells([(model, *out, stream_base)], n, k, replicates, master_seed,
+                          statistics)
+    return arrays, out[0]
 
 
 def run_experiment(config) -> ExperimentResult:
@@ -506,6 +571,8 @@ def run_experiment(config) -> ExperimentResult:
     identical reports.
     Replicates whose statistics come back non-finite are dropped from the
     summaries and counted; more than 0.1% of them aborts the run.
+    A run stops at its first cell, models first, whose functionals fail or
+    whose statistics break that budget.
     """
     from .config import ExperimentConfig
 
@@ -513,51 +580,49 @@ def run_experiment(config) -> ExperimentResult:
         raise TypeError("run_experiment expects an ExperimentConfig")
     config.validate()
     result = ExperimentResult()
+    replicates = config.replicates
 
-    cell_ordinal = 0
-    models = config.model_objects()
-    _integrate_scales(models, config)
-    for model in models:
-        for n in config.n_values:
-            k = config.k_rule.resolve(n)
-            stream_base = cell_ordinal * 2 * config.replicates
-            cell_ordinal += 1
-            try:
-                arrays, _cf = _run_cell(
-                    model, n, k, config.replicates, config.master_seed,
-                    stream_base, config.statistics,
-                )
-            except QuadratureError as exc:
+    cells = [(model, n, config.k_rule.resolve(n))
+             for model in config.model_objects() for n in config.n_values]
+    functionals = _functionals(cells, "MAX" in config.statistics)
+    # the cells before the first failure still run and may fail first
+    done = next((i for i, out in enumerate(functionals)
+                 if isinstance(out, QuadratureError)), len(cells))
+    arrays = [None] * done
+    for n, k in dict.fromkeys((n, k) for _, n, k in cells[:done]):
+        at = [i for i in range(done) if cells[i][1] == n]
+        for i, cell_arrays in zip(at, _run_cells(
+                [(cells[i][0], *functionals[i], i * 2 * replicates) for i in at],
+                n, k, replicates, config.master_seed, config.statistics)):
+            arrays[i] = cell_arrays
+
+    samples = []
+    for (model, n, k), cell_arrays in zip(cells, arrays):
+        for stat in config.statistics:
+            raw = cell_arrays[stat]
+            finite = np.isfinite(raw)
+            failures = int(raw.size - np.count_nonzero(finite))
+            if failures > FAILURE_BUDGET * raw.size:
                 raise NumericError(
-                    f"functionals failed for {model.describe()} at n={n}: {exc}"
-                ) from exc
+                    f"{failures} of {raw.size} replicates non-finite for "
+                    f"{stat} ({model.describe()}, n={n})"
+                )
+            samples.append((stat, raw[finite], failures,
+                            (config.tolerances or {}).get(stat), k))
+    if done < len(cells):
+        model, n, _ = cells[done]
+        error = functionals[done]
+        raise NumericError(f"functionals failed for {model.describe()} at n={n}: {error}") from error
 
-            summaries = []
-            cell_samples = {}
-            for stat in config.statistics:
-                raw = arrays[stat]
-                finite = np.isfinite(raw)
-                failures = int(raw.size - np.count_nonzero(finite))
-                if failures > FAILURE_BUDGET * raw.size:
-                    raise NumericError(
-                        f"{failures} of {raw.size} replicates non-finite for "
-                        f"{stat} ({model.describe()}, n={n})"
-                    )
-                values = raw[finite]
-                tol = (config.tolerances or {}).get(stat)
-                summaries.append(summarize_statistic(stat, values, failures, tol, k))
-                cell_samples[stat] = StatSample(
-                    statistic_id=stat, n=n, k=k, values=raw,
-                    seed=SeedSpec(config.master_seed, stream_base),
-                    numeric_failures=failures,
-                )
-            result.reports.append(
-                NormalityReport(
-                    model=model.describe(), n=n, k=k,
-                    replicates=config.replicates,
-                    master_seed=config.master_seed,
-                    summaries=summaries,
-                )
-            )
-            result.samples[(model.describe(), n)] = cell_samples
+    summaries = _summaries(samples)
+    width = len(config.statistics)
+    for i, (model, n, k) in enumerate(cells[:done]):
+        at = slice(i * width, (i + 1) * width)
+        result.reports.append(NormalityReport(
+            model=model.describe(), n=n, k=k, replicates=replicates,
+            master_seed=config.master_seed, summaries=summaries[at]))
+        seed = SeedSpec(config.master_seed, i * 2 * replicates)
+        result.samples[(model.describe(), n)] = {
+            stat: StatSample(stat, n, k, arrays[i][stat], seed, failures)
+            for stat, _, failures, _, _ in samples[at]}
     return result

@@ -47,6 +47,18 @@ def _typed_list(data, key, ok, what):
     return tuple(value)
 
 
+def _reject_duplicates(what, given, keys=None):
+    """Raise ConfigError at the first entry of ``given`` whose key, itself
+    unless ``keys`` are given, an earlier entry has: the outputs name each
+    cell, statistic and check, so a repeat would overwrite or double it."""
+    first = {}
+    for key, entry in zip(keys or given, given):
+        if key in first:
+            alias = "" if first[key] == entry else f", the same as {first[key]!r}"
+            raise ConfigError(f"duplicate {what} {entry!r}{alias}")
+        first[key] = entry
+
+
 DEFAULT_S_GRID = SGrid.geometric(0.5, 0.5, 3)
 
 
@@ -70,11 +82,13 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if not self.models:
             raise ConfigError("config needs at least one model")
+        described = []
         for desc in self.models:
             try:
-                parse_model(desc)
+                described.append(parse_model(desc).describe())
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad model descriptor {desc!r}: {exc}") from exc
+        _reject_duplicates("model", self.models, described)
         if not _is_int(self.k_rule.fixed_k):
             raise ConfigError("k_rule.fixed_k must be an integer")
         if not self.n_values:
@@ -86,6 +100,7 @@ class ExperimentConfig:
                 self.k_rule.resolve(n)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+        _reject_duplicates("n value", self.n_values)
         if not _is_int(self.replicates) or self.replicates < 1:
             raise ConfigError("replicates must be an integer >= 1")
         if not _is_int(self.master_seed):
@@ -97,6 +112,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown statistics {bad}; allowed: {list(STATISTIC_IDS)}"
             )
+        _reject_duplicates("statistic", self.statistics)
         for b in self.betas:
             if not b > 0.0:
                 raise ConfigError("betas must be strictly positive")
@@ -105,6 +121,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown checks {bad}; allowed: {list(DEFAULT_CHECKS)}"
             )
+        _reject_duplicates("check", self.checks)
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if not isinstance(self.dump_samples, bool):

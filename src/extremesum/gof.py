@@ -14,9 +14,10 @@ _AD_EPS = 1e-12
 
 
 def _prepare(sample, target_cdf):
-    """Target CDF values at the sorted sample, clipped to [0, 1]."""
-    x = np.sort(np.asarray(sample, dtype=np.float64))
-    if x.size == 0:
+    """Target CDF values at the sorted sample, clipped to [0, 1]; a 2-d
+    ``sample`` is sorted and evaluated row by row."""
+    x = np.sort(np.asarray(sample, dtype=np.float64), axis=-1)
+    if x.shape[-1] == 0:
         raise ValueError("sample must be nonempty")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite values")
@@ -26,21 +27,22 @@ def _prepare(sample, target_cdf):
     return np.clip(f, 0.0, 1.0)
 
 
-def _ks(f) -> float:
-    r = f.size
+# Both distances reduce along the last axis: one sample or one per row.
+def _ks(f):
+    r = f.shape[-1]
     i = np.arange(1, r + 1, dtype=np.float64)
-    d_plus = np.max(i / r - f)
-    d_minus = np.max(f - (i - 1.0) / r)
-    return float(max(d_plus, d_minus, 0.0))
+    d_plus = np.max(i / r - f, axis=-1)
+    d_minus = np.max(f - (i - 1.0) / r, axis=-1)
+    return np.maximum(np.maximum(d_plus, d_minus), 0.0)
 
 
-def _ad(f) -> float:
-    r = f.size
+def _ad(f):
+    r = f.shape[-1]
     f = np.clip(f, _AD_EPS, 1.0 - _AD_EPS)
     i = np.arange(1, r + 1, dtype=np.float64)
     # The reversed term uses 1 - F at the mirror-ordered points.
-    terms = (2.0 * i - 1.0) * (np.log(f) + np.log1p(-f[::-1]))
-    return float(-r - np.mean(terms))
+    terms = (2.0 * i - 1.0) * (np.log(f) + np.log1p(-f[..., ::-1]))
+    return -r - np.mean(terms, axis=-1)
 
 
 def ks_distance(sample, target_cdf) -> float:
@@ -49,7 +51,7 @@ def ks_distance(sample, target_cdf) -> float:
     The empirical CDF jumps from (i-1)/R to i/R at the i-th sorted point,
     so the sup distance is attained on one of the two envelopes there.
     """
-    return _ks(_prepare(sample, target_cdf))
+    return float(_ks(_prepare(sample, target_cdf)))
 
 
 def anderson_darling(sample, target_cdf) -> float:
@@ -59,10 +61,15 @@ def anderson_darling(sample, target_cdf) -> float:
     a sample point far outside the target support then contributes a huge
     but finite penalty instead of an infinity.
     """
-    return _ad(_prepare(sample, target_cdf))
+    return float(_ad(_prepare(sample, target_cdf)))
 
 
 def distances(sample, target_cdf):
-    """(ks_distance, anderson_darling), sorting and evaluating the CDF once."""
+    """(ks_distance, anderson_darling), sorting and evaluating the CDF once.
+
+    A 2-d ``sample`` holds one sample per row and gives two arrays, each
+    row's distances, bit for bit those of the row on its own.
+    """
     f = _prepare(sample, target_cdf)
-    return _ks(f), _ad(f)
+    ks, ad = _ks(f), _ad(f)
+    return (float(ks), float(ad)) if f.ndim == 1 else (ks, ad)

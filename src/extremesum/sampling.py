@@ -21,13 +21,15 @@ building a generator per stream.  Many rows of at most four uniforms (one
 Philox4x64-10 block, such as the sample maxima) get that block computed
 for all rows at once in numpy; other batches come from a single Philox
 re-keyed per row, with a zero counter and an empty buffer.  The choice
-depends on the batch's shape only.  ``draw_top_k`` and ``draw_sample_max``
-are the one-row case of that batch.
+depends on the batch's shape only.  Rows of several models can be drawn
+as one batch of segments, each segment with its own streams and model.
+``draw_top_k`` and ``draw_sample_max`` are the one-row case of that batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import numpy.random  # numpy loads it lazily, on first use: load it with the package
@@ -164,6 +166,26 @@ def _descending_tails(v: np.ndarray, n: int):
     return tails, clamped
 
 
+def _stacked(arrays):
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _draw_segments(segments, n: int, count: int):
+    """``draw_batch`` of every ``(seed, rows, model)`` segment, stacked:
+    each segment has its own streams and ``tail_quantile`` call, and the
+    tail masses of all the rows are formed together."""
+    n = int(n)
+    count = int(count)
+    if not 1 <= count <= n:
+        raise ValueError("need 1 <= count <= n order statistics per row")
+    tails, clamped = _descending_tails(
+        _stacked([_uniform_rows(seed, rows, count) for seed, rows, _ in segments]), n)
+    ends = accumulate(rows for _, rows, _ in segments)
+    xs = [model.tail_quantile(tails[end - rows:end])
+          for (_, rows, model), end in zip(segments, ends)]
+    return tails, _stacked(xs), clamped
+
+
 def draw_batch(seed: SeedSpec, rows: int, n: int, count: int, model: TailModel):
     """Top ``count`` order statistics of ``rows`` samples of size n.
 
@@ -173,12 +195,7 @@ def draw_batch(seed: SeedSpec, rows: int, n: int, count: int, model: TailModel):
     ascending order, their model values in descending order, and one
     clamp flag per row.
     """
-    n = int(n)
-    count = int(count)
-    if not 1 <= count <= n:
-        raise ValueError("need 1 <= count <= n order statistics per row")
-    tails, clamped = _descending_tails(_uniform_rows(seed, int(rows), count), n)
-    return tails, model.tail_quantile(tails), clamped
+    return _draw_segments([(seed, int(rows), model)], n, count)
 
 
 def draw_top_k(seed: SeedSpec, n: int, k: int, model: TailModel) -> ReplicateDraw:

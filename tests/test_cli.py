@@ -254,6 +254,26 @@ def test_exit_config_on_wrong_field_type(tmp_path, capsys, field, named):
     assert "['T', '1']" not in err
 
 
+@pytest.mark.parametrize("command, field, named", [
+    ("simulate", {"models": ["exponential", "exponential(1.0)"], "n_values": [5000]},
+     "duplicate model 'exponential(1.0)', the same as 'exponential'"),
+    ("simulate", {"n_values": [5000, 50000, 5000]}, "duplicate n value 5000"),
+    ("simulate", {"statistics": ["T1", "T1", "MAX"]}, "duplicate statistic 'T1'"),
+    ("lemmas", {"checks": ["spacing_log_limit", "spacing_log_limit"]},
+     "duplicate check 'spacing_log_limit'"),
+], ids=["models", "n_values", "statistics", "checks"])
+def test_exit_config_on_duplicate_entry(tmp_path, capsys, command, field, named):
+    """A repeated model (by its description), n value, statistic or check
+    is a config error: the outputs key their cells, rows and sample files
+    by these names, so a repeat would overwrite or double them."""
+    cfg = _write_config(tmp_path / "cfg.json", replicates=20, dump_samples=True,
+                        tolerances={"T1": {"ks": 1.0}}, **field)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_rejects_bool_integers():
     for kwargs in (
         {"replicates": True},
