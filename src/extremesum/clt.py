@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cephes import ndtr
-from .errors import ConfigError, NumericError, QuadratureError
+from .errors import ConfigError, NumericError
 from .functionals import _at_s, _mean, _per_model, _rate, _scale, tail_scale, tail_variance
 from .models import TailModel
 from .sampling import ReplicateDraw, SeedSpec, _draw_segments, _rescaled_threshold_tail
@@ -115,20 +115,22 @@ class CellFunctionals:
 def _functionals(cells, with_max=False):
     """Per (model, n, k) cell, its CellFunctionals and, ``with_max``, the
     norming (c(1/n), Q(1-1/n)) of its maximum, else None; or the first
-    QuadratureError of c(k/n), mu(k/n), rho(k/n) and c(1/n).  One request
-    per functional spans the cells, with one tail_quantile call per model."""
+    error of c(k/n), mu(k/n), rho(k/n), Q(1-k/n), c(1/n) and Q(1-1/n).
+    One request per functional spans the cells, with one tail_quantile
+    call per model."""
     keys = [(model, k / n) for model, n, k in cells]
     if with_max:
         keys += [(model, 1.0 / n) for model, n, _ in cells]
     scales = _scale(keys, 1.0)
     means = _mean(keys[:len(cells)])
     rates = _rate(keys[:len(cells)], extended=True)
-    qs = _at_s(keys, _per_model(keys)).tolist()
+    failed = {}
+    qs = _at_s(keys, _per_model(keys, failed)).tolist()
     out = []
     for i, (model, n, k) in enumerate(cells):
         norming = scales[len(cells) + i] if with_max else None
-        error = next((o for o in (scales[i], means[i], rates[i], norming)
-                      if isinstance(o, QuadratureError)), None)
+        error = next((o for o in (scales[i], means[i], rates[i], failed.get(i), norming,
+                                  failed.get(len(cells) + i)) if isinstance(o, Exception)), None)
         out.append(error if error is not None else (
             CellFunctionals(n=n, k=k, s=keys[i][1], scale=scales[i][0], mean_mass=means[i][0],
                             rate_mass=rates[i][0], threshold_q=qs[i]),
@@ -142,7 +144,7 @@ def cell_functionals(model: TailModel, n: int, k: int) -> CellFunctionals:
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     [out] = _functionals([(model, n, k)])
-    if isinstance(out, QuadratureError):
+    if isinstance(out, Exception):
         raise out
     return out[0]
 
@@ -556,7 +558,7 @@ def _run_cells(cells, n, k, replicates, master_seed, statistics):
 def _run_cell(model, n, k, replicates, master_seed, stream_base, statistics):
     """The replicate arrays and functionals of one experiment cell."""
     [out] = _functionals([(model, n, k)], "MAX" in statistics)
-    if isinstance(out, QuadratureError):
+    if isinstance(out, Exception):
         raise out
     [arrays] = _run_cells([(model, *out, stream_base)], n, k, replicates, master_seed,
                           statistics)
@@ -587,7 +589,7 @@ def run_experiment(config) -> ExperimentResult:
     functionals = _functionals(cells, "MAX" in config.statistics)
     # the cells before the first failure still run and may fail first
     done = next((i for i, out in enumerate(functionals)
-                 if isinstance(out, QuadratureError)), len(cells))
+                 if isinstance(out, Exception)), len(cells))
     arrays = [None] * done
     for n, k in dict.fromkeys((n, k) for _, n, k in cells[:done]):
         at = [i for i in range(done) if cells[i][1] == n]

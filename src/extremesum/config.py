@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .clt import STATISTIC_IDS, KRule, check_tolerances
@@ -36,6 +37,14 @@ def _is_int(x) -> bool:
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _as_float(x) -> float:
+    """float(x) of a number, an int beyond the float range as +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _typed_list(data, key, ok, what):
@@ -100,6 +109,9 @@ class ExperimentConfig:
                 self.k_rule.resolve(n)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+            except OverflowError as exc:   # coeff * n**gamma is not finite
+                raise ConfigError(f"k_rule gives no finite k for n={n}: "
+                                  f"coeff * n**gamma overflows") from exc
         _reject_duplicates("n value", self.n_values)
         if not _is_int(self.replicates) or self.replicates < 1:
             raise ConfigError("replicates must be an integer >= 1")
@@ -114,8 +126,8 @@ class ExperimentConfig:
             )
         _reject_duplicates("statistic", self.statistics)
         for b in self.betas:
-            if not b > 0.0:
-                raise ConfigError("betas must be strictly positive")
+            if not (b > 0.0 and math.isfinite(_as_float(b))):
+                raise ConfigError(f"betas must be finite and strictly positive, got {b!r}")
         bad = [c for c in self.checks if c not in DEFAULT_CHECKS]
         if bad:
             raise ConfigError(
@@ -193,6 +205,9 @@ class ExperimentConfig:
             unknown = set(kr) - _KRULE_KEYS
             if unknown:
                 raise ConfigError(f"unknown k_rule keys: {sorted(unknown)}")
+            for key in ("coeff", "gamma"):
+                if key in kr and not (_is_number(kr[key]) and math.isfinite(_as_float(kr[key]))):
+                    raise ConfigError(f"k_rule.{key} must be a finite number, got {kr[key]!r}")
             try:
                 kwargs["k_rule"] = KRule(**kr)
             except (TypeError, ValueError) as exc:
@@ -204,8 +219,8 @@ class ExperimentConfig:
             kwargs["statistics"] = _typed_list(data, "statistics", lambda x: isinstance(x, str),
                                                "statistic ids")
         if "betas" in data:
-            kwargs["betas"] = tuple(float(b) for b in _typed_list(data, "betas", _is_number,
-                                                                  "numbers"))
+            kwargs["betas"] = tuple(map(_as_float, _typed_list(data, "betas", _is_number,
+                                                               "numbers")))
         if "checks" in data:
             kwargs["checks"] = _typed_list(data, "checks", lambda x: isinstance(x, str),
                                            "check ids")
@@ -224,7 +239,7 @@ class ExperimentConfig:
             if not _is_int(count):
                 raise ConfigError(f"s_grid.count must be an integer, got {count!r}")
             try:
-                kwargs["s_grid"] = SGrid.geometric(float(start), float(ratio), count)
+                kwargs["s_grid"] = SGrid.geometric(_as_float(start), _as_float(ratio), count)
             except ValueError as exc:
                 raise ConfigError(f"bad s_grid: {exc}") from exc
         try:

@@ -33,26 +33,25 @@ take a tail mass or an array of them; an array gives arrays of its shape
 (a scalar gives a float).  The quadratures an array call needs run in
 one lockstep batch (see ``quadrature``), and each value and error bound
 equals the bits of the scalar call for that s.  An array that holds a
-failing s raises the QuadratureError the scalar call for the first such
-s raises.  Inside, a request is a list of (model, s) keys that may span
-models: each functional maps it to per-key outcomes, (value, error) or
-the QuadratureError, in one batch for all the models, and the public
-call settles them.  ``build_functional_table`` integrates each column
-across all the models it is given and flags failed entries from the
-outcomes; the limit suite (see ``limits``) requests each functional
-step across all its models and reads the outcomes s by s in the order
-the scalar calls would raise.
+failing s raises the error the scalar call for the first such s raises.
+Inside, a request is a list of (model, s) keys that may span models:
+each functional maps it to per-key outcomes, (value, error) or an
+error, in one batch for all the models, and the public call settles
+them.  ``build_functional_table`` integrates each column across all the
+models it is given and flags failed entries from the outcomes; the limit
+suite (see ``limits``) resolves each functional once across all its
+models and checks, and reads the outcomes s by s in the order the scalar
+calls would raise.
 
-The ibp scale quadrature is memoised: the limit suite asks for c(s,
-beta) at one s from several checks.  ``_IBP_CACHE`` holds the last 4096
-(value, error) results, least recently used evicted first, keyed on the
-model object, which hashes and compares by identity (TailModel defines
-no ``__eq__``), and on the exact floats s, beta and rel_tol.  Each key of
-an array call is looked up on its own; the misses are integrated in one
-batch, a repeated key only once.  Models are treated as immutable, and
-an entry keeps its model alive until it is evicted.  A quadrature that
-fails stores nothing, so the next request integrates again and raises
-the same error.  Closed forms and the other routes are not cached.
+A key's outcome does not depend on the batch around it.  Quadrature
+arithmetic is elementwise, and so is every model quantity: where a
+model call (a closed form, Q(1-s), or an array call inside an
+integrand) raises a ValueError or one of this package's model and
+quadrature errors, the call is retried key by key, each key whose own
+call raises gets that error as its outcome, its later nodes read NaN,
+and the rest of the batch runs on.  Any other error is a fault and
+propagates.  A repeated key is integrated once per request; nothing is
+kept between requests.
 
 Each integrand call gets the nodes of one round, every unfinished
 quadrature of the batch, and makes one array call per model quantity
@@ -73,6 +72,10 @@ import numpy as np
 from .errors import QuadratureError, UnsupportedModelError
 from .models import GUMBEL_DOMAIN, TailModel
 from .quadrature import DEFAULT_REL_TOL, exp_each, log_interval_quads, tail_quads
+
+# The errors a model or a quadrature is expected to raise: a request gives
+# them to their key as its outcome, and the limit suite fails rows on them.
+_FAILURES = (QuadratureError, UnsupportedModelError, ValueError)
 
 __all__ = [
     "SGrid",
@@ -165,21 +168,35 @@ def _settle(outs, shape, with_error):
     return (vals, _shaped([err for _, err in outs], shape)) if with_error else vals
 
 
-def _per_model(keys):
+def _per_model(keys, failed):
     """A function ``each(rows, compute)``: the values at the entries
     ``rows`` of ``keys``, (model, s) pairs that may span models, from one
     ``compute(model, i, at)`` call per model present, models by identity;
-    ``i`` are that model's entries and ``at`` their mask in ``rows``."""
+    ``i`` are that model's entries and ``at`` their mask in ``rows``.
+    A call that raises one of ``_FAILURES`` is retried key by key: a key
+    whose own call raises is mapped to that error in the dict ``failed``
+    and from then on reads NaN without a call.  Each model quantity is
+    elementwise, so a retried call gives the same bits."""
     index = {}
     owner = np.array([index.setdefault(id(model), len(index)) for model, _ in keys], dtype=int)
     models = list({id(model): model for model, _ in keys}.values())
 
     def each(rows, compute):
-        vals = np.empty(rows.size)
+        vals = np.full(rows.size, math.nan)
         who = owner[rows]
-        for j in np.flatnonzero(np.bincount(who)).tolist():
+        if failed:   # no call for the entries of a failed key
+            who = np.where(np.isin(rows, list(failed)), len(models), who)
+        for j in np.flatnonzero(np.bincount(who)[:len(models)]).tolist():
             at = who == j
-            vals[at] = compute(models[j], rows[at], at)
+            try:
+                vals[at] = compute(models[j], rows[at], at)
+            except _FAILURES:
+                for i in np.unique(rows[at]).tolist():
+                    one = at & (rows == i)
+                    try:
+                        vals[one] = compute(models[j], rows[one], one)
+                    except _FAILURES as exc:
+                        failed[i] = exc
         return vals
 
     return each
@@ -193,17 +210,23 @@ def _at_s(keys, each):
 
 def _tail_quads(keys, integrand, label, rel_tol, at_s=False):
     """Outcomes of the tail quadratures of ``keys``, (model, s) pairs that
-    may span models, in one lockstep batch; ``label(s)`` labels each.
+    may span models, in one lockstep batch, a repeated key once;
+    ``label(s)`` labels each.
 
     Each round calls ``integrand(model, rows, ws, ts, qs)`` once for every
-    model present, on its nodes only; ``rows`` index ``keys``, and ``qs``
-    holds Q(1-s) of every key when ``at_s`` is set, else None.
+    model present, on its nodes only; ``rows`` index the distinct keys,
+    and ``qs`` holds Q(1-s) of each when ``at_s`` is set, else None.  A key
+    whose own model call raises, there or in Q(1-s), gets that error.
     """
-    each = _per_model(keys)
-    qs = _at_s(keys, each) if at_s else None
-    return tail_quads(lambda rows, ws, ts: each(rows, lambda model, i, at: integrand(
-        model, i, ws[at], ts[at], qs)), [s for _, s in keys], rel_tol,
-        [label(s) for _, s in keys])
+    once = list(dict.fromkeys(keys))
+    failed = {}
+    each = _per_model(once, failed)
+    qs = _at_s(once, each) if at_s else None
+    outs = tail_quads(lambda rows, ws, ts: each(rows, lambda model, i, at: integrand(
+        model, i, ws[at], ts[at], qs)), [s for _, s in once], rel_tol,
+        [label(s) for _, s in once])
+    outs = dict(zip(once, (failed.get(i, out) for i, out in enumerate(outs))))
+    return [outs[key] for key in keys]
 
 
 def _densities(model, ts):
@@ -213,29 +236,13 @@ def _densities(model, ts):
         return model.tail_density(ts)
 
 
-_IBP_CACHE: dict = {}   # see the module docstring
-_IBP_CACHE_SIZE = 4096
-
-
 def _scale_ibp(keys, beta, rel_tol):
-    keys = [(model, s, beta, rel_tol) for model, s in keys]
-    found = {key: _IBP_CACHE.pop(key) for key in keys if key in _IBP_CACHE}
-    _IBP_CACHE.update(found)   # hits become the most recently used
-    misses = [key for key in dict.fromkeys(keys) if key not in found]
-    if misses:
-        def g(model, rows, ws, ts, qs):
-            return exp_each(-beta * ws) * (model.tail_quantile(ts) - qs[rows])
+    def g(model, rows, ws, ts, qs):
+        return exp_each(-beta * ws) * (model.tail_quantile(ts) - qs[rows])
 
-        outs = _tail_quads([key[:2] for key in misses], g,
-                           lambda s: f"c({s:g},{beta:g}) ibp", rel_tol, at_s=True)
-        for key, out in zip(misses, outs):
-            if isinstance(out, QuadratureError):
-                found[key] = out   # never stored
-            else:
-                found[key] = _IBP_CACHE[key] = (beta * out[0], beta * out[1])
-        while len(_IBP_CACHE) > _IBP_CACHE_SIZE:
-            del _IBP_CACHE[next(iter(_IBP_CACHE))]   # least recently used
-    return [found[key] for key in keys]
+    return [out if isinstance(out, Exception) else (beta * out[0], beta * out[1])
+            for out in _tail_quads(keys, g, lambda s: f"c({s:g},{beta:g}) ibp", rel_tol,
+                                   at_s=True)]
 
 
 def _scale_stieltjes(keys, beta, rel_tol):
@@ -260,24 +267,28 @@ def _resolve(keys, what, method, closed, **routes):
     and the first of ``routes`` for the other keys; any other method must
     name a route and forces it.  A route maps a list of keys to their
     outcomes, integrated in one lockstep batch.  An outcome is (value,
-    error bound) or a QuadratureError; a value that is not finite, closed
-    or not, becomes "<what(s)> diverges for <model>".
+    error bound) or the error of that key's own evaluation: a
+    QuadratureError, or one of ``_FAILURES`` its closed form or model
+    call raised.  A value that is not finite, closed or not, becomes
+    "<what(s)> diverges for <model>".
     """
     if method != "auto" and method not in routes:
         raise ValueError(f"unknown method {method!r}")
     outs = [None] * len(keys)
     if method == "auto":
         for i, (model, s) in enumerate(keys):
-            val = closed(model, s)
-            if val is not None:
-                outs[i] = (float(val), 0.0)
+            try:
+                val = closed(model, s)
+                outs[i] = None if val is None else (float(val), 0.0)
+            except _FAILURES as exc:
+                outs[i] = exc
     rest = [i for i, out in enumerate(outs) if out is None]
     if rest:
         route = routes[next(iter(routes)) if method == "auto" else method]
         for i, out in zip(rest, route([keys[i] for i in rest])):
             outs[i] = out
     for i, out in enumerate(outs):
-        if not isinstance(out, QuadratureError) and not math.isfinite(out[0]):
+        if not isinstance(out, Exception) and not math.isfinite(out[0]):
             model, s = keys[i]
             outs[i] = QuadratureError(f"{what(s)} diverges for {model.describe()}",
                                       estimate=out[0], error_bound=out[1])
@@ -343,9 +354,11 @@ def _rate(keys, extended=False, method="auto", rel_tol=DEFAULT_REL_TOL):
     if unrated:
         # rho(s) = mu(s) - s Q(1-s)
         mus = _mean(unrated, method, rel_tol)
-        qs = _at_s(unrated, _per_model(unrated)).tolist()
-        for key, q, mu in zip(unrated, qs, mus):
-            outs[key] = mu if isinstance(mu, QuadratureError) else (mu[0] - key[1] * q, mu[1])
+        failed = {}
+        qs = _at_s(unrated, _per_model(unrated, failed)).tolist()
+        for i, (key, q, mu) in enumerate(zip(unrated, qs, mus)):
+            outs[key] = mu if isinstance(mu, Exception) else failed.get(
+                i, (mu[0] - key[1] * q, mu[1]))
     return [outs[key] for key in keys]
 
 
@@ -365,7 +378,7 @@ def rate_integral(model: TailModel, s, extended: bool = False,
 
 def _variance_quad(keys, rel_tol):
     outs = _rate(keys, extended=True, rel_tol=rel_tol)
-    live = [i for i, out in enumerate(outs) if not isinstance(out, QuadratureError)]
+    live = [i for i, out in enumerate(outs) if not isinstance(out, Exception)]
 
     def g(model, rows, ws, ys, qs):
         # an inf density is the honest divergence signal (heavy tails)
@@ -377,7 +390,7 @@ def _variance_quad(keys, rel_tol):
                       at_s=True)
     for i, j2 in zip(live, j2s):
         rho, rho_err = outs[i]
-        outs[i] = j2 if isinstance(j2, QuadratureError) else (
+        outs[i] = j2 if isinstance(j2, Exception) else (
             2.0 * j2[0] - rho * rho, 2.0 * j2[1] + 2.0 * abs(rho) * rho_err)
     return outs
 
@@ -446,45 +459,39 @@ def variance_scale_ratio(model: TailModel, s):
     return _shaped(_variance_ratios(ss, _scale(keys, 1.0), _variance(keys)), shape)
 
 
-def _residuals(models, s, anchor, rel_tol=DEFAULT_REL_TOL):
-    """The anchored representation residual of every model at one s, as
-    one function per model that returns it or raises its error.
-
-    Every model's int_s^anchor c(u)/u du runs in one lockstep QAGS, whose
-    rounds each request c(u) at every model's nodes at once; c(s) and
-    c(anchor) are one more request.  A model whose c(u) fails at a node
-    fails with the first such error of its round, in node order.
-    """
-    # model index -> its first c(u) error; from then on its nodes read NaN,
-    # which ends its QAGS within ten rounds (each NaN round adds one to
-    # iroff1 + iroff2, and ten of them set ier)
+def _residual_integrals(keys, anchor, rel_tol=DEFAULT_REL_TOL):
+    """Outcomes of int_s^anchor c(u)/u du for ``keys``, (model, s) pairs
+    that may span models, in one lockstep QAGS whose rounds each request
+    c(u) at every key's nodes at once.  A key whose c(u) fails gets the
+    first error of its round, in node order, and its later nodes read NaN,
+    which ends its QAGS within ten rounds (each NaN round adds one to
+    iroff1 + iroff2, and ten of them set ier)."""
     failed = {}
 
     def c_over_u(rows, us):
         rows, nodes = rows.tolist(), us.tolist()
         todo = [j for j, i in enumerate(rows) if i not in failed]
         vals = np.full(us.size, math.nan)
-        cs = _scale([(models[rows[j]], nodes[j]) for j in todo], 1.0, rel_tol=rel_tol)
+        cs = _scale([(keys[rows[j]][0], nodes[j]) for j in todo], 1.0, rel_tol=rel_tol)
         for j, out in zip(todo, cs):
-            if isinstance(out, QuadratureError):
+            if isinstance(out, Exception):
                 failed.setdefault(rows[j], out)
             else:
                 vals[j] = out[0]
         return vals / us
 
-    integrals = log_interval_quads(
-        c_over_u, [(s, anchor)] * len(models), max(rel_tol, 1e-10),
-        [f"int c(u)/u over ({s:g},{anchor:g})"] * len(models))
-    ends = _scale([(model, x) for model in models for x in (s, anchor)], 1.0,
-                  rel_tol=rel_tol)
+    outs = log_interval_quads(
+        c_over_u, [(s, anchor) for _, s in keys], max(rel_tol, 1e-10),
+        [f"int c(u)/u over ({s:g},{anchor:g})" for _, s in keys])
+    return [failed.get(i, out) for i, out in enumerate(outs)]
 
-    def residual(i):
-        [integral], = _values([failed.get(i, integrals[i])])
-        lhs = models[i].tail_quantile(s) - models[i].tail_quantile(anchor)
-        [c_s], [c_anchor] = _values(ends[2 * i:2 * i + 1], ends[2 * i + 1:2 * i + 2])
-        return abs(lhs - (-c_s + c_anchor + integral))
 
-    return [lambda i=i: residual(i) for i in range(len(models))]
+def _residual(model, s, anchor, integral, c_s, c_anchor):
+    """The anchored representation residual from the outcomes of its
+    integral, c(s) and c(anchor); raises the first error in that order."""
+    [integral], [c_s], [c_anchor] = _values([integral], [c_s], [c_anchor])
+    lhs = model.tail_quantile(s) - model.tail_quantile(anchor)
+    return abs(lhs - (-c_s + c_anchor + integral))
 
 
 def representation_residual(model: TailModel, s, anchor: float = 0.25,
@@ -503,7 +510,9 @@ def representation_residual(model: TailModel, s, anchor: float = 0.25,
     anchor = _check_s(anchor)
     if not s < anchor:
         raise ValueError("need s < anchor")
-    return _residuals([model], s, anchor, rel_tol)[0]()
+    [integral] = _residual_integrals([(model, s)], anchor, rel_tol)
+    return _residual(model, s, anchor, integral,
+                     *_scale([(model, s), (model, anchor)], 1.0, rel_tol=rel_tol))
 
 
 def sequence_slowvar_ratio(slowvar, beta: float, a_of_n, n) -> float:
@@ -544,8 +553,7 @@ class FunctionalTable:
         return ["s", *self.columns, "err_max"]
 
     def err_max(self, i: int) -> float:
-        errs = [self.errors[name][i] for name in self.errors]
-        return max(errs) if errs else 0.0
+        return max((self.errors[name][i] for name in self.errors), default=0.0)
 
     def to_csv(self, fh) -> None:
         """Write the table; deterministic order and 17 significant digits."""
@@ -554,18 +562,10 @@ class FunctionalTable:
                 f"# warning: {self.model.describe()} has domain label "
                 f"{self.model.domain_label}; tail functionals target Gumbel-domain models\n"
             )
-        names = self.column_order
-        fh.write(",".join(names) + "\n")
+        fh.write(",".join(self.column_order) + "\n")
         for i, s in enumerate(self.grid.points):
-            row = []
-            for name in names:
-                if name == "s":
-                    row.append(_fmt17(s))
-                elif name == "err_max":
-                    row.append(_fmt17(self.err_max(i)))
-                else:
-                    row.append(_fmt17(self.columns[name][i]))
-            fh.write(",".join(row) + "\n")
+            row = [s, *(self.columns[name][i] for name in self.columns), self.err_max(i)]
+            fh.write(",".join(map(_fmt17, row)) + "\n")
 
 
 def build_functional_table(model, grid: SGrid, betas=(),
@@ -574,17 +574,16 @@ def build_functional_table(model, grid: SGrid, betas=(),
 
     ``model`` is a TailModel, which gives its FunctionalTable, or a
     sequence of them, which gives a list with one table per model; each
-    column is then one request across every model.  Entries whose
-    evaluation fails or diverges are flagged with NaN and an infinite
-    error bound; the build itself never aborts.
+    column is then one request across every model, and c(., 1) is the c
+    column.  Entries whose evaluation fails or diverges are flagged with
+    NaN and an infinite error bound; the build itself never aborts.
     """
     models = [model] if isinstance(model, TailModel) else list(model)
     betas = tuple(sorted(float(b) for b in betas))
     ss = list(grid.points)
     keys = [(m, s) for m in models for s in ss]
-    columns = {"c": _scale(keys, 1.0, rel_tol=rel_tol)}
-    for b in betas:
-        columns[f"c_beta_{format(b, 'g')}"] = _scale(keys, b, rel_tol=rel_tol)
+    scales = {b: _scale(keys, b, rel_tol=rel_tol) for b in dict.fromkeys((1.0, *betas))}
+    columns = {"c": scales[1.0], **{f"c_beta_{format(b, 'g')}": scales[b] for b in betas}}
     columns["sigma2"] = _variance(keys, rel_tol=rel_tol)
     columns["mu"] = _mean(keys, rel_tol=rel_tol)
     rated = [i for i, (m, _) in enumerate(keys) if m.has_tail_rate]
@@ -599,7 +598,7 @@ def build_functional_table(model, grid: SGrid, betas=(),
         for i, s in enumerate(ss, start=k * len(ss)):
             for name in names:
                 out = columns[name][i]
-                if isinstance(out, QuadratureError):
+                if isinstance(out, Exception):
                     notes.append(f"{name} at s={format(s, 'g')}: {out}")
                     out = (math.nan, math.inf)
                 values[name].append(out[0])

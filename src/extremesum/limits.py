@@ -12,16 +12,15 @@ That power differs within the class: the Weibull(2) spacing error is about
 so its beta = 0.5 scale ratio still sits 0.417 above its limit 2 at
 s = 1e-6 and fails the loose tolerance at desk s.
 
-The suite runs check by check over all the models it is given, and each
-functional step of a check is one request across every model and grid
-point (per beta, and over the grid and its lambda-scaled copies for slow
-variation), so the quadratures of all the models run in lockstep.  The
-representation residual's outer quadratures run in one lockstep too, and
-each of their rounds requests c(u) at every model's nodes at once.  A
-row fails with the error its first failing point would raise in a scalar
-evaluation of the grid; an error one model raises outside its outcomes
-is isolated by running that request model by model, so it fails only
-that model's rows.
+Before it builds any row, the suite resolves every functional point of
+its checks in one request per functional step across all the models and
+checks: c(., beta) once per beta (the residual's c(s) and c(anchor)
+included), sigma2 once, and the residual's integral once, whose rounds
+request c(u) at every model's nodes together.  A point's outcome, value
+or error, does not depend on the request around it (see
+``functionals``), so a row fails with the error its first failing point
+would raise in a scalar evaluation of the grid, and one model's error
+fails only that model's rows.
 """
 
 from __future__ import annotations
@@ -32,11 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError, UnsupportedModelError
 from .functionals import (
     SGrid,
+    _FAILURES,
     _ratios,
-    _residuals,
+    _residual,
+    _residual_integrals,
     _scale,
     _spacings,
     _values,
@@ -68,12 +68,8 @@ class LimitCheckReport:
 
     @property
     def final_error(self) -> float:
-        if not self.values:
-            return math.inf
-        v = self.values[-1]
-        if not math.isfinite(v):
-            return math.inf
-        return abs(v - self.target)
+        v = self.values[-1] if self.values else math.nan
+        return abs(v - self.target) if math.isfinite(v) else math.inf
 
     @property
     def passed(self) -> bool:
@@ -214,49 +210,14 @@ def slow_variation_check(f, lam: float, grid: SGrid, tol: float) -> LimitCheckRe
 
 # -- default suite ------------------------------------------------------
 #
-# Each check id maps to a function of (models, betas) that makes its
-# functional requests across all the models at once and returns, for
-# each model, one (params, run) pair per report row; run() reads that
-# model's outcomes and returns (grid, values, target, note), or raises
-# the error of its first failing point.  run_limit_suite supplies the rest.
-
-# The errors that fail a row, not the suite.
-_FAILURES = (QuadratureError, UnsupportedModelError, ValueError)
-
-
-def _split(compute, models, failure):
-    """compute(models), one entry per model.  If it raises, each model is
-    computed alone, and a model that raises alone gets the entry
-    failure(error): one model's error never fails another's rows."""
-    try:
-        return compute(models)
-    except _FAILURES as exc:
-        if len(models) == 1:
-            return [failure(exc)]
-        return [entry for model in models for entry in _split(compute, [model], failure)]
-
-
-def _outcomes(request, models, ss, *args):
-    """The outcomes of one request over every (model, s) pair, per model."""
-    def compute(models):
-        outs = request([(model, s) for model in models for s in ss], *args)
-        return [outs[k * len(ss):(k + 1) * len(ss)] for k in range(len(models))]
-
-    return _split(compute, models, lambda exc: [exc] * len(ss))
-
-
-def _raising(exc):
-    def run():
-        raise exc
-
-    return run
-
-
-def _lookup(points, outs):
-    """The value at each of ``points`` from its outcome, as a function
-    that raises the point's error."""
-    table = dict(zip(points, outs))
-    return lambda s: _values([table[s]])[0][0]
+# Each check id maps to a function of the betas that returns (needs,
+# rows).  rows(model, outs) gives one (params, run) pair per report row of
+# the model; run() reads outs(points, request, *args), the model's
+# outcomes at points, and returns (grid, values, target, note), or raises
+# the error of its first failing point.  needs lists the functional points
+# the rows read, as (points, request, *args) entries.  run_limit_suite
+# resolves them for every model the check has rows for before it runs any
+# row, in one request per (request, *args) across the models and checks.
 
 
 def _row(grid, ratios, target):
@@ -267,77 +228,84 @@ def _fields(rep: LimitCheckReport):
     return rep.grid, rep.values, rep.target, rep.note
 
 
-def _domain_ratio(models, betas):
+def _domain_ratio(betas):
     probe = (4.0, 1.0, 2.0, 1.0)
-    return [[(tuple(zip("xzyw", probe)), lambda m=m: _fields(domain_check(m, probe)))]
-            for m in models]
+    return [], lambda m, outs: [(tuple(zip("xzyw", probe)),
+                                 lambda: _fields(domain_check(m, probe)))]
 
 
-def _scale_slow_variation(models, betas):
+def _scale_slow_variation(betas):
     grid = _default_grid(1e-6)
     lams = (0.5, 2.0)
     points = [p for s in grid.points for p in (s, *(lam * s for lam in lams))]
-    # one request per beta, shared by its lam rows
-    scales = {beta: _outcomes(_scale, models, points, beta) for beta in (1.0, *betas)}
+    betas = (1.0, *betas)
 
-    def run(outs, lam):
+    def run(outs, beta, lam):
         # the suite applies its own tolerance; the report's is discarded
-        return lambda: _fields(slow_variation_check(_lookup(points, outs), lam, grid, 0.0))
+        return lambda: _fields(slow_variation_check(
+            lambda u: _values(outs((u,), _scale, beta))[0][0], lam, grid, 0.0))
 
-    return [[((("beta", beta), ("lam", lam)), run(scales[beta][k], lam))
-             for beta in (1.0, *betas) for lam in lams] for k in range(len(models))]
-
-
-def _representation_residual(models, betas):
-    grid = SGrid((1e-4,))
-    return [[((("anchor", 0.25),), _row(grid, lambda res=res: [res()], 0.0))]
-            for res in _split(lambda ms: _residuals(ms, 1e-4, 0.25), models, _raising)]
+    return [(points, _scale, beta) for beta in betas], lambda m, outs: [
+        ((("beta", beta), ("lam", lam)), run(outs, beta, lam)) for beta in betas for lam in lams]
 
 
-def _spacing_log_limit(models, betas):
+def _representation_residual(betas):
+    s, anchor = 1e-4, 0.25
+
+    def rows(m, outs):
+        return [((("anchor", anchor),), _row(SGrid((s,)), lambda: [_residual(
+            m, s, anchor, *outs((s,), _residual_integrals, anchor),
+            *outs((s, anchor), _scale, 1.0))], 0.0))]
+
+    return [((s,), _residual_integrals, anchor), ((s, anchor), _scale, 1.0)], rows
+
+
+def _spacing_log_limit(betas):
     grid = _default_grid(1e-8)
-    return [[((("x", 2.0),), _row(
-        grid, lambda m=m, cs=cs: _spacings(m, grid.points, 2.0, cs), -math.log(2.0)))]
-        for m, cs in zip(models, _outcomes(_scale, models, grid.points, 1.0))]
+    return [(grid.points, _scale, 1.0)], lambda m, outs: [((("x", 2.0),), _row(
+        grid, lambda: _spacings(m, grid.points, 2.0, outs(grid.points, _scale, 1.0)),
+        -math.log(2.0)))]
 
 
-def _scale_beta_limit(models, betas):
+def _scale_beta_limit(betas):
     grid = _default_grid(1e-6)
-    ones = _outcomes(_scale, models, grid.points, 1.0)
-    per_beta = [(b, _outcomes(_scale, models, grid.points, b)) for b in betas]
-    return [[((("beta", b),), _row(grid, lambda cb=cbs[k], c1=ones[k]: _ratios(
-        *_values(cb, c1)), 1.0 / b)) for b, cbs in per_beta] for k in range(len(models))]
+
+    def rows(m, outs):
+        return [((("beta", b),), _row(grid, lambda b=b: _ratios(*_values(
+            outs(grid.points, _scale, b), outs(grid.points, _scale, 1.0))), 1.0 / b))
+            for b in betas]
+
+    return [(grid.points, _scale, b) for b in (1.0, *betas)], rows
 
 
-def _variance_scale_limit(models, betas):
+def _variance_scale_limit(betas):
     grid = _default_grid(1e-4, count=3)
-    cs = _outcomes(_scale, models, grid.points, 1.0)
-    sigmas = _outcomes(_variance, models, grid.points)
-    return [[((), _row(grid, lambda c=c, sig=sig: _variance_ratios(grid.points, c, sig),
-                       1.0))] for c, sig in zip(cs, sigmas)]
+    return [(grid.points, _scale, 1.0), (grid.points, _variance)], lambda m, outs: [
+        ((), _row(grid, lambda: _variance_ratios(grid.points, outs(grid.points, _scale, 1.0),
+                                                 outs(grid.points, _variance)), 1.0))]
 
 
-def _sequence_slowvar_limit(models, betas):
+def _sequence_slowvar_limit(betas):
     # grid s = 1/n for n = 1e2, 1e4, 1e6; each reciprocal round-trips exactly
     grid = SGrid((1e-2, 1e-4, 1e-6))
     ns = [1.0 / s for s in grid.points]
     points = [u for n in ns for u in (1.0 / n, n**-0.5)]   # c(1/n) and c(a_n)
 
-    def ratios(c):
-        return [sequence_slowvar_ratio(c, 1.0, lambda m: m**-0.5, n) for n in ns]
+    def ratios(outs):
+        return [sequence_slowvar_ratio(lambda u: _values(outs((u,), _scale, 1.0))[0][0], 1.0,
+                                       lambda m: m**-0.5, n) for n in ns]
 
-    return [[((("beta", 1.0),), _row(grid, lambda c=_lookup(points, outs): ratios(c), 0.0))]
-            for outs in _outcomes(_scale, models, points, 1.0)]
+    return [(points, _scale, 1.0)], lambda m, outs: [
+        ((("beta", 1.0),), _row(grid, lambda: ratios(outs), 0.0))]
 
 
-def _rate_scale_limit(models, betas):
+def _rate_scale_limit(betas):
     # no analytic rate, no quantity to test: the check yields no row
     grid = _default_grid(1e-6)
-    rated = [m for m in models if m.has_tail_rate]
-    cs = dict(zip(rated, _outcomes(_scale, rated, grid.points, 1.0)))
     ss = np.array(grid.points)
-    return [[((), _row(grid, lambda m=m: (m.tail_rate(ss) / np.array(
-        _values(cs[m])[0])).tolist(), 1.0))] if m.has_tail_rate else [] for m in models]
+    return [(grid.points, _scale, 1.0)], lambda m, outs: [((), _row(
+        grid, lambda: (m.tail_rate(ss) / np.array(
+            _values(outs(grid.points, _scale, 1.0))[0])).tolist(), 1.0))] if m.has_tail_rate else []
 
 
 _CHECKS = {
@@ -399,8 +367,8 @@ def run_limit_suite(
     """Run the configured limit checks for a model or a sequence of them.
 
     Returns one LimitCheckReport per (model, check, parameter)
-    combination, model by model.  The checks run check by check over all
-    the models, so each functional step is one request across them.
+    combination, model by model.  Each functional step is one request
+    across all the models and checks, resolved before any row.
     Evaluation failures (divergent integrals, missing analytic rate) are
     reported as failed rows of their model with a note instead of
     aborting the suite; the rate check is simply skipped for models
@@ -411,17 +379,30 @@ def run_limit_suite(
     if unknown:
         raise ValueError(f"unknown check id: {unknown[0]}")
     tol_maps = [dict(_CLASS_TOL[convergence_class(m)], **(tolerances or {})) for m in models]
-    rows = [[] for _ in models]
+    found = {}
+    specs = []
     for check in checks:
-        for m, tol_map, model_rows, specs in zip(models, tol_maps, rows,
-                                                 _CHECKS[check](models, betas)):
-            for params, run in specs:
+        needs, model_rows = _CHECKS[check](betas)
+        specs.append((check, needs, [model_rows(m, lambda points, *request, m=m: [
+            found[(*request, m, s)] for s in points]) for m in models]))
+    wanted = {}   # (request, *args) -> the keys of every check, once each
+    for j, m in enumerate(models):
+        for _, needs, rows in specs:
+            for points, *request in needs if rows[j] else ():
+                wanted.setdefault(tuple(request), {}).update(dict.fromkeys((m, s) for s in points))
+    for (request, *args), keys in wanted.items():
+        keys = list(keys)
+        found.update(zip([(request, *args, m, s) for m, s in keys], request(keys, *args)))
+    rows = [[] for _ in models]
+    for check, _, check_rows in specs:
+        for m, tol_map, out, model_rows in zip(models, tol_maps, rows, check_rows):
+            for params, run in model_rows:
                 try:
                     grid, values, target, note = run()
                 except _FAILURES as exc:
                     grid, values, target = (), (), math.nan
                     note = f"evaluation failed: {exc}"
-                model_rows.append(LimitCheckReport(
+                out.append(LimitCheckReport(
                     check_id=check, model=m.describe(), params=params, grid=grid,
                     values=values, target=target, tolerance=float(tol_map[check]),
                     note=note,

@@ -255,6 +255,50 @@ def test_exit_config_on_wrong_field_type(tmp_path, capsys, field, named):
 
 
 @pytest.mark.parametrize("command, field, named", [
+    ("simulate", {"n_values": [50000], "k_rule": {"kind": "power", "coeff": 1e308}},
+     "k_rule gives no finite k for n=50000"),
+    ("simulate", {"n_values": [50000], "k_rule": {"kind": "power", "coeff": math.inf}},
+     "k_rule.coeff must be a finite number, got inf"),
+    ("simulate", {"k_rule": {"kind": "power", "coeff": "2"}},
+     "k_rule.coeff must be a finite number, got '2'"),
+    ("simulate", {"k_rule": {"kind": "power", "gamma": "0.4"}},
+     "k_rule.gamma must be a finite number, got '0.4'"),
+    ("functionals", {"models": ["exponential(1)", "normal"], "betas": [math.inf]},
+     "betas must be finite and strictly positive, got inf"),
+    ("lemmas", {"models": ["exponential(1)", "normal"], "betas": [1.0, math.inf]},
+     "betas must be finite and strictly positive, got inf"),
+    # JSON integers beyond the float range
+    ("simulate", {"k_rule": {"kind": "power", "coeff": 10**400}},
+     "k_rule.coeff must be a finite number, got 1000"),
+    ("simulate", {"k_rule": {"kind": "power", "gamma": -10**400}},
+     "k_rule.gamma must be a finite number, got -1000"),
+    ("lemmas", {"betas": [1.0, 10**400]}, "betas must be finite and strictly positive, got inf"),
+    ("lemmas", {"s_grid": {"start": 10**400}}, "bad s_grid: grid points must lie in (0, 1/2]"),
+], ids=["coeff-overflow", "coeff-inf", "coeff-str", "gamma-str", "betas-inf-functionals",
+        "betas-inf-lemmas", "coeff-huge-int", "gamma-huge-int", "betas-huge-int",
+        "s-grid-huge-int"])
+def test_exit_config_on_bad_k_rule_or_beta(tmp_path, capsys, command, field, named):
+    """A k rule whose k overflows or is not a number, an infinite beta and
+    an integer too large for a float are config errors (exit 2) that name
+    the key."""
+    cfg = _write_config(tmp_path / "cfg.json", **field)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_validate_rejects_overflowing_k_rule_and_infinite_beta():
+    for coeff in (math.inf, 1e308):
+        with pytest.raises(ConfigError, match="k_rule gives no finite k"):
+            ExperimentConfig(k_rule=KRule(coeff=coeff)).validate()
+    with pytest.raises(ConfigError, match="betas must be finite and strictly positive"):
+        ExperimentConfig(betas=(2.0, math.inf)).validate()
+
+
+@pytest.mark.parametrize("command, field, named", [
     ("simulate", {"models": ["exponential", "exponential(1.0)"], "n_values": [5000]},
      "duplicate model 'exponential(1.0)', the same as 'exponential'"),
     ("simulate", {"n_values": [5000, 50000, 5000]}, "duplicate n value 5000"),

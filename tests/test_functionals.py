@@ -428,7 +428,7 @@ def test_non_finite_closed_form_raises(functional, what):
         functional(_NaNClosedForms(), 0.1)
 
 
-# -- ibp scale cache ----------------------------------------------------
+# -- ibp scale requests -------------------------------------------------
 
 
 @pytest.fixture
@@ -452,8 +452,8 @@ def _bits(pair):
 @pytest.mark.parametrize("beta", [1.0, 0.5])
 @pytest.mark.parametrize("make_model", [Normal, LogNormal, lambda: Gamma(2.0)],
                          ids=["normal", "lognormal", "gamma2"])
-def test_repeated_scale_integrates_once(quad_calls, make_model, beta):
-    model = make_model()   # a fresh instance: nothing cached for it yet
+def test_repeated_scale_is_bit_stable(quad_calls, make_model, beta):
+    model = make_model()
 
     def route(**kw):
         return tail_scale(model, 0.01, beta, with_error=True, **kw)
@@ -463,35 +463,27 @@ def test_repeated_scale_integrates_once(quad_calls, make_model, beta):
     assert _bits(route()) == _bits(first)
     assert _bits(route(method="ibp",
                        rel_tol=quadrature.DEFAULT_REL_TOL)) == _bits(first)
-    assert len(quad_calls) == 1
-    # the key is exact: another tolerance integrates again
-    route(rel_tol=1e-10)
-    assert len(quad_calls) == 2
 
 
-def test_cache_key_is_exact(quad_calls):
+def test_request_keys_are_exact_floats(quad_calls):
     a, b = LogNormal(), LogNormal()
-    # equal models give equal bits, whether or not they share an entry
+    # equal models give equal bits
     assert _bits(tail_scale(a, 0.01, with_error=True)) == \
         _bits(tail_scale(b, 0.01, with_error=True))
     calls = len(quad_calls)
-    # the same s reached by another float is another key
-    tail_scale(a, float(np.nextafter(0.01, 1.0)))
-    assert len(quad_calls) == calls + 1
+    # the same s reached by another float is another key of the request
+    tail_scale(a, np.array([0.01, float(np.nextafter(0.01, 1.0))]))
+    assert len(quad_calls) == calls + 2
 
 
-def test_array_call_integrates_each_missing_key_once(quad_calls):
-    model = LogNormal()   # a fresh instance: nothing cached for it yet
+def test_array_call_integrates_each_key_once(quad_calls):
+    model = LogNormal()
     first = tail_scale(model, np.array([0.01, 0.02, 0.01, 0.02]), 2.0)
     assert quad_calls == ["c(0.01,2) ibp", "c(0.02,2) ibp"]
     assert first[0] == first[2] and first[1] == first[3]
-    # hits are looked up key by key; only the miss is integrated
-    again = tail_scale(model, np.array([0.03, 0.02, 0.01]), 2.0)
-    assert quad_calls[2:] == ["c(0.03,2) ibp"]
-    assert again[1:].tolist() == [first[1], first[0]]
 
 
-def test_failed_quadrature_is_never_cached(quad_calls):
+def test_failed_quadrature_fails_again(quad_calls):
     model = Pareto(2.0)   # c(s, 1/2) diverges logarithmically
     messages = []
     for _ in range(3):

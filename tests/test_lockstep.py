@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extremesum import (
+    Exponential,
     Gamma,
     LogNormal,
     Normal,
@@ -28,6 +29,7 @@ from extremesum import (
     UnsupportedModelError,
     build_functional_table,
     catalog,
+    clt,
     functionals,
     limits,
     quadrature,
@@ -51,9 +53,8 @@ mass_lists = st.tuples(st.lists(masses, min_size=1, max_size=4),
 
 
 def _outcome(fn, *args, **kwargs):
-    """(value bits, error bits) of one call on an empty ibp cache, or the
-    message of the QuadratureError it raises."""
-    functionals._IBP_CACHE.clear()
+    """(value bits, error bits) of one call, or the message of the
+    QuadratureError it raises."""
     try:
         val, err = fn(*args, with_error=True, **kwargs)
     except QuadratureError as exc:
@@ -111,7 +112,6 @@ def _recorded(calls):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(functionals, "tail_quads", recording)
         for call in calls:
-            functionals._IBP_CACHE.clear()
             try:
                 call()
             except QuadratureError:
@@ -190,11 +190,9 @@ _GRID = SGrid.geometric(0.1, 0.1, 8)
 
 
 def _alone_and_together(run):
-    """run(models) once per model and once over all of them, each on an
-    empty ibp cache; returns both results model by model."""
-    functionals._IBP_CACHE.clear()
+    """run(models) once per model and once over all of them; returns both
+    results model by model."""
     alone = [run([model]) for model in _BATCH_MODELS]
-    functionals._IBP_CACHE.clear()
     return alone, run(_BATCH_MODELS)
 
 
@@ -318,12 +316,146 @@ class _Raising(Normal):
 
 def test_model_error_fails_only_that_models_rows():
     models = [Normal(), _Raising(), Gamma(2.0)]
-    functionals._IBP_CACHE.clear()
     together = _suite(models)
-    functionals._IBP_CACHE.clear()
     alone = [r for model in models for r in _suite([model])]
     assert [(str(r.row()), r.note) for r in together] == \
         [(str(r.row()), r.note) for r in alone]
     raised = [r for r in together if "no quantile that far out" in r.note]
     assert raised and all(r.model == "raising()" for r in raised)
     assert len(raised) < len(together) // 3
+
+
+def test_model_error_flags_only_that_models_entries():
+    models = [Normal(), _Raising(), Gamma(2.0)]
+    together = build_functional_table(models, _GRID, betas=(1.0, 2.0))
+    assert [_csv(t) for t in together] == \
+        [_csv(build_functional_table(m, _GRID, betas=(1.0, 2.0))) for m in models]
+    normal, raising, gamma = (t.notes for t in together)
+    assert normal == gamma == []
+    assert raising and all(note.endswith("no quantile that far out") for note in raising)
+
+
+class _Broken(Normal):
+    """A model whose tail quantile has a fault inside the quadrature's
+    nodes: not an error a model is expected to raise."""
+
+    name = "broken"
+
+    def tail_quantile(self, t):
+        if np.ndim(t) and np.min(t) < 1e-9:
+            raise TypeError("a fault, not a model error")
+        return super().tail_quantile(t)
+
+
+def test_a_fault_in_a_model_call_propagates():
+    with pytest.raises(TypeError, match="a fault, not a model error"):
+        build_functional_table([Normal(), _Broken()], _GRID, betas=(1.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(TypeError, match="a fault, not a model error"):
+            run_limit_suite([Normal(), _Broken()], checks=("spacing_log_limit",))
+
+
+def test_rate_check_requests_points_only_for_rated_models(monkeypatch):
+    asked = []
+
+    def scale(keys, beta):
+        asked.extend(keys)
+        return functionals._scale(keys, beta)
+
+    monkeypatch.setattr(limits, "_scale", scale)
+    rated, unrated = Exponential(), Normal()
+    reports = run_limit_suite([unrated, rated], checks=("rate_scale_limit",))
+    assert [r.model for r in reports] == [rated.describe()]
+    assert asked and {model for model, _ in asked} == {rated}
+
+
+# -- outcomes do not depend on the batch -----------------------------------
+
+
+class _Floor(Normal):
+    """A normal whose tail quantile or tail density raises on an array
+    that holds a t below ``floor``: deep enough, only later rounds of a
+    quadrature reach it."""
+
+    def __init__(self, quantity, floor):
+        super().__init__()
+        self.quantity, self.floor = quantity, floor
+        self.name, self.params = f"{quantity}-floor", (floor,)
+
+    def _guard(self, quantity, t):
+        if quantity == self.quantity and np.min(t) < self.floor:
+            raise ValueError(f"no {quantity} below t={self.floor:g}")
+
+    def tail_quantile(self, t):
+        self._guard("quantile", t)
+        return super().tail_quantile(t)
+
+    def tail_density(self, t):
+        self._guard("density", t)
+        return super().tail_density(t)
+
+
+_KEY_MODELS = [Normal(), Gamma(2.0), Pareto(2.0), _Floor("quantile", 1e-3),
+               _Floor("quantile", 1e-150), _Floor("density", 1e-60),
+               _Floor("density", 1e-250)]
+request_keys = st.lists(st.tuples(st.sampled_from(_KEY_MODELS), masses), min_size=1,
+                        max_size=6)
+
+
+def _key_bits(out):
+    if isinstance(out, Exception):
+        return type(out).__name__, str(out)
+    return out[0].hex(), out[1].hex()
+
+
+@settings(max_examples=20, deadline=None)
+@given(keys=request_keys, beta=st.sampled_from([0.5, 1.0, 2.0]))
+def test_outcome_of_a_key_does_not_depend_on_its_request(keys, beta):
+    """Each key of a request gets the value bits, or the error, of a
+    request for that key alone, whichever models and keys share it."""
+    for request in (lambda ks: functionals._scale(ks, beta), functionals._variance):
+        assert [_key_bits(out) for out in request(keys)] == \
+            [_key_bits(request([key])[0]) for key in keys]
+
+
+def test_cell_functionals_raise_the_model_error():
+    # c(k/n) integrates below t = 1e-9, where _Raising's quantile raises
+    with pytest.raises(ValueError, match="no quantile that far out"):
+        clt.cell_functionals(_Raising(), 10**9, 20)
+
+
+class _ThresholdFloor(Exponential):
+    """An exponential, closed forms and all, whose tail quantile raises on
+    an array that holds a t below 1e-3."""
+
+    name = "threshold-floor"
+
+    def tail_quantile(self, t):
+        if np.min(t) < 1e-3:
+            raise ValueError("no threshold below t=0.001")
+        return super().tail_quantile(t)
+
+
+def test_a_cell_whose_threshold_raises_fails_alone():
+    model = _ThresholdFloor()
+    # Q(1-k/n) fails at k/n = 5e-4, the maximum's Q(1-1/n) at 1/n = 2e-4
+    cells = [(Normal(), 1000, 20), (model, 10000, 5), (model, 100, 20), (model, 5000, 20)]
+    together = clt._functionals(cells, with_max=True)
+    assert [repr(out) for out in together] == \
+        [repr(clt._functionals([cell], with_max=True)[0]) for cell in cells]
+    assert [isinstance(out, ValueError) for out in together] == [False, True, False, True]
+
+
+def test_experiment_names_the_cell_whose_threshold_raises(monkeypatch):
+    from extremesum.config import ExperimentConfig
+    from extremesum.errors import NumericError
+
+    monkeypatch.setattr(ExperimentConfig, "model_objects",
+                        lambda self: [Exponential(), _ThresholdFloor()])
+    # k/n = 0.004 holds, the maximum's 1/n = 1e-4 does not
+    config = ExperimentConfig(models=("exponential(1)", "exponential(2)"), n_values=(10000,),
+                              replicates=10, statistics=("T1", "MAX"))
+    with pytest.raises(NumericError, match="functionals failed for threshold-floor.* at "
+                       "n=10000: no threshold below t=0.001"):
+        clt.run_experiment(config)

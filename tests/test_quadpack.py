@@ -88,7 +88,6 @@ def catalog_quadratures():
             calls.append((what, rule, alone, lo, hi, rel_tol))
         return real(rule, fn, bounds, rel_tol, whats)
 
-    functionals._IBP_CACHE.clear()   # so no quadrature is skipped
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(quadrature, "_run_quads", recording)
         warnings.simplefilter("ignore")
@@ -113,7 +112,7 @@ def catalog_quadratures():
 
 def _batches(run):
     """The labels of every ``_run_quads`` batch that run() makes, batch by
-    batch, on an empty ibp cache."""
+    batch."""
     batches = []
     real = quadrature._run_quads
 
@@ -121,7 +120,6 @@ def _batches(run):
         batches.append(list(whats))
         return real(rule, fn, bounds, rel_tol, whats)
 
-    functionals._IBP_CACHE.clear()
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(quadrature, "_run_quads", recording)
         warnings.simplefilter("ignore")
@@ -145,6 +143,49 @@ def test_catalog_commands_batch_across_models(tmp_path, capsys, command, most):
         else build_functional_table(m, grid, betas=(1.0, 2.0)) for m in models])
     assert len(together) <= most < len(per_model)
     assert Counter(w for b in together for w in b) == Counter(w for b in per_model for w in b)
+
+
+_GUMBEL_SWEEP = {"models": [entry.model.describe() for entry in catalog()][:6],
+                 "n_values": [5000, 50000, 10**9], "replicates": 5,
+                 "statistics": ["T1", "T2", "T3", "BDH", "MAX"]}
+_CATALOG_GRID = {"models": [entry.model.describe() for entry in catalog()],
+                 "s_grid": {"start": 0.1, "ratio": 0.1, "count": 8}}
+
+
+@pytest.mark.parametrize("command, config, most", [
+    ("lemmas", _CATALOG_GRID, 6), ("functionals", _CATALOG_GRID, 3),
+    ("simulate", _GUMBEL_SWEEP, 1)])
+def test_catalog_commands_integrate_each_ibp_key_once(tmp_path, capsys, command, config,
+                                                      most):
+    """A command asks for each functional step once: at most ``most``
+    ``_run_quads`` batches, and no ibp scale quadrature, a (model, s, beta)
+    key, integrated twice.  A key is told apart by its label, its exact s
+    and its integrand's values at fixed nodes, which differ between
+    models."""
+    batches, ibp = [], []
+    real_run, real_tail = quadrature._run_quads, functionals.tail_quads
+    ws, ts = np.array([0.1, 1.0, 5.0]), np.array([0.3, 1e-3, 1e-9])
+
+    def run(rule, fn, bounds, rel_tol, whats):
+        batches.append(whats)
+        return real_run(rule, fn, bounds, rel_tol, whats)
+
+    def tail(fn, ss, rel_tol, whats):
+        for i, (s, what) in enumerate(zip(ss, whats)):
+            if what.endswith(" ibp"):
+                values = fn(np.full(ws.size, i), ws, ts).tolist()
+                ibp.append((what, s.hex(), rel_tol, tuple(v.hex() for v in values)))
+        return real_tail(fn, ss, rel_tol, whats)
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(quadrature, "_run_quads", run)
+        mp.setattr(functionals, "tail_quads", tail)
+        warnings.simplefilter("ignore")
+        cli.main([command, "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert 0 < len(batches) <= most
+    assert ibp and len(set(ibp)) == len(ibp)
 
 
 def test_catalog_quadratures_cover_every_route(catalog_quadratures):
@@ -338,7 +379,7 @@ def test_one_model_call_per_integrand_call(monkeypatch):
         return tuple(counts[key] / n for key in
                      ("tail_quantile", "tail_density", "tail_rate"))
 
-    normal = counting(Normal())   # fresh instances: no ibp cache entry yet
+    normal = counting(Normal())
     weibull = counting(Weibull(2.0))
     assert model_calls(lambda: tail_scale(normal, 1e-4, 2.0, method="ibp")) == (1, 0, 0)
     assert model_calls(lambda: tail_variance(normal, 1e-4)) == (1, 1, 0)
