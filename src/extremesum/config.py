@@ -29,6 +29,11 @@ _TOP_KEYS = {
 _KRULE_KEYS = {"kind", "coeff", "gamma", "fixed_k"}
 _SGRID_KEYS = {"start", "ratio", "count"}
 
+# Caps past which a run's arrays exhaust memory, far above the benchmark's
+# largest k + 1 = 3,983 order statistics and 12,000 rows per n value.
+_MAX_ORDER_STATS = 2**20   # k + 1 per replicate
+_MAX_ROWS = 2**20          # models x replicates per n value
+
 
 def _is_int(x) -> bool:
     # bool is an int subclass, but `"replicates": true` is a typo, not 1
@@ -106,15 +111,21 @@ class ExperimentConfig:
             if not _is_int(n) or n < 4:
                 raise ConfigError(f"n values must be integers >= 4, got {n!r}")
             try:
-                self.k_rule.resolve(n)
+                k = self.k_rule.resolve(n)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             except OverflowError as exc:   # coeff * n**gamma is not finite
                 raise ConfigError(f"k_rule gives no finite k for n={n}: "
                                   f"coeff * n**gamma overflows") from exc
+            if k + 1 > _MAX_ORDER_STATS:
+                raise ConfigError(f"k_rule gives k={k} for n={n}: a replicate draws at most "
+                                  f"{_MAX_ORDER_STATS} order statistics (k + 1)")
         _reject_duplicates("n value", self.n_values)
         if not _is_int(self.replicates) or self.replicates < 1:
             raise ConfigError("replicates must be an integer >= 1")
+        if self.replicates * len(self.models) > _MAX_ROWS:
+            raise ConfigError(f"replicates times the number of models must be at most "
+                              f"{_MAX_ROWS} rows per n value")
         if not _is_int(self.master_seed):
             raise ConfigError("master_seed must be an integer")
         if not self.statistics:

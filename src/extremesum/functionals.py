@@ -77,6 +77,14 @@ from .quadrature import DEFAULT_REL_TOL, exp_each, log_interval_quads, tail_quad
 # them to their key as its outcome, and the limit suite fails rows on them.
 _FAILURES = (QuadratureError, UnsupportedModelError, ValueError)
 
+# The residual's outer integrand c(u)/u is itself a quadrature at
+# DEFAULT_REL_TOL unless closed, so its outer QAGS asks one digit less.
+_RESIDUAL_REL_TOL = 1e-10
+
+# A config's s_grid.count reaches SGrid.geometric unchecked: bound it
+# before any point is built, or a billion points exhaust memory.
+_MAX_GRID_POINTS = 10_000
+
 __all__ = [
     "SGrid",
     "tail_scale",
@@ -121,6 +129,8 @@ class SGrid:
             raise ValueError("ratio must lie in (0, 1)")
         if count < 1:
             raise ValueError("count must be at least 1")
+        if count > _MAX_GRID_POINTS:
+            raise ValueError(f"count must be at most {_MAX_GRID_POINTS}")
         return cls(
             tuple(start * ratio**i for i in range(count)),
             geometry=(float(start), float(ratio), int(count)),
@@ -208,7 +218,7 @@ def _at_s(keys, each):
     return each(np.arange(ss.size), lambda model, i, at: model.tail_quantile(ss[i]))
 
 
-def _tail_quads(keys, integrand, label, rel_tol, at_s=False):
+def _tail_quads(keys, integrand, label, at_s=False):
     """Outcomes of the tail quadratures of ``keys``, (model, s) pairs that
     may span models, in one lockstep batch, a repeated key once;
     ``label(s)`` labels each.
@@ -223,7 +233,7 @@ def _tail_quads(keys, integrand, label, rel_tol, at_s=False):
     each = _per_model(once, failed)
     qs = _at_s(once, each) if at_s else None
     outs = tail_quads(lambda rows, ws, ts: each(rows, lambda model, i, at: integrand(
-        model, i, ws[at], ts[at], qs)), [s for _, s in once], rel_tol,
+        model, i, ws[at], ts[at], qs)), [s for _, s in once], DEFAULT_REL_TOL,
         [label(s) for _, s in once])
     outs = dict(zip(once, (failed.get(i, out) for i, out in enumerate(outs))))
     return [outs[key] for key in keys]
@@ -236,16 +246,15 @@ def _densities(model, ts):
         return model.tail_density(ts)
 
 
-def _scale_ibp(keys, beta, rel_tol):
+def _scale_ibp(keys, beta):
     def g(model, rows, ws, ts, qs):
         return exp_each(-beta * ws) * (model.tail_quantile(ts) - qs[rows])
 
     return [out if isinstance(out, Exception) else (beta * out[0], beta * out[1])
-            for out in _tail_quads(keys, g, lambda s: f"c({s:g},{beta:g}) ibp", rel_tol,
-                                   at_s=True)]
+            for out in _tail_quads(keys, g, lambda s: f"c({s:g},{beta:g}) ibp", at_s=True)]
 
 
-def _scale_stieltjes(keys, beta, rel_tol):
+def _scale_stieltjes(keys, beta):
     def g(model, rows, ws, ts, qs):
         # q(t) can exceed double range once t is astronomically small
         # (heavy-tailed controls); the e^{-beta w} factor has crushed the
@@ -256,7 +265,7 @@ def _scale_stieltjes(keys, beta, rel_tol):
         vals[ok] = exp_each(-beta * ws[ok]) * ts[ok] * d[ok]
         return vals
 
-    return _tail_quads(keys, g, lambda s: f"c({s:g},{beta:g}) stieltjes", rel_tol)
+    return _tail_quads(keys, g, lambda s: f"c({s:g},{beta:g}) stieltjes")
 
 
 def _resolve(keys, what, method, closed, **routes):
@@ -295,18 +304,18 @@ def _resolve(keys, what, method, closed, **routes):
     return outs
 
 
-def _scale(keys, beta, method="auto", rel_tol=DEFAULT_REL_TOL):
+def _scale(keys, beta, method="auto"):
     beta = float(beta)
     if not beta > 0.0:
         raise ValueError("beta must be strictly positive")
     return _resolve(keys, lambda s: f"c({s:g},{beta:g})", method,
                     lambda model, s: model.closed_scale(s, beta),
-                    ibp=lambda keys: _scale_ibp(keys, beta, rel_tol),
-                    stieltjes=lambda keys: _scale_stieltjes(keys, beta, rel_tol))
+                    ibp=lambda keys: _scale_ibp(keys, beta),
+                    stieltjes=lambda keys: _scale_stieltjes(keys, beta))
 
 
 def tail_scale(model: TailModel, s, beta: float = 1.0, method: str = "auto",
-               rel_tol: float = DEFAULT_REL_TOL, with_error: bool = False):
+               with_error: bool = False):
     """Tail scale c(s, beta); c(s) is the beta = 1 case.
 
     ``s`` is a tail mass or an array of them; an array gives arrays of its
@@ -316,29 +325,28 @@ def tail_scale(model: TailModel, s, beta: float = 1.0, method: str = "auto",
     in the module docstring.
     """
     ss, shape = _masses(s)
-    return _settle(_scale(_keys(model, ss), beta, method, rel_tol), shape, with_error)
+    return _settle(_scale(_keys(model, ss), beta, method), shape, with_error)
 
 
 def _keys(model, ss):
     return [(model, s) for s in ss]
 
 
-def _mean(keys, method="auto", rel_tol=DEFAULT_REL_TOL):
+def _mean(keys, method="auto"):
     return _resolve(keys, lambda s: f"mu({s:g})", method,
                     lambda model, s: model.closed_mean_mass(s),
                     quadrature=lambda keys: _tail_quads(
                         keys, lambda model, rows, ws, ts, qs: ts * model.tail_quantile(ts),
-                        lambda s: f"mu({s:g})", rel_tol))
+                        lambda s: f"mu({s:g})"))
 
 
-def tail_mean(model: TailModel, s, method: str = "auto",
-              rel_tol: float = DEFAULT_REL_TOL, with_error: bool = False):
+def tail_mean(model: TailModel, s, method: str = "auto", with_error: bool = False):
     """Mean mass mu(s) = int_{1-s}^1 Q(u) du of the top s fraction."""
     ss, shape = _masses(s)
-    return _settle(_mean(_keys(model, ss), method, rel_tol), shape, with_error)
+    return _settle(_mean(_keys(model, ss), method), shape, with_error)
 
 
-def _rate(keys, extended=False, method="auto", rel_tol=DEFAULT_REL_TOL):
+def _rate(keys, extended=False, method="auto"):
     rated = [key for key in keys if key[0].has_tail_rate]
     unrated = [key for key in keys if not key[0].has_tail_rate]
     if unrated and not extended:
@@ -350,10 +358,10 @@ def _rate(keys, extended=False, method="auto", rel_tol=DEFAULT_REL_TOL):
         rated, lambda s: f"rho({s:g})", method, lambda model, s: model.closed_rate_integral(s),
         quadrature=lambda keys: _tail_quads(
             keys, lambda model, rows, ws, us, qs: us * model.tail_rate(us),
-            lambda s: f"rho({s:g})", rel_tol))))
+            lambda s: f"rho({s:g})"))))
     if unrated:
         # rho(s) = mu(s) - s Q(1-s)
-        mus = _mean(unrated, method, rel_tol)
+        mus = _mean(unrated, method)
         failed = {}
         qs = _at_s(unrated, _per_model(unrated, failed)).tolist()
         for i, (key, q, mu) in enumerate(zip(unrated, qs, mus)):
@@ -363,8 +371,7 @@ def _rate(keys, extended=False, method="auto", rel_tol=DEFAULT_REL_TOL):
 
 
 def rate_integral(model: TailModel, s, extended: bool = False,
-                  method: str = "auto", rel_tol: float = DEFAULT_REL_TOL,
-                  with_error: bool = False):
+                  method: str = "auto", with_error: bool = False):
     """Rate integral rho(s) = int_0^s r(u) du.
 
     Models without an analytic slowly varying rate raise unless
@@ -373,11 +380,11 @@ def rate_integral(model: TailModel, s, extended: bool = False,
     passed on to the mean mass.
     """
     ss, shape = _masses(s)
-    return _settle(_rate(_keys(model, ss), extended, method, rel_tol), shape, with_error)
+    return _settle(_rate(_keys(model, ss), extended, method), shape, with_error)
 
 
-def _variance_quad(keys, rel_tol):
-    outs = _rate(keys, extended=True, rel_tol=rel_tol)
+def _variance_quad(keys):
+    outs = _rate(keys, extended=True)
     live = [i for i, out in enumerate(outs) if not isinstance(out, Exception)]
 
     def g(model, rows, ws, ys, qs):
@@ -386,8 +393,7 @@ def _variance_quad(keys, rel_tol):
         with np.errstate(over="ignore", invalid="ignore"):   # as Python floats
             return ys * (ys * d) * (q - qs[rows])
 
-    j2s = _tail_quads([keys[i] for i in live], g, lambda s: f"sigma2({s:g})", rel_tol,
-                      at_s=True)
+    j2s = _tail_quads([keys[i] for i in live], g, lambda s: f"sigma2({s:g})", at_s=True)
     for i, j2 in zip(live, j2s):
         rho, rho_err = outs[i]
         outs[i] = j2 if isinstance(j2, Exception) else (
@@ -395,17 +401,16 @@ def _variance_quad(keys, rel_tol):
     return outs
 
 
-def _variance(keys, method="auto", rel_tol=DEFAULT_REL_TOL):
+def _variance(keys, method="auto"):
     return _resolve(keys, lambda s: f"sigma2({s:g})", method,
                     lambda model, s: model.closed_variance(s),
-                    quadrature=lambda keys: _variance_quad(keys, rel_tol))
+                    quadrature=_variance_quad)
 
 
-def tail_variance(model: TailModel, s, method: str = "auto",
-                  rel_tol: float = DEFAULT_REL_TOL, with_error: bool = False):
+def tail_variance(model: TailModel, s, method: str = "auto", with_error: bool = False):
     """Variance driver sigma2(s) of the extreme-sum limit theorem."""
     ss, shape = _masses(s)
-    return _settle(_variance(_keys(model, ss), method, rel_tol), shape, with_error)
+    return _settle(_variance(_keys(model, ss), method), shape, with_error)
 
 
 # -- limit ratios -------------------------------------------------------
@@ -459,7 +464,7 @@ def variance_scale_ratio(model: TailModel, s):
     return _shaped(_variance_ratios(ss, _scale(keys, 1.0), _variance(keys)), shape)
 
 
-def _residual_integrals(keys, anchor, rel_tol=DEFAULT_REL_TOL):
+def _residual_integrals(keys, anchor):
     """Outcomes of int_s^anchor c(u)/u du for ``keys``, (model, s) pairs
     that may span models, in one lockstep QAGS whose rounds each request
     c(u) at every key's nodes at once.  A key whose c(u) fails gets the
@@ -472,7 +477,7 @@ def _residual_integrals(keys, anchor, rel_tol=DEFAULT_REL_TOL):
         rows, nodes = rows.tolist(), us.tolist()
         todo = [j for j, i in enumerate(rows) if i not in failed]
         vals = np.full(us.size, math.nan)
-        cs = _scale([(keys[rows[j]][0], nodes[j]) for j in todo], 1.0, rel_tol=rel_tol)
+        cs = _scale([(keys[rows[j]][0], nodes[j]) for j in todo], 1.0)
         for j, out in zip(todo, cs):
             if isinstance(out, Exception):
                 failed.setdefault(rows[j], out)
@@ -481,7 +486,7 @@ def _residual_integrals(keys, anchor, rel_tol=DEFAULT_REL_TOL):
         return vals / us
 
     outs = log_interval_quads(
-        c_over_u, [(s, anchor) for _, s in keys], max(rel_tol, 1e-10),
+        c_over_u, [(s, anchor) for _, s in keys], _RESIDUAL_REL_TOL,
         [f"int c(u)/u over ({s:g},{anchor:g})" for _, s in keys])
     return [failed.get(i, out) for i, out in enumerate(outs)]
 
@@ -494,8 +499,7 @@ def _residual(model, s, anchor, integral, c_s, c_anchor):
     return abs(lhs - (-c_s + c_anchor + integral))
 
 
-def representation_residual(model: TailModel, s, anchor: float = 0.25,
-                            rel_tol: float = DEFAULT_REL_TOL) -> float:
+def representation_residual(model: TailModel, s, anchor: float = 0.25) -> float:
     """Defect of the exact scale representation of the tail quantile.
 
     The representation Q(1-s) = b - c(s) + int_s^1 u^{-1} c(u) du holds
@@ -510,9 +514,9 @@ def representation_residual(model: TailModel, s, anchor: float = 0.25,
     anchor = _check_s(anchor)
     if not s < anchor:
         raise ValueError("need s < anchor")
-    [integral] = _residual_integrals([(model, s)], anchor, rel_tol)
+    [integral] = _residual_integrals([(model, s)], anchor)
     return _residual(model, s, anchor, integral,
-                     *_scale([(model, s), (model, anchor)], 1.0, rel_tol=rel_tol))
+                     *_scale([(model, s), (model, anchor)], 1.0))
 
 
 def sequence_slowvar_ratio(slowvar, beta: float, a_of_n, n) -> float:
@@ -568,8 +572,7 @@ class FunctionalTable:
             fh.write(",".join(map(_fmt17, row)) + "\n")
 
 
-def build_functional_table(model, grid: SGrid, betas=(),
-                           rel_tol: float = DEFAULT_REL_TOL):
+def build_functional_table(model, grid: SGrid, betas=()):
     """Evaluate c, c(., beta), sigma2, mu (and rho when analytic) on a grid.
 
     ``model`` is a TailModel, which gives its FunctionalTable, or a
@@ -582,12 +585,12 @@ def build_functional_table(model, grid: SGrid, betas=(),
     betas = tuple(sorted(float(b) for b in betas))
     ss = list(grid.points)
     keys = [(m, s) for m in models for s in ss]
-    scales = {b: _scale(keys, b, rel_tol=rel_tol) for b in dict.fromkeys((1.0, *betas))}
+    scales = {b: _scale(keys, b) for b in dict.fromkeys((1.0, *betas))}
     columns = {"c": scales[1.0], **{f"c_beta_{format(b, 'g')}": scales[b] for b in betas}}
-    columns["sigma2"] = _variance(keys, rel_tol=rel_tol)
-    columns["mu"] = _mean(keys, rel_tol=rel_tol)
+    columns["sigma2"] = _variance(keys)
+    columns["mu"] = _mean(keys)
     rated = [i for i, (m, _) in enumerate(keys) if m.has_tail_rate]
-    columns["rho"] = dict(zip(rated, _rate([keys[i] for i in rated], rel_tol=rel_tol)))
+    columns["rho"] = dict(zip(rated, _rate([keys[i] for i in rated])))
     tables = []
     for k, m in enumerate(models):
         names = [name for name in columns if name != "rho" or m.has_tail_rate]

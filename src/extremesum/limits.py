@@ -3,8 +3,8 @@
 Every limit used by the package is an s -> 0 statement.  None of them can
 be "proved" numerically, so each check evaluates its ratio on a decreasing
 grid and passes or fails on the final (smallest) grid point only; the rest
-of the sequence is kept in the report as evidence.  Tolerances default to
-per-model convergence classes: models whose tail functionals have elementary
+of the sequence is kept in the report as evidence.  Tolerances are fixed
+per model convergence class: models whose tail functionals have elementary
 closed forms converge exponentially fast and get tight tolerances, models
 with log-type tails converge like a power of 1/log(1/s) and get loose ones.
 That power differs within the class: the Weibull(2) spacing error is about
@@ -358,17 +358,13 @@ def convergence_class(model: TailModel) -> str:
     return "exact" if base.name in _EXACT_CLASS else "log"
 
 
-def run_limit_suite(
-    model,
-    checks=DEFAULT_CHECKS,
-    betas=(0.5, 2.0),
-    tolerances=None,
-) -> list:
+def run_limit_suite(model, checks=DEFAULT_CHECKS, betas=(0.5, 2.0)) -> list:
     """Run the configured limit checks for a model or a sequence of them.
 
     Returns one LimitCheckReport per (model, check, parameter)
-    combination, model by model.  Each functional step is one request
-    across all the models and checks, resolved before any row.
+    combination, model by model, at its model class's tolerance.  Each
+    functional step is one request across all the models and checks,
+    resolved before any row.
     Evaluation failures (divergent integrals, missing analytic rate) are
     reported as failed rows of their model with a note instead of
     aborting the suite; the rate check is simply skipped for models
@@ -378,7 +374,6 @@ def run_limit_suite(
     unknown = [c for c in checks if c not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown check id: {unknown[0]}")
-    tol_maps = [dict(_CLASS_TOL[convergence_class(m)], **(tolerances or {})) for m in models]
     found = {}
     specs = []
     for check in checks:
@@ -395,7 +390,7 @@ def run_limit_suite(
         found.update(zip([(request, *args, m, s) for m, s in keys], request(keys, *args)))
     rows = [[] for _ in models]
     for check, _, check_rows in specs:
-        for m, tol_map, out, model_rows in zip(models, tol_maps, rows, check_rows):
+        for m, out, model_rows in zip(models, rows, check_rows):
             for params, run in model_rows:
                 try:
                     grid, values, target, note = run()
@@ -404,7 +399,7 @@ def run_limit_suite(
                     note = f"evaluation failed: {exc}"
                 out.append(LimitCheckReport(
                     check_id=check, model=m.describe(), params=params, grid=grid,
-                    values=values, target=target, tolerance=float(tol_map[check]),
-                    note=note,
+                    values=values, target=target,
+                    tolerance=_CLASS_TOL[convergence_class(m)][check], note=note,
                 ))
     return [report for model_rows in rows for report in model_rows]

@@ -98,7 +98,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 # Rows of at most one Philox block (4 words) are computed in numpy from
 # this many rows on; below it, or for wider rows, re-keying is faster.
-_BLOCK_KERNEL_MIN_ROWS = 128
+_BLOCK_KERNEL_MIN_ROWS = 192
 
 
 def _philox_first_block(seed: SeedSpec, rows: int) -> np.ndarray:
@@ -135,18 +135,18 @@ def _uniform_rows(seed: SeedSpec, rows: int, count: int) -> np.ndarray:
     if count <= 4 and rows >= _BLOCK_KERNEL_MIN_ROWS:
         words = _philox_first_block(seed, rows)[:count].T >> np.uint64(11)
         return np.ascontiguousarray(words * 2.0**-53)
-    key = np.array([seed.master_seed, seed.stream_id], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    gen = np.random.Generator(bitgen)
-    # A freshly keyed Philox's state (zero counter, empty buffer); only the
-    # key's stream word changes from row to row.
-    state = bitgen.state
-    state["state"]["key"] = key
+    bitgen = np.random.Philox(key=np.array([seed.master_seed, seed.stream_id], dtype=np.uint64))
+    fill = np.random.Generator(bitgen).random
+    # A fresh Philox's state (zero counter, empty buffer) in Python ints, set
+    # faster than bitgen.state's arrays; only the key's stream word changes.
+    key = [seed.master_seed, seed.stream_id]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     v = np.empty((rows, count))
-    for r in range(rows):
+    for r, row in enumerate(v):
         key[1] = (seed.stream_id + r) & _MASK64
         bitgen.state = state
-        gen.random(out=v[r])
+        fill(out=row)
     return v
 
 

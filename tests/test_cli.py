@@ -274,13 +274,22 @@ def test_exit_config_on_wrong_field_type(tmp_path, capsys, field, named):
      "k_rule.gamma must be a finite number, got -1000"),
     ("lemmas", {"betas": [1.0, 10**400]}, "betas must be finite and strictly positive, got inf"),
     ("lemmas", {"s_grid": {"start": 10**400}}, "bad s_grid: grid points must lie in (0, 1/2]"),
+    # sizes that would hang or exhaust memory, refused before any point or row
+    ("simulate", {"s_grid": {"count": 10**9}}, "bad s_grid: count must be at most 10000"),
+    ("functionals", {"s_grid": {"count": 10**400}}, "bad s_grid: count must be at most 10000"),
+    ("simulate", {"replicates": 10**12},
+     "replicates times the number of models must be at most 1048576 rows per n value"),
+    ("simulate", {"n_values": [10**21]},
+     f"k_rule gives k=251188644 for n={10**21}: a replicate draws at most 1048576"),
 ], ids=["coeff-overflow", "coeff-inf", "coeff-str", "gamma-str", "betas-inf-functionals",
         "betas-inf-lemmas", "coeff-huge-int", "gamma-huge-int", "betas-huge-int",
-        "s-grid-huge-int"])
+        "s-grid-huge-int", "s-grid-count-1e9", "s-grid-count-huge-int", "replicates-1e12",
+        "k-over-cap"])
 def test_exit_config_on_bad_k_rule_or_beta(tmp_path, capsys, command, field, named):
-    """A k rule whose k overflows or is not a number, an infinite beta and
-    an integer too large for a float are config errors (exit 2) that name
-    the key."""
+    """A k rule whose k overflows, is not a number or passes the order
+    statistics a replicate may draw, an infinite beta, an integer too large
+    for a float, and an s_grid.count or a models x replicates product over
+    its cap are config errors (exit 2) that name the key."""
     cfg = _write_config(tmp_path / "cfg.json", **field)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
@@ -288,6 +297,21 @@ def test_exit_config_on_bad_k_rule_or_beta(tmp_path, capsys, command, field, nam
     assert named in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_validate_caps_order_statistics_and_rows():
+    """k + 1 order statistics per replicate and models x replicates per n
+    are capped at 2^20 each, the cap itself allowed."""
+    n = 2**30
+    ExperimentConfig(n_values=(n,), k_rule=KRule(kind="fixed", fixed_k=2**20 - 1)).validate()
+    with pytest.raises(ConfigError, match="k_rule gives k=1048576 for n=1073741824"):
+        ExperimentConfig(n_values=(n,), k_rule=KRule(kind="fixed", fixed_k=2**20)).validate()
+    two = ("exponential(1.0)", "normal")
+    ExperimentConfig(replicates=2**20).validate()
+    ExperimentConfig(models=two, replicates=2**19).validate()
+    for models, replicates in ((("exponential(1.0)",), 2**20 + 1), (two, 2**19 + 1)):
+        with pytest.raises(ConfigError, match="replicates times the number of models"):
+            ExperimentConfig(models=models, replicates=replicates).validate()
 
 
 def test_validate_rejects_overflowing_k_rule_and_infinite_beta():

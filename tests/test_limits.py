@@ -303,16 +303,6 @@ def test_suite_check_subset_and_unknown():
         run_limit_suite(Exponential(1.0), checks=("no_such_check",))
 
 
-def test_suite_tolerance_override():
-    reports = run_limit_suite(
-        Exponential(1.0),
-        checks=("variance_scale_limit",),
-        tolerances={"variance_scale_limit": 1e-9},
-    )
-    assert not reports[0].passed          # 1 - s/2 off by 5e-5 at s = 1e-4
-    assert reports[0].final_error == pytest.approx(5e-5, rel=1e-6)
-
-
 def test_default_checks_exported():
     assert DEFAULT_CHECKS == (
         "domain_ratio",

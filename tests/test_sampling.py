@@ -15,6 +15,7 @@ from extremesum import (
     draw_top_k,
     ks_distance,
 )
+from extremesum import sampling
 from extremesum.sampling import _descending_tails, _rescaled_threshold_tail
 
 EXP = Exponential(1.0)
@@ -220,3 +221,29 @@ def test_cost_is_independent_of_n():
     small = clock(10**3)
     big = clock(10**9)
     assert big <= 2.0 * small, (small, big)
+
+
+def test_draw_work_is_independent_of_n(monkeypatch):
+    """The O(k) cost as counts, free of the host's timing noise: a draw
+    asks for one row of k+1 uniforms and k+1 quantile elements at any n."""
+    k = 50
+    model = Exponential(1.0)
+    rows, elements = [], []
+    uniform_rows, tail_quantile = sampling._uniform_rows, model.tail_quantile
+
+    def counted_rows(seed, count_rows, count):
+        rows.append((count_rows, count))
+        return uniform_rows(seed, count_rows, count)
+
+    def counted_quantile(t):
+        elements.append(np.size(t))
+        return tail_quantile(t)
+
+    monkeypatch.setattr(sampling, "_uniform_rows", counted_rows)
+    monkeypatch.setattr(model, "tail_quantile", counted_quantile)
+    for n in (10**3, 10**9, 10**18):
+        rows.clear()
+        elements.clear()
+        draw = draw_top_k(SeedSpec(3, 0), n, k, model)
+        assert (rows, elements) == ([(1, k + 1)], [k + 1]), n
+        assert draw.top_x.size == k
