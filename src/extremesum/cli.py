@@ -60,15 +60,20 @@ def _load_config(args) -> ExperimentConfig:
     )
 
 
-def _outdir(cfg: ExperimentConfig) -> str:
-    out = cfg.output_dir or "."
-    os.makedirs(out, exist_ok=True)
+def _outdir(path) -> str:
+    """Make the output directory; one that cannot be made is a config error."""
+    out = path or "."
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out!r}: "
+                          f"{exc.strerror or exc}") from None
     return out
 
 
 def cmd_functionals(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(cfg)
+    out = _outdir(cfg.output_dir)
     tables = build_functional_table(cfg.model_objects(), cfg.s_grid, betas=cfg.betas)
     outputs = rep.write_functional_tables(tables, out)
     rep.write_manifest(out, cfg, outputs)
@@ -82,7 +87,7 @@ def cmd_functionals(args) -> int:
 
 def cmd_lemmas(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(cfg)
+    out = _outdir(cfg.output_dir)
     all_reports = run_limit_suite(cfg.model_objects(), checks=cfg.checks, betas=cfg.betas)
     outputs = rep.write_limit_reports(all_reports, out)
     rep.write_manifest(out, cfg, outputs)
@@ -105,7 +110,7 @@ def cmd_lemmas(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(cfg)
+    out = _outdir(cfg.output_dir)
     result = run_experiment(cfg)
     outputs = rep.write_simulation(result, cfg, out)
     rep.write_manifest(out, cfg, outputs)
@@ -128,8 +133,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     text, _ok = rep.summarize_manifests(args.manifests)
-    out = args.output_dir or "."
-    os.makedirs(out, exist_ok=True)
+    out = _outdir(args.output_dir)
     path = rep.atomic_write_text(os.path.join(out, "summary.md"), text)
     print(path)
     return EXIT_OK

@@ -49,7 +49,7 @@ import numpy as np
 
 from .cephes import ndtr
 from .errors import ConfigError, NumericError
-from .functionals import _at_s, _mean, _per_model, _rate, _scale, tail_scale, tail_variance
+from .functionals import _at_s, _mean, _rate, _run, _scale, tail_scale, tail_variance
 from .models import TailModel
 from .sampling import ReplicateDraw, SeedSpec, _draw_segments, _rescaled_threshold_tail
 
@@ -121,11 +121,10 @@ def _functionals(cells, with_max=False):
     keys = [(model, k / n) for model, n, k in cells]
     if with_max:
         keys += [(model, 1.0 / n) for model, n, _ in cells]
-    scales = _scale(keys, 1.0)
-    means = _mean(keys[:len(cells)])
-    rates = _rate(keys[:len(cells)], extended=True)
+    scales, means, rates = _run(_scale(keys, 1.0), _mean(keys[:len(cells)]),
+                                _rate(keys[:len(cells)], extended=True))
     failed = {}
-    qs = _at_s(keys, _per_model(keys, failed)).tolist()
+    qs = _at_s(keys, failed).tolist()
     out = []
     for i, (model, n, k) in enumerate(cells):
         norming = scales[len(cells) + i] if with_max else None

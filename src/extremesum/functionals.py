@@ -34,32 +34,37 @@ take a tail mass or an array of them; an array gives arrays of its shape
 one lockstep batch (see ``quadrature``), and each value and error bound
 equals the bits of the scalar call for that s.  An array that holds a
 failing s raises the error the scalar call for the first such s raises.
-Inside, a request is a list of (model, s) keys that may span models:
-each functional maps it to per-key outcomes, (value, error) or an
-error, in one batch for all the models, and the public call settles
-them.  ``build_functional_table`` integrates each column across all the
-models it is given and flags failed entries from the outcomes; the limit
-suite (see ``limits``) resolves each functional once across all its
-models and checks, and reads the outcomes s by s in the order the scalar
-calls would raise.
+Inside, a request asks one functional at a list of (model, s) keys that
+may span models, and maps them to per-key outcomes, (value, error) or
+an error; the public call settles them.  A request is a generator over
+its steps: it resolves closed forms key by key, yields the tail
+quadratures it still needs, and finishes its outcomes from theirs (the
+beta scaling of the ibp route, sigma2 = 2 J2 - rho^2, the divergence
+check).  ``_run`` drives any number of requests together, so one step of
+a command is one lockstep batch: ``build_functional_table`` resolves
+all its columns (c, every c(., beta), sigma2, mu and rho) at once, and
+the limit suite (see ``limits``) every functional its checks read.  The
+representation residual's outer QAGS has no step of its own: each of
+its rounds runs a c(u) request at that round's nodes.
 
-A key's outcome does not depend on the batch around it.  Quadrature
-arithmetic is elementwise, and so is every model quantity: where a
-model call (a closed form, Q(1-s), or an array call inside an
-integrand) raises a ValueError or one of this package's model and
-quadrature errors, the call is retried key by key, each key whose own
-call raises gets that error as its outcome, its later nodes read NaN,
-and the rest of the batch runs on.  Any other error is a fault and
-propagates.  A repeated key is integrated once per request; nothing is
-kept between requests.
+A key's outcome does not depend on the batch around it, nor on the
+requests that share the batch.  Quadrature arithmetic is elementwise,
+and so is every model quantity: where a model call (a closed form,
+Q(1-s), or an array call inside an integrand) raises a ValueError or
+one of this package's model and quadrature errors, the call is retried
+quadrature by quadrature, each quadrature whose own call raises gets
+that error as its outcome, its later nodes read NaN, and the rest of
+the batch runs on.  Any other error is a fault and propagates.  A
+repeated key is integrated once per request; nothing is kept between
+requests.
 
 Each integrand call gets the nodes of one round, every unfinished
 quadrature of the batch, and makes one array call per model quantity
-(``tail_quantile``, ``tail_density``, ``tail_rate``) for each model
-present, on that model's nodes; the values equal the scalar ones bit for
-bit.  The factors exp(-beta w) stay libm's
-(``quadrature.exp_each``): np.exp differs from math.exp in the last bit
-on some doubles.
+(``tail_quantile``, ``tail_density``, ``tail_rate``) for each integrand
+and model present, on their nodes; the values equal the scalar ones bit
+for bit.  The weights e^{-beta w} come from the round's node table in
+``quadrature.tail_quads``, libm's exp once per distinct interval and
+beta: np.exp differs from math.exp in the last bit on some doubles.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ import numpy as np
 
 from .errors import QuadratureError, UnsupportedModelError
 from .models import GUMBEL_DOMAIN, TailModel
-from .quadrature import DEFAULT_REL_TOL, exp_each, log_interval_quads, tail_quads
+from .quadrature import DEFAULT_REL_TOL, log_interval_quads, tail_quads
 
 # The errors a model or a quadrature is expected to raise: a request gives
 # them to their key as its outcome, and the limit suite fails rows on them.
@@ -172,39 +177,41 @@ def _values(*columns):
     return [[val for val, _ in col] for col in columns]
 
 
-def _settle(outs, shape, with_error):
-    """A functional's return value from its per-s outcomes."""
+def _settle(request, shape, with_error):
+    """A functional's return value from the per-s outcomes of its request."""
+    [outs] = _run(request)
     vals = _shaped(_values(outs)[0], shape)
     return (vals, _shaped([err for _, err in outs], shape)) if with_error else vals
 
 
-def _per_model(keys, failed):
+def _per_group(groups, failed):
     """A function ``each(rows, compute)``: the values at the entries
-    ``rows`` of ``keys``, (model, s) pairs that may span models, from one
-    ``compute(model, i, at)`` call per model present, models by identity;
-    ``i`` are that model's entries and ``at`` their mask in ``rows``.
-    A call that raises one of ``_FAILURES`` is retried key by key: a key
-    whose own call raises is mapped to that error in the dict ``failed``
-    and from then on reads NaN without a call.  Each model quantity is
-    elementwise, so a retried call gives the same bits."""
+    ``rows`` of a batch whose entry i belongs to ``groups[i]``, a tuple of
+    a model or of an integrand and a model (a dict key, like the (model,
+    s) keys), from one ``compute(*group, i, at)`` call per group present;
+    ``i`` are that group's entries and ``at`` their mask in ``rows``.
+    A call that raises one of ``_FAILURES`` is retried entry by entry: an
+    entry whose own call raises is mapped to that error in the dict
+    ``failed`` and from then on reads NaN without a call.  Each model
+    quantity is elementwise, so a retried call gives the same bits."""
     index = {}
-    owner = np.array([index.setdefault(id(model), len(index)) for model, _ in keys], dtype=int)
-    models = list({id(model): model for model, _ in keys}.values())
+    owner = np.array([index.setdefault(group, len(index)) for group in groups], dtype=int)
+    members = list(index)
 
     def each(rows, compute):
         vals = np.full(rows.size, math.nan)
         who = owner[rows]
-        if failed:   # no call for the entries of a failed key
-            who = np.where(np.isin(rows, list(failed)), len(models), who)
-        for j in np.flatnonzero(np.bincount(who)[:len(models)]).tolist():
+        if failed:   # no call for a failed entry
+            who = np.where(np.isin(rows, list(failed)), len(members), who)
+        for j in np.flatnonzero(np.bincount(who)[:len(members)]).tolist():
             at = who == j
             try:
-                vals[at] = compute(models[j], rows[at], at)
+                vals[at] = compute(*members[j], rows[at], at)
             except _FAILURES:
                 for i in np.unique(rows[at]).tolist():
                     one = at & (rows == i)
                     try:
-                        vals[one] = compute(models[j], rows[one], one)
+                        vals[one] = compute(*members[j], rows[one], one)
                     except _FAILURES as exc:
                         failed[i] = exc
         return vals
@@ -212,30 +219,90 @@ def _per_model(keys, failed):
     return each
 
 
-def _at_s(keys, each):
-    """Q(1-s) of every key, one array call per model."""
+def _at_s(keys, failed):
+    """Q(1-s) of every key, one array call per model; a key whose own call
+    raises is mapped to that error in ``failed``."""
     ss = np.array([s for _, s in keys])
-    return each(np.arange(ss.size), lambda model, i, at: model.tail_quantile(ss[i]))
+    return _per_group([(model,) for model, _ in keys], failed)(
+        np.arange(ss.size), lambda model, i, at: model.tail_quantile(ss[i]))
 
 
-def _tail_quads(keys, integrand, label, at_s=False):
-    """Outcomes of the tail quadratures of ``keys``, (model, s) pairs that
-    may span models, in one lockstep batch, a repeated key once;
-    ``label(s)`` labels each.
+# -- requests -------------------------------------------------------------
+#
+# A request is a generator over the steps of its tail quadratures: it
+# yields the quadratures of a step as (model, s, integrand, beta, q,
+# label) tuples, is sent their outcomes, and returns one outcome per key.
+# ``_run`` drives requests together, so the quadratures of one step of
+# every request share one lockstep batch.
 
-    Each round calls ``integrand(model, rows, ws, ts, qs)`` once for every
-    model present, on its nodes only; ``rows`` index the distinct keys,
-    and ``qs`` holds Q(1-s) of each when ``at_s`` is set, else None.  A key
-    whose own model call raises, there or in Q(1-s), gets that error.
+
+def _together(requests):
+    """One request from several: each step yields the quadratures of the
+    step of every unfinished request; returns their outcomes."""
+    outs = [None] * len(requests)
+    asks = {}
+    for i, request in enumerate(requests):
+        try:
+            asks[i] = next(request)
+        except StopIteration as done:
+            outs[i] = done.value
+    while asks:
+        got = yield [quad for quads in asks.values() for quad in quads]
+        sent, asks, start = asks, {}, 0
+        for i, quads in sent.items():
+            try:
+                asks[i] = requests[i].send(got[start:start + len(quads)])
+            except StopIteration as done:
+                outs[i] = done.value
+            start += len(quads)
+    return outs
+
+
+def _run(*requests):
+    """The outcomes of each request; each step integrates the quadratures
+    of every request in one lockstep batch."""
+    steps = _together(requests)
+    try:
+        quads = next(steps)
+        while True:
+            quads = steps.send(_integrate(quads) if quads else [])
+    except StopIteration as done:
+        return done.value
+
+
+def _integrate(quads):
+    """Outcomes of the tail quadratures ``quads``, (model, s, integrand,
+    beta, q, label) each, in one lockstep batch.
+
+    Each round calls ``integrand(model, rows, ts, ews, qs)`` once for
+    every (integrand, model) pair present, on its nodes only: t and
+    e^{-beta w} at each; ``rows`` index ``quads``, and ``qs`` holds the q
+    of each.  A quadrature whose own model call raises gets that error.
     """
+    models, ss, integrands, betas, qs, labels = zip(*quads)
+    failed = {}
+    each = _per_group(list(zip(integrands, models)), failed)
+    qs = np.array(qs)
+    outs = tail_quads(
+        lambda rows, ts, ews: each(rows, lambda integrand, model, i, at: integrand(
+            model, i, ts[at], ews[at], qs)),
+        ss, betas, DEFAULT_REL_TOL, labels)
+    return [failed.get(j, out) for j, out in enumerate(outs)]
+
+
+def _tail_quads(keys, integrand, label, at_s=False, beta=1.0):
+    """The request for the tail quadratures of ``keys``, (model, s) pairs
+    that may span models, a repeated key once, in one step: ``label(s)``
+    labels each and e^{-beta w} weighs its nodes for ``integrand``, whose
+    q is Q(1-s) when ``at_s`` is set (see ``_integrate``).  A key whose
+    Q(1-s) raises gets that error and no quadrature."""
     once = list(dict.fromkeys(keys))
     failed = {}
-    each = _per_model(once, failed)
-    qs = _at_s(once, each) if at_s else None
-    outs = tail_quads(lambda rows, ws, ts: each(rows, lambda model, i, at: integrand(
-        model, i, ws[at], ts[at], qs)), [s for _, s in once], DEFAULT_REL_TOL,
-        [label(s) for _, s in once])
-    outs = dict(zip(once, (failed.get(i, out) for i, out in enumerate(outs))))
+    qs = _at_s(once, failed).tolist() if at_s else [math.nan] * len(once)
+    live = [i for i in range(len(once)) if i not in failed]
+    outs = yield [(*once[i], integrand, beta, qs[i], label(once[i][1])) for i in live]
+    outs = dict(zip([once[i] for i in live], outs))
+    outs.update((once[i], exc) for i, exc in failed.items())
     return [outs[key] for key in keys]
 
 
@@ -247,39 +314,40 @@ def _densities(model, ts):
 
 
 def _scale_ibp(keys, beta):
-    def g(model, rows, ws, ts, qs):
-        return exp_each(-beta * ws) * (model.tail_quantile(ts) - qs[rows])
+    def g(model, rows, ts, ews, qs):
+        return ews * (model.tail_quantile(ts) - qs[rows])
 
+    outs = yield from _tail_quads(keys, g, lambda s: f"c({s:g},{beta:g}) ibp", at_s=True,
+                                  beta=beta)
     return [out if isinstance(out, Exception) else (beta * out[0], beta * out[1])
-            for out in _tail_quads(keys, g, lambda s: f"c({s:g},{beta:g}) ibp", at_s=True)]
+            for out in outs]
 
 
 def _scale_stieltjes(keys, beta):
-    def g(model, rows, ws, ts, qs):
+    def g(model, rows, ts, ews, qs):
         # q(t) can exceed double range once t is astronomically small
         # (heavy-tailed controls); the e^{-beta w} factor has crushed the
         # true integrand long before that point, so such a node gives 0.
         d = _densities(model, ts)
         vals = np.zeros(d.size)
         ok = np.isfinite(d)
-        vals[ok] = exp_each(-beta * ws[ok]) * ts[ok] * d[ok]
+        vals[ok] = ews[ok] * ts[ok] * d[ok]
         return vals
 
-    return _tail_quads(keys, g, lambda s: f"c({s:g},{beta:g}) stieltjes")
+    return _tail_quads(keys, g, lambda s: f"c({s:g},{beta:g}) stieltjes", beta=beta)
 
 
 def _resolve(keys, what, method, closed, **routes):
-    """Per-key outcomes for ``keys``, (model, s) pairs that may span
-    models: the closed form where the model has one, else quadrature.
+    """The request for ``keys``, (model, s) pairs that may span models:
+    the closed form where the model has one, else quadrature.
 
     ``method="auto"`` takes ``closed(model, s)`` unless it returns None,
     and the first of ``routes`` for the other keys; any other method must
     name a route and forces it.  A route maps a list of keys to their
-    outcomes, integrated in one lockstep batch.  An outcome is (value,
-    error bound) or the error of that key's own evaluation: a
-    QuadratureError, or one of ``_FAILURES`` its closed form or model
-    call raised.  A value that is not finite, closed or not, becomes
-    "<what(s)> diverges for <model>".
+    request.  An outcome is (value, error bound) or the error of that
+    key's own evaluation: a QuadratureError, or one of ``_FAILURES`` its
+    closed form or model call raised.  A value that is not finite, closed
+    or not, becomes "<what(s)> diverges for <model>".
     """
     if method != "auto" and method not in routes:
         raise ValueError(f"unknown method {method!r}")
@@ -294,7 +362,7 @@ def _resolve(keys, what, method, closed, **routes):
     rest = [i for i, out in enumerate(outs) if out is None]
     if rest:
         route = routes[next(iter(routes)) if method == "auto" else method]
-        for i, out in zip(rest, route([keys[i] for i in rest])):
+        for i, out in zip(rest, (yield from route([keys[i] for i in rest]))):
             outs[i] = out
     for i, out in enumerate(outs):
         if not isinstance(out, Exception) and not math.isfinite(out[0]):
@@ -336,7 +404,7 @@ def _mean(keys, method="auto"):
     return _resolve(keys, lambda s: f"mu({s:g})", method,
                     lambda model, s: model.closed_mean_mass(s),
                     quadrature=lambda keys: _tail_quads(
-                        keys, lambda model, rows, ws, ts, qs: ts * model.tail_quantile(ts),
+                        keys, lambda model, rows, ts, ews, qs: ts * model.tail_quantile(ts),
                         lambda s: f"mu({s:g})"))
 
 
@@ -354,16 +422,16 @@ def _rate(keys, extended=False, method="auto"):
             f"{unrated[0][0].describe()} has no analytic tail rate; "
             "pass extended=True for the mean-mass identity"
         )
-    outs = dict(zip(rated, _resolve(
+    rates, mus = yield from _together([_resolve(
         rated, lambda s: f"rho({s:g})", method, lambda model, s: model.closed_rate_integral(s),
         quadrature=lambda keys: _tail_quads(
-            keys, lambda model, rows, ws, us, qs: us * model.tail_rate(us),
-            lambda s: f"rho({s:g})"))))
+            keys, lambda model, rows, us, ews, qs: us * model.tail_rate(us),
+            lambda s: f"rho({s:g})")), _mean(unrated, method)])
+    outs = dict(zip(rated, rates))
     if unrated:
         # rho(s) = mu(s) - s Q(1-s)
-        mus = _mean(unrated, method)
         failed = {}
-        qs = _at_s(unrated, _per_model(unrated, failed)).tolist()
+        qs = _at_s(unrated, failed).tolist()
         for i, (key, q, mu) in enumerate(zip(unrated, qs, mus)):
             outs[key] = mu if isinstance(mu, Exception) else failed.get(
                 i, (mu[0] - key[1] * q, mu[1]))
@@ -384,20 +452,20 @@ def rate_integral(model: TailModel, s, extended: bool = False,
 
 
 def _variance_quad(keys):
-    outs = _rate(keys, extended=True)
-    live = [i for i, out in enumerate(outs) if not isinstance(out, Exception)]
-
-    def g(model, rows, ws, ys, qs):
+    def g(model, rows, ys, ews, qs):
         # an inf density is the honest divergence signal (heavy tails)
         d, q = _densities(model, ys), model.tail_quantile(ys)
         with np.errstate(over="ignore", invalid="ignore"):   # as Python floats
             return ys * (ys * d) * (q - qs[rows])
 
-    j2s = _tail_quads([keys[i] for i in live], g, lambda s: f"sigma2({s:g})", at_s=True)
-    for i, j2 in zip(live, j2s):
-        rho, rho_err = outs[i]
-        outs[i] = j2 if isinstance(j2, Exception) else (
-            2.0 * j2[0] - rho * rho, 2.0 * j2[1] + 2.0 * abs(rho) * rho_err)
+    # rho and J2 share a step; a key whose rho fails keeps that error
+    outs, j2s = yield from _together([
+        _rate(keys, extended=True),
+        _tail_quads(keys, g, lambda s: f"sigma2({s:g})", at_s=True)])
+    for i, (rho, j2) in enumerate(zip(outs, j2s)):
+        if not isinstance(rho, Exception):
+            outs[i] = j2 if isinstance(j2, Exception) else (
+                2.0 * j2[0] - rho[0] * rho[0], 2.0 * j2[1] + 2.0 * abs(rho[0]) * rho[1])
     return outs
 
 
@@ -441,14 +509,14 @@ def spacing_log_ratio(model: TailModel, s, x: float):
         raise ValueError("x must be strictly positive")
     for s in ss:
         _check_s(x * s)
-    return _shaped(_spacings(model, ss, x, _scale(_keys(model, ss), 1.0)), shape)
+    return _shaped(_spacings(model, ss, x, *_run(_scale(_keys(model, ss), 1.0))), shape)
 
 
 def scale_beta_ratio(model: TailModel, s, beta: float):
     """c(s, beta) / c(s); tends to 1/beta in the Gumbel domain."""
     ss, shape = _masses(s)
     keys = _keys(model, ss)
-    return _shaped(_ratios(*_values(_scale(keys, beta), _scale(keys, 1.0))), shape)
+    return _shaped(_ratios(*_values(*_run(_scale(keys, beta), _scale(keys, 1.0)))), shape)
 
 
 def _variance_ratios(ss, cs, sigmas):
@@ -461,23 +529,25 @@ def variance_scale_ratio(model: TailModel, s):
     """sigma2(s) / (2 s c(s)^2); tends to 1 in the Gumbel domain."""
     ss, shape = _masses(s)
     keys = _keys(model, ss)
-    return _shaped(_variance_ratios(ss, _scale(keys, 1.0), _variance(keys)), shape)
+    return _shaped(_variance_ratios(ss, *_run(_scale(keys, 1.0), _variance(keys))), shape)
 
 
 def _residual_integrals(keys, anchor):
-    """Outcomes of int_s^anchor c(u)/u du for ``keys``, (model, s) pairs
-    that may span models, in one lockstep QAGS whose rounds each request
-    c(u) at every key's nodes at once.  A key whose c(u) fails gets the
-    first error of its round, in node order, and its later nodes read NaN,
-    which ends its QAGS within ten rounds (each NaN round adds one to
-    iroff1 + iroff2, and ten of them set ier)."""
+    """The request for int_s^anchor c(u)/u du at ``keys``, (model, s)
+    pairs that may span models: one lockstep QAGS whose rounds each
+    request c(u) at every key's nodes at once, so it has no step of its
+    own.  A key whose c(u) fails gets the first error of its round, in
+    node order, and its later nodes read NaN, which ends its QAGS within
+    ten rounds (each NaN round adds one to iroff1 + iroff2, and ten of
+    them set ier)."""
+    yield from ()
     failed = {}
 
     def c_over_u(rows, us):
         rows, nodes = rows.tolist(), us.tolist()
         todo = [j for j, i in enumerate(rows) if i not in failed]
         vals = np.full(us.size, math.nan)
-        cs = _scale([(keys[rows[j]][0], nodes[j]) for j in todo], 1.0)
+        [cs] = _run(_scale([(keys[rows[j]][0], nodes[j]) for j in todo], 1.0))
         for j, out in zip(todo, cs):
             if isinstance(out, Exception):
                 failed.setdefault(rows[j], out)
@@ -514,9 +584,9 @@ def representation_residual(model: TailModel, s, anchor: float = 0.25) -> float:
     anchor = _check_s(anchor)
     if not s < anchor:
         raise ValueError("need s < anchor")
-    [integral] = _residual_integrals([(model, s)], anchor)
-    return _residual(model, s, anchor, integral,
-                     *_scale([(model, s), (model, anchor)], 1.0))
+    [integral], cs = _run(_residual_integrals([(model, s)], anchor),
+                          _scale([(model, s), (model, anchor)], 1.0))
+    return _residual(model, s, anchor, integral, *cs)
 
 
 def sequence_slowvar_ratio(slowvar, beta: float, a_of_n, n) -> float:
@@ -577,20 +647,23 @@ def build_functional_table(model, grid: SGrid, betas=()):
 
     ``model`` is a TailModel, which gives its FunctionalTable, or a
     sequence of them, which gives a list with one table per model; each
-    column is then one request across every model, and c(., 1) is the c
-    column.  Entries whose evaluation fails or diverges are flagged with
-    NaN and an infinite error bound; the build itself never aborts.
+    column is then one request across every model, all columns resolved
+    together, and c(., 1) is the c column.  Entries whose evaluation
+    fails or diverges are flagged with NaN and an infinite error bound;
+    the build itself never aborts.
     """
     models = [model] if isinstance(model, TailModel) else list(model)
     betas = tuple(sorted(float(b) for b in betas))
     ss = list(grid.points)
     keys = [(m, s) for m in models for s in ss]
-    scales = {b: _scale(keys, b) for b in dict.fromkeys((1.0, *betas))}
-    columns = {"c": scales[1.0], **{f"c_beta_{format(b, 'g')}": scales[b] for b in betas}}
-    columns["sigma2"] = _variance(keys)
-    columns["mu"] = _mean(keys)
     rated = [i for i, (m, _) in enumerate(keys) if m.has_tail_rate]
-    columns["rho"] = dict(zip(rated, _rate([keys[i] for i in rated])))
+    scales = dict.fromkeys((1.0, *betas))
+    *found, sigma2, mu, rho = _run(*(_scale(keys, b) for b in scales), _variance(keys),
+                                   _mean(keys), _rate([keys[i] for i in rated]))
+    scales = dict(zip(scales, found))
+    columns = {"c": scales[1.0], **{f"c_beta_{format(b, 'g')}": scales[b] for b in betas}}
+    columns["sigma2"], columns["mu"] = sigma2, mu
+    columns["rho"] = dict(zip(rated, rho))
     tables = []
     for k, m in enumerate(models):
         names = [name for name in columns if name != "rho" or m.has_tail_rate]

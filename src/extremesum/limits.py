@@ -13,14 +13,15 @@ so its beta = 0.5 scale ratio still sits 0.417 above its limit 2 at
 s = 1e-6 and fails the loose tolerance at desk s.
 
 Before it builds any row, the suite resolves every functional point of
-its checks in one request per functional step across all the models and
+its checks in one request per functional across all the models and
 checks: c(., beta) once per beta (the residual's c(s) and c(anchor)
 included), sigma2 once, and the residual's integral once, whose rounds
-request c(u) at every model's nodes together.  A point's outcome, value
-or error, does not depend on the request around it (see
-``functionals``), so a row fails with the error its first failing point
-would raise in a scalar evaluation of the grid, and one model's error
-fails only that model's rows.
+request c(u) at every model's nodes together.  The requests are
+independent, so their tail quadratures run as one lockstep batch.  A
+point's outcome, value or error, does not depend on the request or the
+batch around it (see ``functionals``), so a row fails with the error
+its first failing point would raise in a scalar evaluation of the grid,
+and one model's error fails only that model's rows.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .functionals import (
     _ratios,
     _residual,
     _residual_integrals,
+    _run,
     _scale,
     _spacings,
     _values,
@@ -363,8 +365,8 @@ def run_limit_suite(model, checks=DEFAULT_CHECKS, betas=(0.5, 2.0)) -> list:
 
     Returns one LimitCheckReport per (model, check, parameter)
     combination, model by model, at its model class's tolerance.  Each
-    functional step is one request across all the models and checks,
-    resolved before any row.
+    functional is one request across all the models and checks, and all
+    of them are resolved together, before any row.
     Evaluation failures (divergent integrals, missing analytic rate) are
     reported as failed rows of their model with a note instead of
     aborting the suite; the rate check is simply skipped for models
@@ -385,9 +387,9 @@ def run_limit_suite(model, checks=DEFAULT_CHECKS, betas=(0.5, 2.0)) -> list:
         for _, needs, rows in specs:
             for points, *request in needs if rows[j] else ():
                 wanted.setdefault(tuple(request), {}).update(dict.fromkeys((m, s) for s in points))
-    for (request, *args), keys in wanted.items():
-        keys = list(keys)
-        found.update(zip([(request, *args, m, s) for m, s in keys], request(keys, *args)))
+    for ((request, *args), keys), outs in zip(wanted.items(), _run(*(
+            request(list(keys), *args) for (request, *args), keys in wanted.items()))):
+        found.update(zip([(request, *args, m, s) for m, s in keys], outs))
     rows = [[] for _ in models]
     for check, _, check_rows in specs:
         for m, out, model_rows in zip(models, rows, check_rows):

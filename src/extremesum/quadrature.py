@@ -27,29 +27,35 @@ Quadratures run in lockstep.  ``_adapt`` is QUADPACK's driver written
 as a generator: it yields the intervals of its next rule evaluation,
 first the whole range and then both halves of each bisection, and is
 sent their Kronrod sums back.  ``_lockstep`` advances a list of such
-quadratures one bisection round at a time: it lays out the nodes of
-every unfinished quadrature in one numpy array, makes one integrand call
-``fn(rows, xs)`` for all of them (row j of xs holds the nodes of
-quadrature ``rows[j]``: 15 or 21 per interval, both halves side by side)
-and forms every Gauss and Kronrod sum in one pass.  Those sums are
-sequential ``np.add.accumulate`` chains along the node axis in
-QUADPACK's order, never pairwise sums, and QK21's Gauss sum skips its
-Kronrod-only nodes.  The rest is elementwise IEEE arithmetic, so a
+quadratures one bisection round at a time and makes one integrand call
+per round for all of them.  Every tail quadrature bisects the same
+dyadic tree on (0, 1), so most of a round's intervals are shared: the
+round keeps each distinct interval once, in a node table (a dict on the
+(a, b) pairs), and the integrand gets ``fn(rows, at, nodes)``: row i of
+``nodes`` holds the 15 or 21 nodes of distinct interval i, and row j of
+``at`` the intervals of quadrature ``rows[j]``, one or both halves.  A
+node quantity is computed on the table once and gathered per quadrature
+(``tail_quads`` takes libm e^{-w} and e^{-beta w} once per distinct
+interval and beta).  The Gauss and Kronrod sums stay per quadrature and
+interval: sequential ``np.add.accumulate`` chains along the node axis
+in QUADPACK's order, never pairwise sums, and QK21's Gauss sum skips
+its Kronrod-only nodes.  The rest is elementwise IEEE arithmetic, so a
 quadrature's bits do not depend on the batch it runs in.  Exponentials
 and powers stay per element on libm (``exp_each``, ``x ** 1.5``):
 numpy's SIMD exp and power differ from libm in the last bit on some
 doubles.
 
 A batch of M quadratures makes max(last) integrand calls instead of the
-sum of them, and may mix models and checks: the functionals and the
-limit suite put every model's quadratures of one step in one batch.
-``tail_quads`` and ``log_interval_quads`` are the batched integrals the
-functionals use.  ``semiinf_quad`` and ``log_interval_quad`` are the
-one-quadrature case of the same driver; they hand their integrands the
-nodes of one round as a 1-d array.  Every quadrature enters through
-``_run_quads``.  A quadrature's interval lists grow with its number of
-subintervals ``last``, one slot per bisection, not to the limit of 200,
-so a batch of hundreds of short quadratures stays small in memory.
+sum of them, and may mix models, functionals and checks: a command step
+of the functionals and the limit suite puts all its tail quadratures in
+one batch.  ``tail_quads`` and ``log_interval_quads`` are the batched
+integrals the functionals use.  ``semiinf_quad`` and
+``log_interval_quad`` are the one-quadrature case of the same driver;
+they hand their integrands the nodes of one round as a 1-d array.  Every
+quadrature enters through ``_run_quads``.  A quadrature's interval lists
+grow with its number of subintervals ``last``, one slot per bisection,
+not to the limit of 200, so a batch of hundreds of short quadratures
+stays small in memory.
 """
 
 from __future__ import annotations
@@ -159,10 +165,10 @@ _K15I = _table(_XGK15, _WGK15, _WG15, range(7))
 _K21 = _table(_XGK21, _WGK21, _WG21, (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
 
 
-def _nodes(a, b, xgk, rows):
-    """The nodes of every interval (a[i], b[i]): its centre, then the pairs
-    centre -/+ half-length * x_j; a quadrature's intervals side by side in
-    one of ``rows`` rows.  Also returns the half-lengths."""
+def _nodes(a, b, xgk):
+    """The nodes of every interval (a[i], b[i]), one row each: its centre,
+    then the pairs centre -/+ half-length * x_j.  Also returns the
+    half-lengths."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     absc = hlgth[:, None] * xgk
@@ -170,7 +176,7 @@ def _nodes(a, b, xgk, rows):
     xs[:, 0] = centr
     xs[:, 1::2] = centr[:, None] - absc
     xs[:, 2::2] = centr[:, None] + absc
-    return xs.reshape(rows, -1), hlgth
+    return xs, hlgth
 
 
 def _sums(f, hlgth, table):
@@ -222,21 +228,24 @@ def _sums(f, hlgth, table):
         floor, abserr), resabs, resasc
 
 
-def _qk15i(fn, rows, a, b):
-    """QK15I on each interval (a[i], b[i]) within (0, 1) for int_0^inf,
+def _qk15i(fn, rows, at, a, b):
+    """QK15I on the intervals at[j] of quadrature rows[j], indices into
+    the distinct intervals (a[i], b[i]) within (0, 1), for int_0^inf,
     w = (1 - x)/x."""
-    xs, hlgth = _nodes(a, b, _K15I[0], len(rows))
-    fv = np.asarray(fn(rows, (1.0 - xs) / xs), dtype=float).reshape(xs.shape)
+    xs, hlgth = _nodes(a, b, _K15I[0])
+    fv = np.asarray(fn(rows, at, (1.0 - xs) / xs), dtype=float).reshape(at.size, -1)
+    xs = xs[at.ravel()]
     with np.errstate(over="ignore", invalid="ignore"):   # Python floats are silent
-        return _sums(((fv / xs) / xs).reshape(hlgth.size, -1), hlgth, _K15I)
+        return _sums((fv / xs) / xs, hlgth[at.ravel()], _K15I)
 
 
-def _qk21(fn, rows, a, b):
-    """QK21 on each interval (a[i], b[i])."""
-    xs, hlgth = _nodes(a, b, _K21[0], len(rows))
-    fv = np.asarray(fn(rows, xs), dtype=float)
+def _qk21(fn, rows, at, a, b):
+    """QK21 on the intervals at[j] of quadrature rows[j], indices into
+    the distinct intervals (a[i], b[i])."""
+    xs, hlgth = _nodes(a, b, _K21[0])
+    fv = np.asarray(fn(rows, at, xs), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sums(fv.reshape(hlgth.size, -1), hlgth, _K21)
+        return _sums(fv.reshape(at.size, -1), hlgth[at.ravel()], _K21)
 
 
 def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
@@ -507,21 +516,26 @@ def _lockstep(rule, fn, bounds, epsrel, limit=_LIMIT):
     ``bounds`` by ``rule``, the quadratures run in lockstep.
 
     Each round collects the intervals every unfinished quadrature asks
-    for, both halves of its next bisection, and evaluates them all with
-    one ``rule`` call and so one integrand call ``fn(rows, xs)``: row j of
-    the node matrix xs holds the nodes of quadrature ``rows[j]``.  A
-    quadrature leaves the round in which it finishes, so a batch makes
-    max(last) integrand calls.  Each quadrature's arithmetic is its own
-    and elementwise, so its numbers do not depend on the batch around it.
+    for, both halves of its next bisection, keeps each distinct interval
+    once, and evaluates them all with one ``rule`` call and so one
+    integrand call ``fn(rows, at, nodes)``: row i of the node table
+    ``nodes`` holds the nodes of distinct interval i, and row j of ``at``
+    the indices of the intervals of quadrature ``rows[j]``.  A quadrature
+    leaves the round in which it finishes, so a batch makes max(last)
+    integrand calls.  Each quadrature's arithmetic is its own and
+    elementwise, so its numbers do not depend on the batch around it.
     """
     runs = [_adapt(a, b, epsrel, limit) for a, b in bounds]
     out = [None] * len(runs)
     rows = list(range(len(runs)))
     asks = [next(run) for run in runs]
     while rows:
-        ends = np.array([ab for ask in asks for ab in ask])
-        sums = list(zip(*(v.tolist() for v in rule(fn, rows, ends[:, 0], ends[:, 1]))))
-        per = len(sums) // len(rows)
+        table = {}
+        at = np.array([table.setdefault(ab, len(table)) for ask in asks for ab in ask]
+                      ).reshape(len(asks), -1)
+        ends = np.array(list(table))
+        sums = list(zip(*(v.tolist() for v in rule(fn, rows, at, ends[:, 0], ends[:, 1]))))
+        per = at.shape[1]
         live, asks = [], []
         for j, i in enumerate(rows):
             try:
@@ -569,8 +583,8 @@ def semiinf_quad(fn, rel_tol=DEFAULT_REL_TOL, what="integral"):
 
     ``fn`` maps an array of nodes w to their values (QAGI).
     """
-    return _settled(_run_quads(_qk15i, lambda rows, ws: fn(ws.ravel()), [(0.0, 1.0)],
-                               rel_tol, [what])[0])
+    return _settled(_run_quads(_qk15i, lambda rows, at, ws: fn(ws[at].ravel()),
+                               [(0.0, 1.0)], rel_tol, [what])[0])
 
 
 def log_interval_quad(fn, a, b, rel_tol=DEFAULT_REL_TOL, what="integral"):
@@ -589,30 +603,36 @@ def log_interval_quads(fn, bounds, rel_tol, whats):
 
     ``fn(rows, us)`` gets the nodes of one round as a flat array, and
     ``rows[j]`` is the index in ``bounds`` of node j's quadrature; it
-    returns their values.  Returns one (value, error) per interval, or the
+    returns their values.  Each u is computed once per distinct interval
+    of the round.  Returns one (value, error) per interval, or the
     QuadratureError its quadrature earns, returned, not raised.
     """
     if not all(0.0 < a < b < 1.0 for a, b in bounds):
         raise ValueError("need 0 < a < b < 1")
 
-    def g(rows, ys):
-        us = exp_each(-ys.ravel())
-        return us * fn(np.repeat(rows, ys.shape[1]), us)
+    def g(rows, at, ys):
+        us = exp_each(-ys.ravel()).reshape(ys.shape)[at].ravel()
+        return us * fn(np.repeat(rows, us.size // len(rows)), us)
 
     return _run_quads(_qk21, g, [(-math.log(b), -math.log(a)) for a, b in bounds],
                       rel_tol, whats)
 
 
-def tail_quads(fn, ss, rel_tol, whats):
+def tail_quads(fn, ss, betas, rel_tol, whats):
     """int_0^inf fn(w, t) dw along t = s e^{-w} for every s in ``ss``, in
-    lockstep; ``whats`` labels each quadrature.
+    lockstep; quadrature i weighs its nodes by e^{-beta w}, beta =
+    ``betas[i]``, and ``whats`` labels each.
 
-    ``fn(rows, ws, ts)`` gets the nodes of one round as flat arrays, every
-    node of every unfinished quadrature, and ``rows[j]`` is the index in
-    ``ss`` of node j's quadrature; it returns their values.  It only ever
-    sees strictly positive t.  A node where t underflows past the
-    smallest subnormal contributes exactly zero.  A tail integral
-    int_0^s f(t) dt is ``fn = t * f(t)`` per node.
+    ``fn(rows, ts, ews)`` gets the nodes of one round as flat arrays,
+    every node of every unfinished quadrature: t and e^{-beta w} at each,
+    where ``rows[j]`` is the index in ``ss`` of node j's quadrature; it
+    returns their values.  It only ever sees strictly positive t.  A node
+    where t underflows past the smallest subnormal contributes exactly
+    zero.  A tail integral int_0^s f(t) dt is ``fn = t * f(t)`` per node.
+
+    The round's node table holds e^{-w} once per distinct interval, for
+    t and for beta = 1, and e^{-beta w} once per distinct interval and
+    other beta that some quadrature of the round asks for.
 
     Returns one (value, error) per s, or the QuadratureError its
     quadrature earns, returned, not raised.
@@ -620,18 +640,31 @@ def tail_quads(fn, ss, rel_tol, whats):
     ss = np.array(ss, dtype=float)
     if not ((ss > 0.0) & (ss < 1.0)).all():
         raise ValueError("need 0 < s < 1")
+    betas = np.array(betas, dtype=float)
 
-    def g(rows, ws):
-        rows = np.repeat(rows, ws.shape[1])
-        ws = ws.ravel()
-        ts = ss[rows] * exp_each(-ws)
+    def g(rows, at, ws):
+        rows = np.array(rows)
+        # -1.0 * w is -w bit for bit, so beta = 1 reads e^{-w}
+        ews = exp_each(-ws.ravel()).reshape(ws.shape)[at]
+        ts = np.repeat(ss[rows], ews[0].size) * ews.ravel()
+        beta_of = betas[rows]
+        for beta in dict.fromkeys(beta_of.tolist()):
+            if beta == 1.0:
+                continue
+            mine = beta_of == beta
+            need = np.zeros(len(ws), dtype=bool)
+            need[at[mine]] = True
+            table = np.empty(ws.shape)
+            table[need] = exp_each(-beta * ws[need].ravel()).reshape(-1, ws.shape[1])
+            ews[mine] = table[at[mine]]
+        rows = np.repeat(rows, ews[0].size)
+        ews = ews.ravel()
         live = ts > 0.0
         if live.all():
-            return fn(rows, ws, ts)
-        vals = np.zeros(ws.size)
+            return fn(rows, ts, ews)
+        vals = np.zeros(ts.size)
         if live.any():
-            vals[live] = fn(rows[live], ws[live], ts[live])
+            vals[live] = fn(rows[live], ts[live], ews[live])
         return vals
 
     return _run_quads(_qk15i, g, [(0.0, 1.0)] * ss.size, rel_tol, whats)
-

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -42,15 +43,39 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _jsonable(obj):
-    """Recursively make an object JSON-clean; non-finite floats -> null."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
+_ascii = json.encoder.encode_basestring_ascii
+_repr, _isfinite = float.__repr__, math.isfinite
+
+
+def _json(obj, pad=""):
+    """The text ``json.dumps(obj, indent=2, allow_nan=False)`` gives obj at
+    indent ``pad``, once every non-finite float is null and every key
+    str(key).  Written here: with ``indent`` set CPython's json never uses
+    its C encoder.  Floats print as float.__repr__, strings as json's
+    ASCII escape."""
+    if isinstance(obj, float):   # the common case first
+        return _repr(obj) if _isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return _ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = [f"{inner}{_ascii(str(k))}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        return "[\n" + ",\n".join([inner + _json(v, inner) for v in obj]) + "\n" + pad + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def atomic_write_text(path, text: str) -> str:
@@ -124,9 +149,14 @@ _REPORT_COLUMNS = (
 )
 
 
+@functools.cache
+def _field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
 def _summary_dict(s) -> dict:
     """A StatSummary's fields after statistic_id, in declaration order."""
-    return {f.name: getattr(s, f.name) for f in dataclasses.fields(s)[1:]}
+    return {name: getattr(s, name) for name in _field_names(type(s))[1:]}
 
 
 def normality_report_json(result, config) -> str:
@@ -150,7 +180,7 @@ def normality_report_json(result, config) -> str:
         "cells": cells,
         "verdict": "pass" if result.passed else "fail",
     }
-    return json.dumps(_jsonable(doc), indent=2, allow_nan=False) + "\n"
+    return _json(doc) + "\n"
 
 
 def normality_report_csv(result) -> str:
@@ -226,7 +256,7 @@ def write_manifest(outdir, config, outputs: dict) -> str:
         },
     }
     path = os.path.join(outdir, MANIFEST_NAME)
-    return atomic_write_text(path, json.dumps(_jsonable(doc), indent=2) + "\n")
+    return atomic_write_text(path, _json(doc) + "\n")
 
 
 def load_manifest(path) -> dict:

@@ -396,6 +396,32 @@ def test_exit_config_on_missing_manifest(tmp_path, capsys):
     assert "cannot read manifest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command, via", [
+    ("simulate", "flag"), ("functionals", "flag"), ("lemmas", "flag"), ("report", "flag"),
+    ("simulate", "config"), ("lemmas", "config")])
+def test_exit_config_on_unusable_output_dir(tmp_path, capsys, command, via, below):
+    """An output directory that is a file, or lies below one, exits 2 with
+    a message that names it, whether the flag or the config sets it."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = str(taken / "sub" if below else taken)
+    if command == "report":
+        tables = tmp_path / "tables"
+        cfg = _write_config(tmp_path / "cfg.json")
+        assert main(["functionals", "--config", cfg, "--output-dir", str(tables)]) == 0
+        argv = ["report", str(tables / "manifest.json"), "--output-dir", out]
+    elif via == "flag":
+        argv = [command, "--config", _write_config(tmp_path / "cfg.json"), "--output-dir", out]
+    else:
+        argv = [command, "--config", _write_config(tmp_path / "cfg.json", output_dir=out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out!r}: ")
+    assert "Traceback" not in err
+
+
 # -- outputs and manifests ----------------------------------------------
 
 

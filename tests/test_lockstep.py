@@ -98,16 +98,16 @@ def test_array_call_keeps_its_shape():
 
 
 def _recorded(calls):
-    """Run each call with tail_quads recorded; returns (fn, s, rel_tol, what)
-    of every quadrature the calls ran."""
+    """Run each call with tail_quads recorded; returns (fn, s, rel_tol, what,
+    beta) of every quadrature the calls ran."""
     quads = []
     real = functionals.tail_quads
 
-    def recording(fn, ss, rel_tol, whats):
-        for i, (s, what) in enumerate(zip(ss, whats)):
-            quads.append((lambda rows, ws, ts, fn=fn, i=i:
-                          fn(np.full(len(rows), i), ws, ts), s, rel_tol, what))
-        return real(fn, ss, rel_tol, whats)
+    def recording(fn, ss, betas, rel_tol, whats):
+        for i, (s, beta, what) in enumerate(zip(ss, betas, whats)):
+            quads.append((lambda rows, ts, ews, fn=fn, i=i:
+                          fn(np.full(len(rows), i), ts, ews), s, rel_tol, what, beta))
+        return real(fn, ss, betas, rel_tol, whats)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(functionals, "tail_quads", recording)
@@ -121,11 +121,11 @@ def _recorded(calls):
 
 def _mixed(quads):
     """One integrand for a batch of recorded quadratures: row k is quads[k]."""
-    def fn(rows, ws, ts):
-        out = np.empty(ws.size)
+    def fn(rows, ts, ews):
+        out = np.empty(ts.size)
         for k in np.unique(rows).tolist():
             at = rows == k
-            out[at] = quads[k][0](rows[at], ws[at], ts[at])
+            out[at] = quads[k][0](rows[at], ts[at], ews[at])
         return out
 
     return fn
@@ -142,6 +142,11 @@ _QUADS = _recorded([
     lambda: tail_scale(LogNormal(), 1e-4, method="stieltjes"),
     lambda: tail_variance(LogNormal(), np.array([1e-2, 1e-7])),
     lambda: tail_variance(Pareto(2.0), 1e-3),                 # diverges
+    # c(s, 1), c(s, 2) and sigma2(s) at one (model, s): their nodes share
+    # intervals, and e^{-w} serves t and beta = 1
+    lambda: tail_scale(LogNormal(), 1e-3),
+    lambda: tail_scale(LogNormal(), 1e-3, 2.0),
+    lambda: tail_variance(LogNormal(), 1e-3),
 ])
 
 
@@ -155,9 +160,9 @@ def test_quadrature_does_not_depend_on_its_batch(order, size):
     real = quadrature._lockstep
 
     def counting(rule, fn, bounds, *args):
-        def counted(rows, xs):
+        def counted(rows, *nodes):
             calls.append(len(rows))
-            return fn(rows, xs)
+            return fn(rows, *nodes)
 
         out = real(rule, counted, bounds, *args)
         lasts.append(max(last for *_, last in out))
@@ -165,7 +170,8 @@ def test_quadrature_does_not_depend_on_its_batch(order, size):
 
     def run(quads):
         return _bits(quadrature.tail_quads(_mixed(quads), [q[1] for q in quads],
-                                           quads[0][2], [q[3] for q in quads]))
+                                           [q[4] for q in quads], quads[0][2],
+                                           [q[3] for q in quads]))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "_lockstep", counting)
@@ -177,9 +183,51 @@ def test_quadrature_does_not_depend_on_its_batch(order, size):
 
 def test_recorded_batch_holds_a_failure():
     outs = _bits(quadrature.tail_quads(_mixed(_QUADS), [q[1] for q in _QUADS],
-                                       _QUADS[0][2], [q[3] for q in _QUADS]))
+                                       [q[4] for q in _QUADS], _QUADS[0][2],
+                                       [q[3] for q in _QUADS]))
     assert outs[0].startswith("c(0.1,0.5) ibp: quadrature did not converge")
     assert sum(isinstance(o, tuple) for o in outs) >= 5
+
+
+def test_node_table_evaluates_each_distinct_node_once(monkeypatch):
+    """Each round takes libm exp once per node of every distinct (interval,
+    beta) pair: beta = 1 for every interval, since t = s e^{-w} needs it,
+    and each other beta for the intervals of its quadratures.  The pairs
+    are counted from the intervals the rule is handed, quadrature by
+    quadrature."""
+    elements, triples, shared = [], set(), []
+    batch = {}
+    real_exp, real_rule, real_tail = quadrature.exp_each, quadrature._qk15i, \
+        functionals.tail_quads
+
+    def exp_each(x):
+        elements.append(np.size(x))
+        return real_exp(x)
+
+    def rule(fn, rows, at, a, b):
+        assert len(set(zip(a.tolist(), b.tolist()))) == a.size   # one row per interval
+        batch["round"] += 1
+        for j, i in enumerate(rows):
+            for k in at[j].tolist():
+                interval = (batch["id"], batch["round"], a[k], b[k])
+                triples.update({(*interval, 1.0), (*interval, batch["betas"][i])})
+        shared.append(a.size < at.size)
+        return real_rule(fn, rows, at, a, b)
+
+    def tail_quads(fn, ss, betas, *args):
+        batch.update(id=len(shared), round=0, betas=list(betas))
+        return real_tail(fn, ss, betas, *args)
+
+    assert not hasattr(functionals, "exp_each")   # integrands read the table
+    monkeypatch.setattr(quadrature, "exp_each", exp_each)
+    monkeypatch.setattr(quadrature, "_qk15i", rule)
+    monkeypatch.setattr(functionals, "tail_quads", tail_quads)
+    for beta in (1.0, 2.0):
+        tail_scale(LogNormal(), _GRID.points, beta)
+    scale_beta_ratio(LogNormal(), _GRID.points, 2.0)
+    build_functional_table([Normal(), LogNormal()], _GRID, betas=(0.5, 2.0))
+    assert any(shared) and len(triples) > len(shared)
+    assert sum(elements) == 15 * len(triples)
 
 
 # -- one request across models ---------------------------------------------
@@ -414,9 +462,15 @@ def _key_bits(out):
 def test_outcome_of_a_key_does_not_depend_on_its_request(keys, beta):
     """Each key of a request gets the value bits, or the error, of a
     request for that key alone, whichever models and keys share it."""
-    for request in (lambda ks: functionals._scale(ks, beta), functionals._variance):
+    requests = (lambda ks: functionals._run(functionals._scale(ks, beta))[0],
+                lambda ks: functionals._run(functionals._variance(ks))[0])
+    for request in requests:
         assert [_key_bits(out) for out in request(keys)] == \
             [_key_bits(request([key])[0]) for key in keys]
+    # both requests resolved as one step, in one lockstep batch
+    together = functionals._run(functionals._scale(keys, beta), functionals._variance(keys))
+    assert [_key_bits(out) for outs in together for out in outs] == \
+        [_key_bits(request([key])[0]) for request in requests for key in keys]
 
 
 def test_cell_functionals_raise_the_model_error():

@@ -43,8 +43,8 @@ def _alone(rule, fn, a, b, epsrel, limit=quadrature._LIMIT):
     """One quadrature of a list integrand through the lockstep driver:
     ``fn`` maps a list of nodes (Python floats) to their values, so Python
     float arithmetic, and its ZeroDivisionError, reach it unchanged."""
-    def listwise(rows, xs):
-        return np.asarray(fn(xs.ravel().tolist()), dtype=float)
+    def listwise(rows, at, xs):
+        return np.asarray(fn(xs[at].ravel().tolist()), dtype=float)
 
     return quadrature._lockstep(rule, listwise, [(a, b)], epsrel, limit)[0]
 
@@ -83,7 +83,8 @@ def catalog_quadratures():
     def recording(rule, fn, bounds, rel_tol, whats):
         for i, ((lo, hi), what) in enumerate(zip(bounds, whats)):
             def alone(xs, i=i):
-                return np.asarray(fn([i], np.array([xs]))).ravel().tolist()
+                return np.asarray(fn([i], np.zeros((1, 1), dtype=int),
+                                     np.array([xs]))).ravel().tolist()
 
             calls.append((what, rule, alone, lo, hi, rel_tol))
         return real(rule, fn, bounds, rel_tol, whats)
@@ -170,12 +171,12 @@ def test_catalog_commands_integrate_each_ibp_key_once(tmp_path, capsys, command,
         batches.append(whats)
         return real_run(rule, fn, bounds, rel_tol, whats)
 
-    def tail(fn, ss, rel_tol, whats):
+    def tail(fn, ss, betas, rel_tol, whats):
         for i, (s, what) in enumerate(zip(ss, whats)):
             if what.endswith(" ibp"):
-                values = fn(np.full(ws.size, i), ws, ts).tolist()
+                values = fn(np.full(ws.size, i), ts, np.exp(-betas[i] * ws)).tolist()
                 ibp.append((what, s.hex(), rel_tol, tuple(v.hex() for v in values)))
-        return real_tail(fn, ss, rel_tol, whats)
+        return real_tail(fn, ss, betas, rel_tol, whats)
 
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -347,11 +348,11 @@ def test_one_model_call_per_integrand_call(monkeypatch):
     real_run = quadrature._run_quads
 
     def run(rule, fn, *args):
-        def counted(rows, xs):
+        def counted(*nodes):
             counts["integrand"] += 1
             inside.append(True)
             try:
-                return fn(rows, xs)
+                return fn(*nodes)
             finally:
                 inside.pop()
 
