@@ -540,7 +540,7 @@ def _run_cells(cells, n, k, replicates, master_seed, statistics):
             cf = CellFunctionals(n, k, k / n, *per_row)
             s_k, x_k = _row_fsums(xs[:, :k]), xs[:, k]
             # a non-finite replicate is counted against the budget, not warned about
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 chunk = {"T1": _t1(s_k, cf), "T2": _t2(x_k, cf), "T3": _t3(s_k, x_k, cf),
                          "BDH": _rescaled_threshold_tail(n, k, tails[:, k])}
             for stat in values.keys() & chunk.keys():
@@ -548,7 +548,7 @@ def _run_cells(cells, n, k, replicates, master_seed, statistics):
     if "MAX" in values:
         columns = np.array([cell[2] for cell in cells]).T
         for rows, (_, xs, _), (a_n, b_n) in chunks(1, replicates, columns):
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 values["MAX"][rows] = (xs[:, 0] - b_n) / a_n
     return [{stat: values[stat][j * replicates:(j + 1) * replicates] for stat in statistics}
             for j in range(len(cells))]

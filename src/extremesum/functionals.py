@@ -30,39 +30,37 @@ mu(s) - s Q(1-s) for any differentiable model.
 
 ``tail_scale``, ``tail_mean``, ``rate_integral`` and ``tail_variance``
 take a tail mass or an array of them; an array gives arrays of its shape
-(a scalar gives a float).  The quadratures an array call needs run in
-one lockstep batch (see ``quadrature``), and each value and error bound
-equals the bits of the scalar call for that s.  An array that holds a
-failing s raises the error the scalar call for the first such s raises.
-Inside, a request asks one functional at a list of (model, s) keys that
-may span models, and maps them to per-key outcomes, (value, error) or
-an error; the public call settles them.  A request is a generator over
-its steps: it resolves closed forms key by key, yields the tail
-quadratures it still needs, and finishes its outcomes from theirs (the
-beta scaling of the ibp route, sigma2 = 2 J2 - rho^2, the divergence
-check).  ``_run`` drives any number of requests together, so one step of
-a command is one lockstep batch: ``build_functional_table`` resolves
-all its columns (c, every c(., beta), sigma2, mu and rho) at once, and
-the limit suite (see ``limits``) every functional its checks read.  The
-representation residual's outer QAGS has no step of its own: each of
-its rounds runs a c(u) request at that round's nodes.
+(a scalar gives a float), each value and error bound the bits of the
+scalar call for that s, and raises the error the scalar call for its
+first failing s raises.  Inside, a request asks one functional at a list
+of (model, s) keys that may span models, and maps them to per-key
+outcomes, (value, error) or an error.  A request is a generator over its
+steps: it resolves closed forms key by key, yields the tail quadratures
+it still needs as data, (model, s, kind, beta), and finishes its
+outcomes from theirs (the beta scaling of the ibp route, sigma2 = 2 J2 -
+rho^2, the divergence check); ``_KINDS`` holds the five kinds (c by ibp
+or stieltjes, mu, rho, J2).  ``_run`` drives any number of requests
+together, so one step of a command is one lockstep batch (see
+``quadrature``), which integrates each distinct quadrature once:
+``build_functional_table`` resolves all its columns at once, and the
+limit suite (see ``limits``) every functional its checks read.  The
+representation residual's outer QAGS runs a c(u) request in each of its
+rounds.  Nothing is kept between batches.
 
 A key's outcome does not depend on the batch around it, nor on the
 requests that share the batch.  Quadrature arithmetic is elementwise,
 and so is every model quantity: where a model call (a closed form,
-Q(1-s), or an array call inside an integrand) raises a ValueError or
-one of this package's model and quadrature errors, the call is retried
-quadrature by quadrature, each quadrature whose own call raises gets
-that error as its outcome, its later nodes read NaN, and the rest of
-the batch runs on.  Any other error is a fault and propagates.  A
-repeated key is integrated once per request; nothing is kept between
-requests.
+Q(1-s), or an array call inside an integrand) raises a ValueError, an
+ArithmeticError or a model or quadrature error of this package, the call
+is retried quadrature by quadrature: each quadrature whose own call
+raises gets that error as its outcome and its later nodes read NaN, and
+the rest of the batch runs on.  Any other error propagates.
 
-Each integrand call gets the nodes of one round, every unfinished
-quadrature of the batch, and makes one array call per model quantity
-(``tail_quantile``, ``tail_density``, ``tail_rate``) for each integrand
-and model present, on their nodes; the values equal the scalar ones bit
-for bit.  The weights e^{-beta w} come from the round's node table in
+A batch takes Q(1-s) in one array call per model, and each round makes
+one array call per model quantity (``tail_quantile``, ``tail_density``,
+``tail_rate``) for each kind and model present, on the nodes of every
+unfinished quadrature; the values equal the scalar ones bit for bit.  The
+weights e^{-beta w} come from the round's node table in
 ``quadrature.tail_quads``, libm's exp once per distinct interval and
 beta: np.exp differs from math.exp in the last bit on some doubles.
 """
@@ -70,6 +68,7 @@ beta: np.exp differs from math.exp in the last bit on some doubles.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +77,9 @@ from .errors import QuadratureError, UnsupportedModelError
 from .models import GUMBEL_DOMAIN, TailModel
 from .quadrature import DEFAULT_REL_TOL, log_interval_quads, tail_quads
 
-# The errors a model or a quadrature is expected to raise: a request gives
-# them to their key as its outcome, and the limit suite fails rows on them.
-_FAILURES = (QuadratureError, UnsupportedModelError, ValueError)
+# The errors a model, a quadrature or a limit ratio is expected to raise:
+# a request gives them to their key, and the limit suite fails rows on them.
+_FAILURES = (QuadratureError, UnsupportedModelError, ValueError, ArithmeticError)
 
 # The residual's outer integrand c(u)/u is itself a quadrature at
 # DEFAULT_REL_TOL unless closed, so its outer QAGS asks one digit less.
@@ -187,8 +186,8 @@ def _settle(request, shape, with_error):
 def _per_group(groups, failed):
     """A function ``each(rows, compute)``: the values at the entries
     ``rows`` of a batch whose entry i belongs to ``groups[i]``, a tuple of
-    a model or of an integrand and a model (a dict key, like the (model,
-    s) keys), from one ``compute(*group, i, at)`` call per group present;
+    a model or of a kind and a model (a dict key, like the (model, s)
+    keys), from one ``compute(*group, i, at)`` call per group present;
     ``i`` are that group's entries and ``at`` their mask in ``rows``.
     A call that raises one of ``_FAILURES`` is retried entry by entry: an
     entry whose own call raises is mapped to that error in the dict
@@ -229,11 +228,86 @@ def _at_s(keys, failed):
 
 # -- requests -------------------------------------------------------------
 #
-# A request is a generator over the steps of its tail quadratures: it
-# yields the quadratures of a step as (model, s, integrand, beta, q,
-# label) tuples, is sent their outcomes, and returns one outcome per key.
-# ``_run`` drives requests together, so the quadratures of one step of
-# every request share one lockstep batch.
+# A request is a generator: it yields the tail quadratures of a step,
+# (model, s, kind, beta) each, is sent their outcomes and returns one
+# outcome per key.  ``_run`` runs a step of every request as one batch.
+
+
+def _densities(model, ts):
+    """q(t) at one round's nodes; only the overflow warning is silenced."""
+    with np.errstate(over="ignore"):
+        return model.tail_density(ts)
+
+
+def _ibp(model, rows, ts, ews, qs):
+    return ews * (model.tail_quantile(ts) - qs[rows])
+
+
+def _stieltjes(model, rows, ts, ews, qs):
+    # q(t) can exceed double range once t is astronomically small
+    # (heavy-tailed controls); the e^{-beta w} factor has crushed the
+    # true integrand long before that point, so such a node gives 0.
+    d = _densities(model, ts)
+    vals = np.zeros(d.size)
+    ok = np.isfinite(d)
+    vals[ok] = ews[ok] * ts[ok] * d[ok]
+    return vals
+
+
+def _mu(model, rows, ts, ews, qs):
+    return ts * model.tail_quantile(ts)
+
+
+def _rho(model, rows, us, ews, qs):
+    return us * model.tail_rate(us)
+
+
+def _j2(model, rows, ys, ews, qs):
+    # an inf density is the honest divergence signal (heavy tails)
+    d, q = _densities(model, ys), model.tail_quantile(ys)
+    with np.errstate(over="ignore", invalid="ignore"):   # as Python floats
+        return ys * (ys * d) * (q - qs[rows])
+
+
+# Each kind's integrand g(model, rows, ts, ews, qs), which gets t and
+# e^{-beta w} at the nodes ``rows`` of the batch, its label and whether its q is Q(1-s).
+_Kind = namedtuple("_Kind", "integrand label at_s")
+_KINDS = {
+    "ibp": _Kind(_ibp, "c({s:g},{beta:g}) ibp", True),
+    "stieltjes": _Kind(_stieltjes, "c({s:g},{beta:g}) stieltjes", False),
+    "mu": _Kind(_mu, "mu({s:g})", False),
+    "rho": _Kind(_rho, "rho({s:g})", False),
+    "sigma2": _Kind(_j2, "sigma2({s:g})", True),   # J2, see _variance_quad
+}
+
+
+def _integrate(quads):
+    """Outcomes of the tail quadratures ``quads``, each distinct one run
+    once in one lockstep batch; one whose Q(1-s) or own model call raises
+    gets that error.  Each round calls each (kind, model) integrand once."""
+    once = list(dict.fromkeys(quads))
+    reads = [quad for quad in once if _KINDS[quad[2]].at_s]
+    failed = {}
+    q_of = dict(zip(reads, _at_s([quad[:2] for quad in reads], failed).tolist()))
+    outs = {reads[i]: exc for i, exc in failed.items()}
+    live = [quad for quad in once if quad not in outs]
+    if live:
+        models, ss, kinds, betas = zip(*live)
+        qs = np.array([q_of.get(quad, math.nan) for quad in live])
+        failed = {}
+        each = _per_group(list(zip(kinds, models)), failed)
+        got = tail_quads(
+            lambda rows, ts, ews: each(rows, lambda kind, model, i, at: _KINDS[
+                kind].integrand(model, i, ts[at], ews[at], qs)),
+            ss, betas, DEFAULT_REL_TOL,
+            [_KINDS[kind].label.format(s=s, beta=beta) for _, s, kind, beta in live])
+        outs.update((quad, failed.get(j, out)) for j, (quad, out) in enumerate(zip(live, got)))
+    return [outs[quad] for quad in quads]
+
+
+def _tail_quads(keys, kind, beta=1.0):
+    """The request for the ``kind`` tail quadratures of ``keys``."""
+    return (yield [(model, s, kind, beta) for model, s in keys])
 
 
 def _together(requests):
@@ -270,71 +344,10 @@ def _run(*requests):
         return done.value
 
 
-def _integrate(quads):
-    """Outcomes of the tail quadratures ``quads``, (model, s, integrand,
-    beta, q, label) each, in one lockstep batch.
-
-    Each round calls ``integrand(model, rows, ts, ews, qs)`` once for
-    every (integrand, model) pair present, on its nodes only: t and
-    e^{-beta w} at each; ``rows`` index ``quads``, and ``qs`` holds the q
-    of each.  A quadrature whose own model call raises gets that error.
-    """
-    models, ss, integrands, betas, qs, labels = zip(*quads)
-    failed = {}
-    each = _per_group(list(zip(integrands, models)), failed)
-    qs = np.array(qs)
-    outs = tail_quads(
-        lambda rows, ts, ews: each(rows, lambda integrand, model, i, at: integrand(
-            model, i, ts[at], ews[at], qs)),
-        ss, betas, DEFAULT_REL_TOL, labels)
-    return [failed.get(j, out) for j, out in enumerate(outs)]
-
-
-def _tail_quads(keys, integrand, label, at_s=False, beta=1.0):
-    """The request for the tail quadratures of ``keys``, (model, s) pairs
-    that may span models, a repeated key once, in one step: ``label(s)``
-    labels each and e^{-beta w} weighs its nodes for ``integrand``, whose
-    q is Q(1-s) when ``at_s`` is set (see ``_integrate``).  A key whose
-    Q(1-s) raises gets that error and no quadrature."""
-    once = list(dict.fromkeys(keys))
-    failed = {}
-    qs = _at_s(once, failed).tolist() if at_s else [math.nan] * len(once)
-    live = [i for i in range(len(once)) if i not in failed]
-    outs = yield [(*once[i], integrand, beta, qs[i], label(once[i][1])) for i in live]
-    outs = dict(zip([once[i] for i in live], outs))
-    outs.update((once[i], exc) for i, exc in failed.items())
-    return [outs[key] for key in keys]
-
-
-def _densities(model, ts):
-    """q(t) at the nodes of one round, in one array call; only the
-    overflow warning is silenced, never the value."""
-    with np.errstate(over="ignore"):
-        return model.tail_density(ts)
-
-
 def _scale_ibp(keys, beta):
-    def g(model, rows, ts, ews, qs):
-        return ews * (model.tail_quantile(ts) - qs[rows])
-
-    outs = yield from _tail_quads(keys, g, lambda s: f"c({s:g},{beta:g}) ibp", at_s=True,
-                                  beta=beta)
+    outs = yield from _tail_quads(keys, "ibp", beta)
     return [out if isinstance(out, Exception) else (beta * out[0], beta * out[1])
             for out in outs]
-
-
-def _scale_stieltjes(keys, beta):
-    def g(model, rows, ts, ews, qs):
-        # q(t) can exceed double range once t is astronomically small
-        # (heavy-tailed controls); the e^{-beta w} factor has crushed the
-        # true integrand long before that point, so such a node gives 0.
-        d = _densities(model, ts)
-        vals = np.zeros(d.size)
-        ok = np.isfinite(d)
-        vals[ok] = ews[ok] * ts[ok] * d[ok]
-        return vals
-
-    return _tail_quads(keys, g, lambda s: f"c({s:g},{beta:g}) stieltjes", beta=beta)
 
 
 def _resolve(keys, what, method, closed, **routes):
@@ -379,7 +392,7 @@ def _scale(keys, beta, method="auto"):
     return _resolve(keys, lambda s: f"c({s:g},{beta:g})", method,
                     lambda model, s: model.closed_scale(s, beta),
                     ibp=lambda keys: _scale_ibp(keys, beta),
-                    stieltjes=lambda keys: _scale_stieltjes(keys, beta))
+                    stieltjes=lambda keys: _tail_quads(keys, "stieltjes", beta))
 
 
 def tail_scale(model: TailModel, s, beta: float = 1.0, method: str = "auto",
@@ -403,9 +416,7 @@ def _keys(model, ss):
 def _mean(keys, method="auto"):
     return _resolve(keys, lambda s: f"mu({s:g})", method,
                     lambda model, s: model.closed_mean_mass(s),
-                    quadrature=lambda keys: _tail_quads(
-                        keys, lambda model, rows, ts, ews, qs: ts * model.tail_quantile(ts),
-                        lambda s: f"mu({s:g})"))
+                    quadrature=lambda keys: _tail_quads(keys, "mu"))
 
 
 def tail_mean(model: TailModel, s, method: str = "auto", with_error: bool = False):
@@ -424,17 +435,14 @@ def _rate(keys, extended=False, method="auto"):
         )
     rates, mus = yield from _together([_resolve(
         rated, lambda s: f"rho({s:g})", method, lambda model, s: model.closed_rate_integral(s),
-        quadrature=lambda keys: _tail_quads(
-            keys, lambda model, rows, us, ews, qs: us * model.tail_rate(us),
-            lambda s: f"rho({s:g})")), _mean(unrated, method)])
+        quadrature=lambda keys: _tail_quads(keys, "rho")), _mean(unrated, method)])
     outs = dict(zip(rated, rates))
-    if unrated:
-        # rho(s) = mu(s) - s Q(1-s)
-        failed = {}
-        qs = _at_s(unrated, failed).tolist()
-        for i, (key, q, mu) in enumerate(zip(unrated, qs, mus)):
-            outs[key] = mu if isinstance(mu, Exception) else failed.get(
-                i, (mu[0] - key[1] * q, mu[1]))
+    # rho(s) = mu(s) - s Q(1-s)
+    failed = {}
+    qs = _at_s(unrated, failed).tolist()
+    for i, (key, q, mu) in enumerate(zip(unrated, qs, mus)):
+        outs[key] = mu if isinstance(mu, Exception) else failed.get(
+            i, (mu[0] - key[1] * q, mu[1]))
     return [outs[key] for key in keys]
 
 
@@ -452,16 +460,10 @@ def rate_integral(model: TailModel, s, extended: bool = False,
 
 
 def _variance_quad(keys):
-    def g(model, rows, ys, ews, qs):
-        # an inf density is the honest divergence signal (heavy tails)
-        d, q = _densities(model, ys), model.tail_quantile(ys)
-        with np.errstate(over="ignore", invalid="ignore"):   # as Python floats
-            return ys * (ys * d) * (q - qs[rows])
-
     # rho and J2 share a step; a key whose rho fails keeps that error
     outs, j2s = yield from _together([
         _rate(keys, extended=True),
-        _tail_quads(keys, g, lambda s: f"sigma2({s:g})", at_s=True)])
+        _tail_quads(keys, "sigma2")])
     for i, (rho, j2) in enumerate(zip(outs, j2s)):
         if not isinstance(rho, Exception):
             outs[i] = j2 if isinstance(j2, Exception) else (
@@ -647,8 +649,9 @@ def build_functional_table(model, grid: SGrid, betas=()):
 
     ``model`` is a TailModel, which gives its FunctionalTable, or a
     sequence of them, which gives a list with one table per model; each
-    column is then one request across every model, all columns resolved
-    together, and c(., 1) is the c column.  Entries whose evaluation
+    column is then one request across every model, and all columns are
+    resolved together: a beta = 1 column shares the c column's
+    quadratures.  Entries whose evaluation
     fails or diverges are flagged with NaN and an infinite error bound;
     the build itself never aborts.
     """
@@ -657,13 +660,10 @@ def build_functional_table(model, grid: SGrid, betas=()):
     ss = list(grid.points)
     keys = [(m, s) for m in models for s in ss]
     rated = [i for i, (m, _) in enumerate(keys) if m.has_tail_rate]
-    scales = dict.fromkeys((1.0, *betas))
-    *found, sigma2, mu, rho = _run(*(_scale(keys, b) for b in scales), _variance(keys),
-                                   _mean(keys), _rate([keys[i] for i in rated]))
-    scales = dict(zip(scales, found))
-    columns = {"c": scales[1.0], **{f"c_beta_{format(b, 'g')}": scales[b] for b in betas}}
-    columns["sigma2"], columns["mu"] = sigma2, mu
-    columns["rho"] = dict(zip(rated, rho))
+    *scales, sigma2, mu, rho = _run(*(_scale(keys, b) for b in (1.0, *betas)),
+                                    _variance(keys), _mean(keys), _rate([keys[i] for i in rated]))
+    columns = dict(zip(["c", *(f"c_beta_{format(b, 'g')}" for b in betas)], scales))
+    columns.update(sigma2=sigma2, mu=mu, rho=dict(zip(rated, rho)))
     tables = []
     for k, m in enumerate(models):
         names = [name for name in columns if name != "rho" or m.has_tail_rate]

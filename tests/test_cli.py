@@ -363,6 +363,26 @@ def test_exit_numeric_on_divergent_model(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, model, code", [
+    ("functionals", "exponential(1e300)", 0),   # rate**2 overflows in sigma2
+    ("lemmas", "exponential(1e300)", 4),
+    ("functionals", "exponential(1e-300)", 0),  # sigma2 divides by rate**2 = 0
+    ("lemmas", "exponential(1e-300)", 4),
+    ("lemmas", "gumbel(0,1e-300)", 4),          # the limit ratios divide by c = 0
+    ("lemmas", "pareto(1e300)", 4),
+    ("lemmas", "weibull(1e300)", 4),
+    ("lemmas", "gamma(1e300)", 4),
+])
+@pytest.mark.filterwarnings("ignore:domain_check.*excluded:UserWarning")
+def test_arithmetic_error_flags_without_a_traceback(tmp_path, capsys, command, model, code):
+    cfg = _write_config(tmp_path / "cfg.json", models=[model])
+    assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if command == "functionals":   # the entries are flagged, the table written
+        assert ": sigma2 at s=" in captured.err
+
+
 def test_exit_check_on_verdict_failure(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "cfg.json",

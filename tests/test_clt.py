@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from extremesum import (
     summarize_statistic,
     tail_scale,
 )
+from extremesum.errors import NumericError
 
 EXP = Exponential(1.0)
 
@@ -339,6 +341,26 @@ def test_run_experiment_single_replicate_is_insufficient():
     s = res.reports[0].summaries[0]
     assert s.verdict == "insufficient"
     assert not res.reports[0].passed
+
+
+class _ZeroScale(Exponential):
+    """An exponential whose tail scale is 0, as when c(s) underflows."""
+
+    name = "zero-scale"
+
+    def closed_scale(self, s, beta):
+        return 0.0
+
+
+@pytest.mark.parametrize("stat", ["T1", "MAX"])
+def test_zero_scale_fails_the_cell_without_a_warning(monkeypatch, stat):
+    # T1 divides by c(k/n) and MAX by c(1/n): every replicate is non-finite
+    monkeypatch.setattr(ExperimentConfig, "model_objects", lambda self: [_ZeroScale()])
+    config = _small_config(replicates=10, statistics=(stat,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=rf"^10 of 10 replicates non-finite for {stat} "):
+            run_experiment(config)
 
 
 def test_mean_excess_ratio_concentrates():

@@ -29,7 +29,7 @@ from extremesum import (
     tail_scale,
     tail_variance,
 )
-from extremesum import quadrature
+from extremesum import functionals, quadrature
 
 GUMBEL_MODELS = [
     Exponential(1.0), Gumbel(), Weibull(2.0), Normal(), LogNormal(), Gamma(2.0),
@@ -484,6 +484,17 @@ def test_array_call_integrates_each_key_once(quad_calls):
     first = tail_scale(model, np.array([0.01, 0.02, 0.01, 0.02]), 2.0)
     assert quad_calls == ["c(0.01,2) ibp", "c(0.02,2) ibp"]
     assert first[0] == first[2] and first[1] == first[3]
+
+
+def test_identical_requests_share_each_quadrature(quad_calls):
+    """The batch integrates each distinct quadrature once, whichever
+    requests ask for it, and each request gets its outcomes alone."""
+    keys = [(Normal(), s) for s in (0.1, 1e-3, 1e-6)]
+    together = functionals._run(functionals._scale(keys, 1.0), functionals._scale(keys, 1.0))
+    assert len(quad_calls) == len(keys)
+    [alone] = functionals._run(functionals._scale(keys, 1.0))
+    assert [[_bits(out) for out in outs] for outs in together] == \
+        [[_bits(out) for out in alone]] * 2
 
 
 def test_failed_quadrature_fails_again(quad_calls):

@@ -128,7 +128,7 @@ def _batches(run):
     return batches
 
 
-@pytest.mark.parametrize("command, most", [("lemmas", 14), ("functionals", 4)])
+@pytest.mark.parametrize("command, most", [("lemmas", 4), ("functionals", 1)])
 def test_catalog_commands_batch_across_models(tmp_path, capsys, command, most):
     """The CLI integrates the catalog in one request per functional step:
     few batches, and the quadratures of one call per model."""
@@ -154,7 +154,7 @@ _CATALOG_GRID = {"models": [entry.model.describe() for entry in catalog()],
 
 
 @pytest.mark.parametrize("command, config, most", [
-    ("lemmas", _CATALOG_GRID, 6), ("functionals", _CATALOG_GRID, 3),
+    ("lemmas", _CATALOG_GRID, 4), ("functionals", _CATALOG_GRID, 1),
     ("simulate", _GUMBEL_SWEEP, 1)])
 def test_catalog_commands_integrate_each_ibp_key_once(tmp_path, capsys, command, config,
                                                       most):
@@ -344,17 +344,19 @@ def test_one_model_call_per_integrand_call(monkeypatch):
     """Inside an integrand each model quantity is one array call."""
     counts = dict.fromkeys(("integrand", "tail_quantile", "tail_density",
                             "tail_rate"), 0)
-    inside = []
+    inside, quantiles = [], []   # tail_quantile calls of each integrand call
     real_run = quadrature._run_quads
 
     def run(rule, fn, *args):
         def counted(*nodes):
             counts["integrand"] += 1
+            before = counts["tail_quantile"]
             inside.append(True)
             try:
                 return fn(*nodes)
             finally:
                 inside.pop()
+                quantiles.append(counts["tail_quantile"] - before)
 
         return real_run(rule, counted, *args)
 
@@ -388,3 +390,11 @@ def test_one_model_call_per_integrand_call(monkeypatch):
                                           method="stieltjes")) == (0, 1, 0)
     assert model_calls(lambda: rate_integral(weibull, 1e-4,
                                              method="quadrature")) == (0, 0, 1)
+    # c(s, 1) and c(s, 2) are one kind, ibp, beside J2: two tail_quantile
+    # calls per integrand call, not one per request
+    keys = [(normal, 1e-4)]
+    quantiles.clear()
+    model_calls(lambda: functionals._run(functionals._scale(keys, 1.0),
+                                         functionals._scale(keys, 2.0),
+                                         functionals._variance(keys)))
+    assert max(quantiles) == 2
