@@ -43,9 +43,11 @@ or stieltjes, mu, rho, J2).  ``_run`` drives any number of requests
 together, so one step of a command is one lockstep batch (see
 ``quadrature``), which integrates each distinct quadrature once:
 ``build_functional_table`` resolves all its columns at once, and the
-limit suite (see ``limits``) every functional its checks read.  The
-representation residual's outer QAGS runs a c(u) request in each of its
-rounds.  Nothing is kept between batches.
+limit suite (see ``limits``) runs its checks, themselves requests, at
+once.  The representation residual's outer QAGS is a request too: each
+of its rounds asks for c(u) at its nodes, so a round is a step of the
+request that holds it, and no batch runs inside another.  Nothing is
+kept between batches.
 
 A key's outcome does not depend on the batch around it, nor on the
 requests that share the batch.  Quadrature arithmetic is elementwise,
@@ -240,7 +242,8 @@ def _densities(model, ts):
 
 
 def _ibp(model, rows, ts, ews, qs):
-    return ews * (model.tail_quantile(ts) - qs[rows])
+    with np.errstate(invalid="ignore"):   # inf - inf, as Python floats
+        return ews * (model.tail_quantile(ts) - qs[rows])
 
 
 def _stieltjes(model, rows, ts, ews, qs):
@@ -499,7 +502,8 @@ def _ratios(nums, dens):
 def _spacings(model, ss, x, cs):
     """(Q(1-xs) - Q(1-s)) / c(s) from the outcomes ``cs`` of c(s)."""
     xs = np.array([x * s for s in ss])
-    nums = (model.tail_quantile(xs) - model.tail_quantile(np.array(ss))).tolist()
+    with np.errstate(invalid="ignore"):   # inf - inf, as Python floats
+        nums = (model.tail_quantile(xs) - model.tail_quantile(np.array(ss))).tolist()
     return _ratios(nums, *_values(cs))
 
 
@@ -536,20 +540,19 @@ def variance_scale_ratio(model: TailModel, s):
 
 def _residual_integrals(keys, anchor):
     """The request for int_s^anchor c(u)/u du at ``keys``, (model, s)
-    pairs that may span models: one lockstep QAGS whose rounds each
-    request c(u) at every key's nodes at once, so it has no step of its
-    own.  A key whose c(u) fails gets the first error of its round, in
-    node order, and its later nodes read NaN, which ends its QAGS within
-    ten rounds (each NaN round adds one to iroff1 + iroff2, and ten of
-    them set ier)."""
-    yield from ()
+    pairs that may span models: one lockstep QAGS, each of whose rounds
+    asks for c(u) at every key's nodes at once, so a round whose c(u)
+    needs quadratures is a step of this request.  A key whose c(u) fails
+    gets the first error of its round, in node order, and its later nodes
+    read NaN, which ends its QAGS within ten rounds (each NaN round adds
+    one to iroff1 + iroff2, and ten of them set ier)."""
     failed = {}
 
     def c_over_u(rows, us):
         rows, nodes = rows.tolist(), us.tolist()
         todo = [j for j, i in enumerate(rows) if i not in failed]
         vals = np.full(us.size, math.nan)
-        [cs] = _run(_scale([(keys[rows[j]][0], nodes[j]) for j in todo], 1.0))
+        cs = yield from _scale([(keys[rows[j]][0], nodes[j]) for j in todo], 1.0)
         for j, out in zip(todo, cs):
             if isinstance(out, Exception):
                 failed.setdefault(rows[j], out)
@@ -557,7 +560,7 @@ def _residual_integrals(keys, anchor):
                 vals[j] = out[0]
         return vals / us
 
-    outs = log_interval_quads(
+    outs = yield from log_interval_quads(
         c_over_u, [(s, anchor) for _, s in keys], _RESIDUAL_REL_TOL,
         [f"int c(u)/u over ({s:g},{anchor:g})" for _, s in keys])
     return [failed.get(i, out) for i, out in enumerate(outs)]

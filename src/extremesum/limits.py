@@ -12,16 +12,17 @@ That power differs within the class: the Weibull(2) spacing error is about
 so its beta = 0.5 scale ratio still sits 0.417 above its limit 2 at
 s = 1e-6 and fails the loose tolerance at desk s.
 
-Before it builds any row, the suite resolves every functional point of
-its checks in one request per functional across all the models and
-checks: c(., beta) once per beta (the residual's c(s) and c(anchor)
-included), sigma2 once, and the residual's integral once, whose rounds
-request c(u) at every model's nodes together.  The requests are
-independent, so their tail quadratures run as one lockstep batch.  A
-point's outcome, value or error, does not depend on the request or the
-batch around it (see ``functionals``), so a row fails with the error
-its first failing point would raise in a scalar evaluation of the grid,
-and one model's error fails only that model's rows.
+Each check is a request, like a functional (see ``functionals``): it
+asks for the functionals its rows read, each once across all the models,
+and returns the rows.  The suite runs every check together, so each of
+its steps is one lockstep batch.  The first step holds the tail
+quadratures of every check: c(., beta) per beta, sigma2, and the c(u)
+of the representation residual's first QAGS round.  Each later round of
+that QAGS whose c(u) asks for quadratures is one more step.  A point's
+outcome, value or error, does not depend on the request or the batch
+around it, so a row fails with the error its first failing point would
+raise in a scalar evaluation of the grid, and one model's error fails
+only that model's rows.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .functionals import (
     _run,
     _scale,
     _spacings,
+    _together,
     _values,
     _variance,
     _variance_ratios,
@@ -212,14 +214,19 @@ def slow_variation_check(f, lam: float, grid: SGrid, tol: float) -> LimitCheckRe
 
 # -- default suite ------------------------------------------------------
 #
-# Each check id maps to a function of the betas that returns (needs,
-# rows).  rows(model, outs) gives one (params, run) pair per report row of
-# the model; run() reads outs(points, request, *args), the model's
-# outcomes at points, and returns (grid, values, target, note), or raises
-# the error of its first failing point.  needs lists the functional points
-# the rows read, as (points, request, *args) entries.  run_limit_suite
-# resolves them for every model the check has rows for before it runs any
-# row, in one request per (request, *args) across the models and checks.
+# Each check id maps to a request check(models, betas).  It yields the
+# functionals that its rows read, at every model's points, and returns
+# rows(model): one (params, run) pair per report row of the model.  run()
+# returns (grid, values, target, note), or raises the error of its first
+# failing point.
+
+
+def _over(models, points, request, *args):
+    """The request ``request(keys, *args)`` at every model's ``points``;
+    returns outs(m, ps), the outcomes of model m at the points ps."""
+    keys = list(dict.fromkeys((m, s) for m in models for s in points))
+    outs = dict(zip(keys, (yield from request(keys, *args))))
+    return lambda m, ps: [outs[m, s] for s in ps]
 
 
 def _row(grid, ratios, target):
@@ -230,84 +237,85 @@ def _fields(rep: LimitCheckReport):
     return rep.grid, rep.values, rep.target, rep.note
 
 
-def _domain_ratio(betas):
+def _domain_ratio(models, betas):
     probe = (4.0, 1.0, 2.0, 1.0)
-    return [], lambda m, outs: [(tuple(zip("xzyw", probe)),
-                                 lambda: _fields(domain_check(m, probe)))]
+    return lambda m: [(tuple(zip("xzyw", probe)), lambda: _fields(domain_check(m, probe)))]
+    yield   # a request that asks for nothing
 
 
-def _scale_slow_variation(betas):
+def _scale_slow_variation(models, betas):
     grid = _default_grid(1e-6)
     lams = (0.5, 2.0)
     points = [p for s in grid.points for p in (s, *(lam * s for lam in lams))]
     betas = (1.0, *betas)
+    cs = yield from _together([_over(models, points, _scale, beta) for beta in betas])
 
-    def run(outs, beta, lam):
+    def run(c, m, lam):
         # the suite applies its own tolerance; the report's is discarded
         return lambda: _fields(slow_variation_check(
-            lambda u: _values(outs((u,), _scale, beta))[0][0], lam, grid, 0.0))
+            lambda u: _values(c(m, (u,)))[0][0], lam, grid, 0.0))
 
-    return [(points, _scale, beta) for beta in betas], lambda m, outs: [
-        ((("beta", beta), ("lam", lam)), run(outs, beta, lam)) for beta in betas for lam in lams]
+    return lambda m: [((("beta", beta), ("lam", lam)), run(c, m, lam))
+                      for beta, c in zip(betas, cs) for lam in lams]
 
 
-def _representation_residual(betas):
+def _representation_residual(models, betas):
     s, anchor = 1e-4, 0.25
-
-    def rows(m, outs):
-        return [((("anchor", anchor),), _row(SGrid((s,)), lambda: [_residual(
-            m, s, anchor, *outs((s,), _residual_integrals, anchor),
-            *outs((s, anchor), _scale, 1.0))], 0.0))]
-
-    return [((s,), _residual_integrals, anchor), ((s, anchor), _scale, 1.0)], rows
+    integrals, cs = yield from _together([_over(models, (s,), _residual_integrals, anchor),
+                                          _over(models, (s, anchor), _scale, 1.0)])
+    return lambda m: [((("anchor", anchor),), _row(SGrid((s,)), lambda: [_residual(
+        m, s, anchor, *integrals(m, (s,)), *cs(m, (s, anchor)))], 0.0))]
 
 
-def _spacing_log_limit(betas):
+def _spacing_log_limit(models, betas):
     grid = _default_grid(1e-8)
-    return [(grid.points, _scale, 1.0)], lambda m, outs: [((("x", 2.0),), _row(
-        grid, lambda: _spacings(m, grid.points, 2.0, outs(grid.points, _scale, 1.0)),
-        -math.log(2.0)))]
+    cs = yield from _over(models, grid.points, _scale, 1.0)
+    return lambda m: [((("x", 2.0),), _row(
+        grid, lambda: _spacings(m, grid.points, 2.0, cs(m, grid.points)), -math.log(2.0)))]
 
 
-def _scale_beta_limit(betas):
+def _scale_beta_limit(models, betas):
     grid = _default_grid(1e-6)
-
-    def rows(m, outs):
-        return [((("beta", b),), _row(grid, lambda b=b: _ratios(*_values(
-            outs(grid.points, _scale, b), outs(grid.points, _scale, 1.0))), 1.0 / b))
-            for b in betas]
-
-    return [(grid.points, _scale, b) for b in (1.0, *betas)], rows
+    c, *cbs = yield from _together([_over(models, grid.points, _scale, b)
+                                    for b in (1.0, *betas)])
+    return lambda m: [((("beta", b),), _row(grid, lambda cb=cb: _ratios(*_values(
+        cb(m, grid.points), c(m, grid.points))), 1.0 / b)) for b, cb in zip(betas, cbs)]
 
 
-def _variance_scale_limit(betas):
+def _variance_scale_limit(models, betas):
     grid = _default_grid(1e-4, count=3)
-    return [(grid.points, _scale, 1.0), (grid.points, _variance)], lambda m, outs: [
-        ((), _row(grid, lambda: _variance_ratios(grid.points, outs(grid.points, _scale, 1.0),
-                                                 outs(grid.points, _variance)), 1.0))]
+    cs, sigmas = yield from _together([_over(models, grid.points, _scale, 1.0),
+                                       _over(models, grid.points, _variance)])
+    return lambda m: [((), _row(grid, lambda: _variance_ratios(
+        grid.points, cs(m, grid.points), sigmas(m, grid.points)), 1.0))]
 
 
-def _sequence_slowvar_limit(betas):
+def _sequence_slowvar_limit(models, betas):
     # grid s = 1/n for n = 1e2, 1e4, 1e6; each reciprocal round-trips exactly
     grid = SGrid((1e-2, 1e-4, 1e-6))
     ns = [1.0 / s for s in grid.points]
-    points = [u for n in ns for u in (1.0 / n, n**-0.5)]   # c(1/n) and c(a_n)
+    # c(1/n) and c(a_n)
+    cs = yield from _over(models, [u for n in ns for u in (1.0 / n, n**-0.5)], _scale, 1.0)
 
-    def ratios(outs):
-        return [sequence_slowvar_ratio(lambda u: _values(outs((u,), _scale, 1.0))[0][0], 1.0,
-                                       lambda m: m**-0.5, n) for n in ns]
+    def ratios(m):
+        return [sequence_slowvar_ratio(lambda u: _values(cs(m, (u,)))[0][0], 1.0,
+                                       lambda n: n**-0.5, n) for n in ns]
 
-    return [(points, _scale, 1.0)], lambda m, outs: [
-        ((("beta", 1.0),), _row(grid, lambda: ratios(outs), 0.0))]
+    return lambda m: [((("beta", 1.0),), _row(grid, lambda: ratios(m), 0.0))]
 
 
-def _rate_scale_limit(betas):
-    # no analytic rate, no quantity to test: the check yields no row
+def _rate_scale_limit(models, betas):
+    # no analytic rate, no quantity to test: the check asks for no point of
+    # such a model and yields no row
     grid = _default_grid(1e-6)
-    ss = np.array(grid.points)
-    return [(grid.points, _scale, 1.0)], lambda m, outs: [((), _row(
-        grid, lambda: (m.tail_rate(ss) / np.array(
-            _values(outs(grid.points, _scale, 1.0))[0])).tolist(), 1.0))] if m.has_tail_rate else []
+    cs = yield from _over([m for m in models if m.has_tail_rate], grid.points, _scale, 1.0)
+
+    def ratios(m):
+        with np.errstate(over="ignore"):   # r(s) is inf for a tiny Weibull shape
+            return (m.tail_rate(np.array(grid.points)) / np.array(
+                _values(cs(m, grid.points))[0])).tolist()
+
+    return lambda m: [((), _row(grid, lambda: ratios(m), 1.0))] if m.has_tail_rate else []
 
 
 _CHECKS = {
@@ -364,9 +372,9 @@ def run_limit_suite(model, checks=DEFAULT_CHECKS, betas=(0.5, 2.0)) -> list:
     """Run the configured limit checks for a model or a sequence of them.
 
     Returns one LimitCheckReport per (model, check, parameter)
-    combination, model by model, at its model class's tolerance.  Each
-    functional is one request across all the models and checks, and all
-    of them are resolved together, before any row.
+    combination, model by model, at its model class's tolerance.  The
+    checks run as one request, so each functional point is resolved once
+    per check, across all the models, before any row.
     Evaluation failures (divergent integrals, missing analytic rate) are
     reported as failed rows of their model with a note instead of
     aborting the suite; the rate check is simply skipped for models
@@ -376,24 +384,10 @@ def run_limit_suite(model, checks=DEFAULT_CHECKS, betas=(0.5, 2.0)) -> list:
     unknown = [c for c in checks if c not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown check id: {unknown[0]}")
-    found = {}
-    specs = []
-    for check in checks:
-        needs, model_rows = _CHECKS[check](betas)
-        specs.append((check, needs, [model_rows(m, lambda points, *request, m=m: [
-            found[(*request, m, s)] for s in points]) for m in models]))
-    wanted = {}   # (request, *args) -> the keys of every check, once each
-    for j, m in enumerate(models):
-        for _, needs, rows in specs:
-            for points, *request in needs if rows[j] else ():
-                wanted.setdefault(tuple(request), {}).update(dict.fromkeys((m, s) for s in points))
-    for ((request, *args), keys), outs in zip(wanted.items(), _run(*(
-            request(list(keys), *args) for (request, *args), keys in wanted.items()))):
-        found.update(zip([(request, *args, m, s) for m, s in keys], outs))
     rows = [[] for _ in models]
-    for check, _, check_rows in specs:
-        for m, out, model_rows in zip(models, rows, check_rows):
-            for params, run in model_rows:
+    for check, check_rows in zip(checks, _run(*(_CHECKS[c](models, betas) for c in checks))):
+        for m, out in zip(models, rows):
+            for params, run in check_rows(m):
                 try:
                     grid, values, target, note = run()
                 except _FAILURES as exc:

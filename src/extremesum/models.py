@@ -296,7 +296,8 @@ class Weibull(TailModel):
         return (-np.log1p(-s)) ** (1.0 / self.shape)
 
     def _tail_quantile_small(self, t):
-        return (-np.log(t)) ** (1.0 / self.shape)
+        with np.errstate(over="ignore"):   # a tiny shape: Q is inf
+            return (-np.log(t)) ** (1.0 / self.shape)
 
     def _log_power(self, t):
         """(-ln t)^(1/k - 1) by a numpy float64 ``**`` on each element.
@@ -402,7 +403,8 @@ class Gamma(TailModel):
 
     def _pdf(self, x):
         k = self.shape
-        return np.exp((k - 1.0) * np.log(x) - x - special.gammaln(k))
+        with np.errstate(divide="ignore"):   # a tiny shape: x = 0, ln x = -inf
+            return np.exp((k - 1.0) * np.log(x) - x - special.gammaln(k))
 
     def _tail_density(self, t):
         return 1.0 / self._pdf(self.tail_quantile(t))
@@ -429,7 +431,8 @@ class Pareto(TailModel):
         return np.exp(-np.log1p(-s) / self.index)
 
     def _tail_quantile_small(self, t):
-        return np.asarray(t, dtype=float) ** (-1.0 / self.index)
+        with np.errstate(over="ignore"):   # a tiny index: Q is inf
+            return np.asarray(t, dtype=float) ** (-1.0 / self.index)
 
     def _tail_density(self, t):
         a = self.index

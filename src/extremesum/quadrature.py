@@ -11,7 +11,8 @@ Kahaner, 1983), ported operation for operation from its Fortran:
 
 * QAGI with the 15-point rule QK15I on (0, 1), after x = 1/(1 + w), for
   ``semiinf_quad`` and ``tail_quads``;
-* QAGS with the 21-point rule QK21 for ``log_interval_quad``;
+* QAGS with the 21-point rule QK21 for ``log_interval_quad`` and
+  ``log_interval_quads``;
 * one shared bisection driver with QPSRT (error-ordered interval list)
   and QELG (the epsilon algorithm that extrapolates the partial sums).
 
@@ -23,27 +24,29 @@ its NaN behaviour (a Fortran ``if (a .le. b) goto`` reads ``not a <= b``
 where the branch matters), C's ``fmax``/``fmin`` and C's IEEE results
 where Python would raise (a division by zero, an overflowing power).
 
-Quadratures run in lockstep.  ``_adapt`` is QUADPACK's driver written
-as a generator: it yields the intervals of its next rule evaluation,
-first the whole range and then both halves of each bisection, and is
-sent their Kronrod sums back.  ``_lockstep`` advances a list of such
+Quadratures run in lockstep.  ``_adapt`` is QUADPACK's driver written as
+a generator: it yields the intervals of its next rule evaluation, first
+the whole range and then both halves of each bisection, and is sent
+their Kronrod sums back.  ``_lockstep`` advances a list of such
 quadratures one bisection round at a time and makes one integrand call
-per round for all of them.  Every tail quadrature bisects the same
-dyadic tree on (0, 1), so most of a round's intervals are shared: the
-round keeps each distinct interval once, in a node table (a dict on the
-(a, b) pairs), and the integrand gets ``fn(rows, at, nodes)``: row i of
-``nodes`` holds the 15 or 21 nodes of distinct interval i, and row j of
-``at`` the intervals of quadrature ``rows[j]``, one or both halves.  A
-node quantity is computed on the table once and gathered per quadrature
-(``tail_quads`` takes libm e^{-w} and e^{-beta w} once per distinct
-interval and beta).  The Gauss and Kronrod sums stay per quadrature and
-interval: sequential ``np.add.accumulate`` chains along the node axis
-in QUADPACK's order, never pairwise sums, and QK21's Gauss sum skips
-its Kronrod-only nodes.  The rest is elementwise IEEE arithmetic, so a
-quadrature's bits do not depend on the batch it runs in.  Exponentials
-and powers stay per element on libm (``exp_each``, ``x ** 1.5``):
-numpy's SIMD exp and power differ from libm in the last bit on some
-doubles.
+per round for all of them.  The integrand is a step: ``_lockstep`` and
+the rules are generators that pass on what it yields and is sent, so a
+round can be a step of a request of ``functionals``.  Every tail
+quadrature bisects the same dyadic tree on (0, 1), so most of a round's
+intervals are shared: the round keeps each distinct interval once, in a
+node table (a dict on the (a, b) pairs), and the integrand gets
+``fn(rows, at, nodes)``: row i of ``nodes`` holds the 15 or 21 nodes of
+distinct interval i, and row j of ``at`` the intervals of quadrature
+``rows[j]``, one or both halves.  A node quantity is computed on the
+table once and gathered per quadrature (``tail_quads`` takes libm e^{-w}
+and e^{-beta w} once per distinct interval and beta).  The Gauss and
+Kronrod sums stay per quadrature and interval: sequential
+``np.add.accumulate`` chains along the node axis in QUADPACK's order,
+never pairwise sums, and QK21's Gauss sum skips its Kronrod-only nodes.
+The rest is elementwise IEEE arithmetic, so a quadrature's bits do not
+depend on the batch it runs in.  Exponentials and powers stay per
+element on libm (``exp_each``, ``x ** 1.5``): numpy's SIMD exp and power
+differ from libm in the last bit on some doubles.
 
 A batch of M quadratures makes max(last) integrand calls instead of the
 sum of them, and may mix models, functionals and checks: a command step
@@ -51,8 +54,13 @@ of the functionals and the limit suite puts all its tail quadratures in
 one batch.  ``tail_quads`` and ``log_interval_quads`` are the batched
 integrals the functionals use.  ``semiinf_quad`` and
 ``log_interval_quad`` are the one-quadrature case of the same driver;
-they hand their integrands the nodes of one round as a 1-d array.  Every
-quadrature enters through ``_run_quads``.  A quadrature's interval lists
+they hand their integrands the nodes of one round as a 1-d array.  A
+quadrature whose integrand is a callback, one that returns its values,
+enters through ``_run_quads``, which runs its batch to the end: those of
+``tail_quads``, ``semiinf_quad`` and ``log_interval_quad``.  Those of
+``log_interval_quads`` do not.  It is a request, the representation
+residual's outer QAGS, whose integrand step asks for c(u) in each round,
+and the request that holds it drives it.  A quadrature's interval lists
 grow with its number of subintervals ``last``, one slot per bisection,
 not to the limit of 200, so a batch of hundreds of short quadratures
 stays small in memory.
@@ -231,19 +239,19 @@ def _sums(f, hlgth, table):
 def _qk15i(fn, rows, at, a, b):
     """QK15I on the intervals at[j] of quadrature rows[j], indices into
     the distinct intervals (a[i], b[i]) within (0, 1), for int_0^inf,
-    w = (1 - x)/x."""
+    w = (1 - x)/x; a step through the integrand step ``fn``."""
     xs, hlgth = _nodes(a, b, _K15I[0])
-    fv = np.asarray(fn(rows, at, (1.0 - xs) / xs), dtype=float).reshape(at.size, -1)
+    fv = np.asarray((yield from fn(rows, at, (1.0 - xs) / xs)), dtype=float)
     xs = xs[at.ravel()]
     with np.errstate(over="ignore", invalid="ignore"):   # Python floats are silent
-        return _sums((fv / xs) / xs, hlgth[at.ravel()], _K15I)
+        return _sums((fv.reshape(at.size, -1) / xs) / xs, hlgth[at.ravel()], _K15I)
 
 
 def _qk21(fn, rows, at, a, b):
     """QK21 on the intervals at[j] of quadrature rows[j], indices into
-    the distinct intervals (a[i], b[i])."""
+    the distinct intervals (a[i], b[i]); a step through ``fn``."""
     xs, hlgth = _nodes(a, b, _K21[0])
-    fv = np.asarray(fn(rows, at, xs), dtype=float)
+    fv = np.asarray((yield from fn(rows, at, xs)), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         return _sums(fv.reshape(at.size, -1), hlgth[at.ravel()], _K21)
 
@@ -524,6 +532,12 @@ def _lockstep(rule, fn, bounds, epsrel, limit=_LIMIT):
     leaves the round in which it finishes, so a batch makes max(last)
     integrand calls.  Each quadrature's arithmetic is its own and
     elementwise, so its numbers do not depend on the batch around it.
+
+    ``fn`` is an integrand step: a generator that returns the values at
+    the nodes, and may first yield what it asks for and be sent the
+    answers (a request step of ``functionals``).  ``rule`` and
+    ``_lockstep`` are generators that pass those on, so each round of the
+    batch is a step of whoever drives it; they return their results.
     """
     runs = [_adapt(a, b, epsrel, limit) for a, b in bounds]
     out = [None] * len(runs)
@@ -534,7 +548,8 @@ def _lockstep(rule, fn, bounds, epsrel, limit=_LIMIT):
         at = np.array([table.setdefault(ab, len(table)) for ask in asks for ab in ask]
                       ).reshape(len(asks), -1)
         ends = np.array(list(table))
-        sums = list(zip(*(v.tolist() for v in rule(fn, rows, at, ends[:, 0], ends[:, 1]))))
+        sums = yield from rule(fn, rows, at, ends[:, 0], ends[:, 1])
+        sums = list(zip(*(v.tolist() for v in sums)))
         per = at.shape[1]
         live, asks = [], []
         for j, i in enumerate(rows):
@@ -564,12 +579,26 @@ def _outcome(value, abserr, ier, rel_tol, what):
     return value, abserr
 
 
-def _run_quads(rule, fn, bounds, rel_tol, whats):
-    """Every quadrature of the package starts here: one ``_lockstep`` batch,
-    labelled quadrature by quadrature with ``whats``.  Returns each one's
+def _quads(rule, fn, bounds, rel_tol, whats):
+    """The request of one ``_lockstep`` batch of the integrand step ``fn``,
+    labelled quadrature by quadrature with ``whats``: returns each one's
     (value, abserr) or its QuadratureError, returned, not raised."""
-    return [_outcome(value, abserr, ier, rel_tol, what) for (value, abserr, ier, _), what
-            in zip(_lockstep(rule, fn, bounds, rel_tol), whats)]
+    results = yield from _lockstep(rule, fn, bounds, rel_tol)
+    return [_outcome(value, abserr, ier, rel_tol, what)
+            for (value, abserr, ier, _), what in zip(results, whats)]
+
+
+def _run_quads(rule, fn, bounds, rel_tol, whats):
+    """``_quads`` of a callback integrand: ``fn(rows, at, nodes)`` returns
+    the values at the nodes, so the batch runs to its end here."""
+    def step(*nodes):   # an integrand step that asks for nothing
+        return fn(*nodes)
+        yield
+
+    try:
+        next(_quads(rule, step, bounds, rel_tol, whats))
+    except StopIteration as done:
+        return done.value
 
 
 def _settled(outcome):
@@ -587,35 +616,44 @@ def semiinf_quad(fn, rel_tol=DEFAULT_REL_TOL, what="integral"):
                                [(0.0, 1.0)], rel_tol, [what])[0])
 
 
+def _log_scale(bounds):
+    """Each (a, b) of ``bounds``, 0 < a < b < 1, as (-ln b, -ln a): the
+    range of y = -ln u."""
+    if not all(0.0 < a < b < 1.0 for a, b in bounds):
+        raise ValueError("need 0 < a < b < 1")
+    return [(-math.log(b), -math.log(a)) for a, b in bounds]
+
+
 def log_interval_quad(fn, a, b, rel_tol=DEFAULT_REL_TOL, what="integral"):
     """int_a^b fn(u) du for 0 < a < b < 1, integrated on the log scale u = e^{-y}.
 
     ``fn`` maps an array of nodes u to their values (QAGS).
     """
-    return _settled(log_interval_quads(lambda rows, us: fn(us), [(a, b)], rel_tol,
-                                       [what])[0])
+    def g(rows, at, ys):
+        us = exp_each(-ys[at].ravel())
+        return us * fn(us)
+
+    return _settled(_run_quads(_qk21, g, _log_scale([(a, b)]), rel_tol, [what])[0])
 
 
 def log_interval_quads(fn, bounds, rel_tol, whats):
-    """int_a^b fn(u) du for every (a, b) in ``bounds``, 0 < a < b < 1, on
-    the log scale u = e^{-y} and in lockstep; ``whats`` labels each
-    quadrature.
+    """The request for int_a^b fn(u) du at every (a, b) in ``bounds``,
+    0 < a < b < 1, on the log scale u = e^{-y} and in lockstep; ``whats``
+    labels each quadrature.
 
-    ``fn(rows, us)`` gets the nodes of one round as a flat array, and
-    ``rows[j]`` is the index in ``bounds`` of node j's quadrature; it
-    returns their values.  Each u is computed once per distinct interval
-    of the round.  Returns one (value, error) per interval, or the
+    ``fn(rows, us)`` is an integrand step (see ``_lockstep``): it gets the
+    nodes of one round as a flat array, where ``rows[j]`` is the index in
+    ``bounds`` of node j's quadrature, and returns their values.  Each u
+    is computed once per distinct interval of the round.  What ``fn``
+    yields, this request yields, so each QAGS round that asks for
+    something is a step.  Returns one (value, error) per interval, or the
     QuadratureError its quadrature earns, returned, not raised.
     """
-    if not all(0.0 < a < b < 1.0 for a, b in bounds):
-        raise ValueError("need 0 < a < b < 1")
-
     def g(rows, at, ys):
         us = exp_each(-ys.ravel()).reshape(ys.shape)[at].ravel()
-        return us * fn(np.repeat(rows, us.size // len(rows)), us)
+        return us * (yield from fn(np.repeat(rows, us.size // len(rows)), us))
 
-    return _run_quads(_qk21, g, [(-math.log(b), -math.log(a)) for a, b in bounds],
-                      rel_tol, whats)
+    return _quads(_qk21, g, _log_scale(bounds), rel_tol, whats)
 
 
 def tail_quads(fn, ss, betas, rel_tol, whats):

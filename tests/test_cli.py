@@ -383,6 +383,19 @@ def test_arithmetic_error_flags_without_a_traceback(tmp_path, capsys, command, m
         assert ": sigma2 at s=" in captured.err
 
 
+@pytest.mark.parametrize("model", ["gamma(1e-300)", "weibull(1e-300)", "pareto(1e-300)"])
+@pytest.mark.parametrize("command, code", [("functionals", 0), ("lemmas", 4)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:domain_check.*excluded:UserWarning")
+def test_tiny_parameters_run_without_a_runtime_warning(tmp_path, capsys, command, code, model):
+    """A shape or index near 0 makes an inf quantile or density, and then
+    inf - inf: IEEE values the run flags, with no RuntimeWarning."""
+    cfg = _write_config(tmp_path / "cfg.json", models=[model])
+    assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_exit_check_on_verdict_failure(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "cfg.json",

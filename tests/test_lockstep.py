@@ -162,9 +162,9 @@ def test_quadrature_does_not_depend_on_its_batch(order, size):
     def counting(rule, fn, bounds, *args):
         def counted(rows, *nodes):
             calls.append(len(rows))
-            return fn(rows, *nodes)
+            return (yield from fn(rows, *nodes))
 
-        out = real(rule, counted, bounds, *args)
+        out = yield from real(rule, counted, bounds, *args)
         lasts.append(max(last for *_, last in out))
         return out
 

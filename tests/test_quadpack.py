@@ -42,11 +42,17 @@ from extremesum.errors import QuadratureError
 def _alone(rule, fn, a, b, epsrel, limit=quadrature._LIMIT):
     """One quadrature of a list integrand through the lockstep driver:
     ``fn`` maps a list of nodes (Python floats) to their values, so Python
-    float arithmetic, and its ZeroDivisionError, reach it unchanged."""
+    float arithmetic, and its ZeroDivisionError, reach it unchanged.  The
+    integrand step asks for nothing, so the driver returns at its first
+    step."""
     def listwise(rows, at, xs):
         return np.asarray(fn(xs[at].ravel().tolist()), dtype=float)
+        yield
 
-    return quadrature._lockstep(rule, listwise, [(a, b)], epsrel, limit)[0]
+    try:
+        next(quadrature._lockstep(rule, listwise, [(a, b)], epsrel, limit))
+    except StopIteration as done:
+        return done.value[0]
 
 
 def _port(rule, fn, a, b, epsrel, limit):
@@ -68,15 +74,24 @@ def _scipy(rule, fn, a, b, epsrel, limit):
 # -- every quadrature of the catalog limit suite and tables --------------
 
 
+def _c_over_u(model, ys):
+    """The representation residual's integrand u * (c(u)/u) at the nodes
+    ys in y = -ln u, with c(u) from tail_scale, as its QAGS takes it."""
+    us = np.array([math.exp(-y) for y in ys])
+    return (us * (tail_scale(model, us) / us)).tolist()
+
+
 @pytest.fixture(scope="module")
 def catalog_quadratures():
     """(what, rule, fn, a, b, rel_tol) of every quadrature that the limit
     suite and the functional tables run over the catalog, plus the routes
     neither of them takes there: the stieltjes cross-check, and the mean
     mass and rate integral by quadrature (the catalog has them closed).
-    Every quadrature of a lockstep batch is recorded on its own: ``fn``
-    maps a list of nodes to their values through the batch integrand, as
-    that quadrature's row."""
+    Every quadrature of a ``_run_quads`` batch is recorded on its own:
+    ``fn`` maps a list of nodes to their values through the batch
+    integrand, as that quadrature's row.  The representation residual's
+    outer QAGS is a request of the suite, not a ``_run_quads`` batch: its
+    quadrature per model is built from tail_scale."""
     calls = []
     real = quadrature._run_quads
 
@@ -108,6 +123,9 @@ def catalog_quadratures():
                         route()
                     except QuadratureError:
                         pass
+            calls.append(("int c(u)/u over (0.0001,0.25)", quadrature._qk21,
+                          lambda ys, model=model: _c_over_u(model, ys), -math.log(0.25),
+                          -math.log(1e-4), functionals._RESIDUAL_REL_TOL))
     return calls
 
 
@@ -128,7 +146,7 @@ def _batches(run):
     return batches
 
 
-@pytest.mark.parametrize("command, most", [("lemmas", 4), ("functionals", 1)])
+@pytest.mark.parametrize("command, most", [("lemmas", 2), ("functionals", 1)])
 def test_catalog_commands_batch_across_models(tmp_path, capsys, command, most):
     """The CLI integrates the catalog in one request per functional step:
     few batches, and the quadratures of one call per model."""
@@ -154,7 +172,7 @@ _CATALOG_GRID = {"models": [entry.model.describe() for entry in catalog()],
 
 
 @pytest.mark.parametrize("command, config, most", [
-    ("lemmas", _CATALOG_GRID, 4), ("functionals", _CATALOG_GRID, 1),
+    ("lemmas", _CATALOG_GRID, 2), ("functionals", _CATALOG_GRID, 1),
     ("simulate", _GUMBEL_SWEEP, 1)])
 def test_catalog_commands_integrate_each_ibp_key_once(tmp_path, capsys, command, config,
                                                       most):
@@ -187,6 +205,33 @@ def test_catalog_commands_integrate_each_ibp_key_once(tmp_path, capsys, command,
         cli.main([command, "--config", str(path), "--output-dir", str(tmp_path / "out")])
     assert 0 < len(batches) <= most
     assert ibp and len(set(ibp)) == len(ibp)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("lemmas", _CATALOG_GRID), ("functionals", _CATALOG_GRID), ("simulate", _GUMBEL_SWEEP)])
+def test_no_run_of_requests_starts_inside_another(tmp_path, capsys, command, config):
+    """Each command step is one batch: no ``_run`` starts while another
+    runs, through whichever module's binding it is called."""
+    depth = {"now": 0, "most": 0}
+    real = functionals._run
+
+    def counted(*requests):
+        depth["now"] += 1
+        depth["most"] = max(depth["most"], depth["now"])
+        try:
+            return real(*requests)
+        finally:
+            depth["now"] -= 1
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        for name, module in list(sys.modules.items()):
+            if name.startswith("extremesum") and getattr(module, "_run", None) is real:
+                mp.setattr(module, "_run", counted)
+        warnings.simplefilter("ignore")
+        cli.main([command, "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert depth["most"] == 1
 
 
 def test_catalog_quadratures_cover_every_route(catalog_quadratures):

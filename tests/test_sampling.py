@@ -163,6 +163,21 @@ def test_threshold_tail_is_beta_k1_nk():
     assert d <= 0.01
 
 
+def test_exponential_excesses_follow_the_exact_law():
+    # Renyi (1953): for Exponential(1) the excesses S_k - k X_{n-k,n} are
+    # exactly Gamma(k, 1) and independent of X_{n-k,n}, and
+    # E[X_{n-k,n}] = H_n - H_k.  The desk cell's n and k, no asymptotics.
+    n, k, reps = 50000, 76, 20000
+    _, xs, clamped = draw_batch(SeedSpec(11, 0), reps, n, k + 1, EXP)
+    assert not clamped.any()
+    threshold = xs[:, k]
+    excess = xs[:, :k].sum(axis=1) - k * threshold
+    assert st.kstest(excess, st.gamma(k).cdf).pvalue > 0.01
+    mean = sum(1.0 / j for j in range(k + 1, n + 1))
+    assert abs(threshold.mean() - mean) < 4.0 * threshold.std(ddof=1) / np.sqrt(reps)
+    assert abs(np.corrcoef(excess, threshold)[0, 1]) < 4.0 / np.sqrt(reps)
+
+
 def test_sample_max_matches_power_law():
     # U_{n,n} ~ u^n; with the uniform "model" layer removed via exponential
     # quantiles, X_{n,n} has cdf exp(-n e^{-x})
