@@ -50,6 +50,7 @@ import numpy as np
 from .cephes import ndtr
 from .errors import ConfigError, NumericError
 from .functionals import _at_s, _mean, _rate, _run, _scale, tail_scale, tail_variance
+from .gof import distances
 from .models import TailModel
 from .sampling import ReplicateDraw, SeedSpec, _draw_segments, _rescaled_threshold_tail
 
@@ -419,8 +420,6 @@ def _summaries(samples):
     """summarize_statistic of every (stat, values, failures, tolerances, k)
     sample: the samples of one length are the rows of one matrix, reduced
     along its rows, with one ``gof.distances`` call per statistic."""
-    from .gof import distances
-
     nan = math.nan
     by_length = {}
     for i, (stat, values, _, tolerances, _) in enumerate(samples):

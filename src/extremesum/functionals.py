@@ -262,7 +262,8 @@ def _mu(model, rows, ts, ews, qs):
 
 
 def _rho(model, rows, us, ews, qs):
-    return us * model.tail_rate(us)
+    with np.errstate(over="ignore"):   # a tiny shape: r is inf
+        return us * model.tail_rate(us)
 
 
 def _j2(model, rows, ys, ews, qs):
@@ -436,17 +437,30 @@ def _rate(keys, extended=False, method="auto"):
             f"{unrated[0][0].describe()} has no analytic tail rate; "
             "pass extended=True for the mean-mass identity"
         )
-    rates, mus = yield from _together([_resolve(
-        rated, lambda s: f"rho({s:g})", method, lambda model, s: model.closed_rate_integral(s),
-        quadrature=lambda keys: _tail_quads(keys, "rho")), _mean(unrated, method)])
-    outs = dict(zip(rated, rates))
-    # rho(s) = mu(s) - s Q(1-s)
-    failed = {}
-    qs = _at_s(unrated, failed).tolist()
-    for i, (key, q, mu) in enumerate(zip(unrated, qs, mus)):
-        outs[key] = mu if isinstance(mu, Exception) else failed.get(
-            i, (mu[0] - key[1] * q, mu[1]))
+    what = lambda s: f"rho({s:g})"
+    rates, extended_rates = yield from _together([
+        _resolve(rated, what, method, lambda model, s: model.closed_rate_integral(s),
+                 quadrature=lambda keys: _tail_quads(keys, "rho")),
+        _resolve(unrated, what, method, _rate_from_scale,
+                 quadrature=lambda keys: _rate_from_mean(keys, method))])
+    outs = dict(zip(rated + unrated, rates + extended_rates))
     return [outs[key] for key in keys]
+
+
+def _rate_from_scale(model, s):
+    # rho(s) = s c(s), exact where c(s, 1) is closed
+    c = model.closed_scale(s, 1.0)
+    return None if c is None else s * c
+
+
+def _rate_from_mean(keys, method):
+    """The request for rho(s) = mu(s) - s Q(1-s), with ``method`` passed
+    on to the mean mass."""
+    mus = yield from _mean(keys, method)
+    failed = {}
+    qs = _at_s(keys, failed).tolist()
+    return [mu if isinstance(mu, Exception) else failed.get(i, (mu[0] - s * q, mu[1]))
+            for i, ((_, s), q, mu) in enumerate(zip(keys, qs, mus))]
 
 
 def rate_integral(model: TailModel, s, extended: bool = False,
@@ -454,9 +468,10 @@ def rate_integral(model: TailModel, s, extended: bool = False,
     """Rate integral rho(s) = int_0^s r(u) du.
 
     Models without an analytic slowly varying rate raise unless
-    ``extended`` is set, in which case the identity
-    rho(s) = mu(s) - s Q(1-s) supplies the value, with ``method``
-    passed on to the mean mass.
+    ``extended`` is set.  Then ``method="auto"`` takes the exact
+    rho(s) = s c(s) where the model's c(s) is closed, and otherwise the
+    identity rho(s) = mu(s) - s Q(1-s) supplies the value, with
+    ``method`` passed on to the mean mass.
     """
     ss, shape = _masses(s)
     return _settle(_rate(_keys(model, ss), extended, method), shape, with_error)

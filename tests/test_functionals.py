@@ -153,6 +153,16 @@ def test_pareto_divergent_scale_raises():
         tail_scale(Pareto(2.0), 0.1, beta=0.5)
     with pytest.raises(QuadratureError):
         tail_mean(Pareto(1.0), 0.1)
+    with pytest.raises(QuadratureError, match=r"rho\(0.1\) diverges for"):
+        rate_integral(Pareto(1.0), 0.1, extended=True)
+
+
+@pytest.mark.parametrize("model, s", [(Weibull(0.005), 1e-4), (Weibull(1e-300), 0.1)],
+                         ids=["weibull(0.005)", "weibull(1e-300)"])
+def test_rate_quadrature_overflow_fails_without_a_warning(model, s):
+    # r(u) overflows to inf near u = 0; pyproject makes a RuntimeWarning an error
+    with pytest.raises(QuadratureError, match=rf"rho\({s:g}\): integral is not finite"):
+        rate_integral(model, s, method="quadrature")
 
 
 # -- frozen regression values -------------------------------------------
@@ -257,15 +267,30 @@ def test_extended_rate_identity_whole_catalog(model):
 _RHO_MASSES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
+@pytest.mark.parametrize("model", [Uniform(), Pareto(2.0)], ids=lambda m: str(m))
+def test_extended_rate_is_exact_where_scale_is_closed(model, monkeypatch):
+    # rho(s) = s c(s, 1) with error 0: no mu(s) and no Q(1-s) is asked for
+    def unused(*args):
+        raise AssertionError("asked for mu or Q")
+
+    monkeypatch.setattr(model, "closed_mean_mass", unused)
+    monkeypatch.setattr(model, "tail_quantile", unused)
+    for s in _RHO_MASSES:
+        assert rate_integral(model, s, extended=True, with_error=True) == (
+            s * model.closed_scale(s, 1.0), 0.0)
+
+
 def _rho_sc_defect(name, c_route, rho_route, s):
-    """Why rho(s) = s c(s) misses its bound here, or None.  Both are FOUND
-    lines of CHANGES.md; Gumbel's closed c(s) is its closed rho(s) / s."""
+    """Why rho(s) = s c(s) misses its bound here, or None: Gumbel's is a
+    FOUND line of CHANGES.md (its closed c(s) is its closed rho(s) / s),
+    Uniform's ibp bound is ROADMAP Direction 13."""
     if name == "gumbel" and (c_route == "auto") != (rho_route == "auto"):
         if s <= (1e-5 if c_route == "ibp" else 1e-4):
             return ("FOUND: Gumbel's closed rho = gamma + ln G + E1(G) cancels "
                     "for small G = -ln(1-s)")
-    if name == "uniform" and rho_route == "auto" and (c_route == "auto" or s <= 1e-5):
-        return "FOUND: Uniform's extended rho = mu - s Q(1-s) loses about u/s relative"
+    if name == "uniform" and rho_route == "auto" and c_route == "ibp" and s <= 1e-5:
+        return ("Direction 13: Uniform's ibp c(s) is off the exact s/2 by more "
+                "than the error bound it reports")
     return None
 
 

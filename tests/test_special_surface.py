@@ -47,7 +47,8 @@ def _run(code, env):
 
 def test_desk_simulate_loads_no_scipy(tmp_path, subprocess_env):
     # The desk cell with every statistic: the N(0, 1) targets are the
-    # package's own ndtr, and the command imports no numpy module first.
+    # package's own ndtr, and the command imports no numpy or package
+    # module first.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "models": ["exponential(1)"], "n_values": [50000], "replicates": 2000,
@@ -61,10 +62,10 @@ def test_desk_simulate_loads_no_scipy(tmp_path, subprocess_env):
             cli.main(["simulate", "--config", {str(cfg)!r},
                       "--output-dir", {str(tmp_path / "out")!r}])
         print(json.dumps({{"scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
-                          "numpy": sorted(m for m in set(sys.modules) - before
-                                          if m.startswith("numpy"))}}))
+                          "new": sorted(m for m in set(sys.modules) - before
+                                        if m.startswith(("numpy", "extremesum")))}}))
     """
-    assert _run(code, subprocess_env) == {"scipy": [], "numpy": []}
+    assert _run(code, subprocess_env) == {"scipy": [], "new": []}
     assert (tmp_path / "out" / "report.json").exists()
 
 
