@@ -18,8 +18,6 @@ import numpy as np
 
 from .quadrature import exp_each
 
-__all__ = ["ndtr"]
-
 _SQRTH = 0.7071067811865476
 # erfc(z) is 0 where -z*z < -MAXLOG = -ln(DBL_MAX), that is for z > _ZMAX
 _MAXLOG = 709.782712893384

@@ -147,17 +147,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("functionals", help="write tail-functional tables")
-    _add_common(p)
-    p.set_defaults(func=cmd_functionals)
-
-    p = subs.add_parser("lemmas", help="run the limit-check suite")
-    _add_common(p)
-    p.set_defaults(func=cmd_lemmas)
-
-    p = subs.add_parser("simulate", help="run replicated experiments")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    for name, summary, func in (
+        ("functionals", "write tail-functional tables", cmd_functionals),
+        ("lemmas", "run the limit-check suite", cmd_lemmas),
+        ("simulate", "run replicated experiments", cmd_simulate),
+    ):
+        p = subs.add_parser(name, help=summary)
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = subs.add_parser("report", help="merge manifests into a summary")
     p.add_argument("manifests", nargs="+", metavar="MANIFEST")

@@ -14,20 +14,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .clt import STATISTIC_IDS, KRule, check_tolerances
+from .clt import STATISTIC_IDS, KRule, _is_number, check_tolerances
 from .errors import ConfigError
 from .functionals import SGrid
 from .limits import DEFAULT_CHECKS
 from .models import parse_model
 
-_TOP_KEYS = {
-    "models", "model", "n_values", "k_rule", "replicates", "master_seed",
-    "statistics", "betas", "s_grid", "tolerances", "checks", "output_dir",
-    "dump_samples",
-}
-
-_KRULE_KEYS = {"kind", "coeff", "gamma", "fixed_k"}
-_SGRID_KEYS = {"start", "ratio", "count"}
+_SGRID_KEYS = ("start", "ratio", "count")   # SGrid.geometry's order
 
 # Caps past which a run's arrays exhaust memory, far above the benchmark's
 # largest k + 1 = 3,983 order statistics and 12,000 rows per n value.
@@ -38,10 +31,6 @@ _MAX_ROWS = 2**20          # models x replicates per n value
 def _is_int(x) -> bool:
     # bool is an int subclass, but `"replicates": true` is a typo, not 1
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _as_float(x) -> float:
@@ -59,6 +48,17 @@ def _typed_list(data, key, ok, what):
     if not isinstance(value, (list, tuple)) or not all(ok(x) for x in value):
         raise ConfigError(f"{key} must be a list of {what}, got {value!r}")
     return tuple(value)
+
+
+def _reject_unknown(what, given, allowed):
+    """Raise ConfigError naming the keys of ``given`` not in ``allowed``."""
+    unknown = set(given) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 def _reject_duplicates(what, given, keys=None):
@@ -161,28 +161,21 @@ class ExperimentConfig:
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
-        if self.k_rule.kind == "power":
-            krule = {
-                "kind": "power",
-                "coeff": self.k_rule.coeff,
-                "gamma": self.k_rule.gamma,
-            }
-        else:
-            krule = {"kind": "fixed", "fixed_k": self.k_rule.fixed_k}
-        return {
-            "models": list(self.models),
-            "n_values": list(self.n_values),
-            "k_rule": krule,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "statistics": list(self.statistics),
-            "betas": [float(b) for b in self.betas],
-            "s_grid": dict(zip(("start", "ratio", "count"), self.s_grid.geometry)),
-            "tolerances": self.tolerances,
-            "checks": list(self.checks),
-            "output_dir": self.output_dir,
-            "dump_samples": self.dump_samples,
-        }
+        """The fields in declaration order, as JSON values."""
+        out = {}
+        for name in _field_names(self):
+            value = getattr(self, name)
+            if name == "k_rule":
+                kept = ("kind", "coeff", "gamma") if value.kind == "power" else ("kind", "fixed_k")
+                value = {key: getattr(value, key) for key in kept}
+            elif name == "s_grid":
+                value = dict(zip(_SGRID_KEYS, value.geometry))
+            elif name == "betas":
+                value = [float(b) for b in value]
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[name] = value
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -191,9 +184,7 @@ class ExperimentConfig:
     def from_dict(cls, data) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(data) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _reject_unknown("config", data, [*_field_names(cls), "model"])
         if "model" in data and "models" in data:
             raise ConfigError("give either 'model' or 'models', not both")
 
@@ -213,9 +204,7 @@ class ExperimentConfig:
             kr = data["k_rule"]
             if not isinstance(kr, dict):
                 raise ConfigError("k_rule must be an object")
-            unknown = set(kr) - _KRULE_KEYS
-            if unknown:
-                raise ConfigError(f"unknown k_rule keys: {sorted(unknown)}")
+            _reject_unknown("k_rule", kr, _field_names(KRule))
             for key in ("coeff", "gamma"):
                 if key in kr and not (_is_number(kr[key]) and math.isfinite(_as_float(kr[key]))):
                     raise ConfigError(f"k_rule.{key} must be a finite number, got {kr[key]!r}")
@@ -241,10 +230,9 @@ class ExperimentConfig:
             sg = data["s_grid"]
             if not isinstance(sg, dict):
                 raise ConfigError("s_grid must be an object")
-            unknown = set(sg) - _SGRID_KEYS
-            if unknown:
-                raise ConfigError(f"unknown s_grid keys: {sorted(unknown)}")
-            start, ratio, count = sg.get("start", 0.5), sg.get("ratio", 0.5), sg.get("count", 3)
+            _reject_unknown("s_grid", sg, _SGRID_KEYS)
+            start, ratio, count = (sg.get(key, default) for key, default
+                                   in zip(_SGRID_KEYS, DEFAULT_S_GRID.geometry))
             if not (_is_number(start) and _is_number(ratio)):
                 raise ConfigError("s_grid.start and s_grid.ratio must be numbers")
             if not _is_int(count):

@@ -91,21 +91,6 @@ _RESIDUAL_REL_TOL = 1e-10
 # before any point is built, or a billion points exhaust memory.
 _MAX_GRID_POINTS = 10_000
 
-__all__ = [
-    "SGrid",
-    "tail_scale",
-    "tail_mean",
-    "rate_integral",
-    "tail_variance",
-    "spacing_log_ratio",
-    "scale_beta_ratio",
-    "variance_scale_ratio",
-    "representation_residual",
-    "sequence_slowvar_ratio",
-    "FunctionalTable",
-    "build_functional_table",
-]
-
 
 @dataclass(frozen=True)
 class SGrid:

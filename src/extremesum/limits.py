@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,7 +215,8 @@ def slow_variation_check(f, lam: float, grid: SGrid, tol: float) -> LimitCheckRe
 
 # -- default suite ------------------------------------------------------
 #
-# Each check id maps to a request check(models, betas).  It yields the
+# Each check id maps to a request check(models, betas) and the check's
+# tolerance in each convergence class (``_CHECKS``).  The request yields the
 # functionals that its rows read, at every model's points, and returns
 # rows(model): one (params, run) pair per report row of the model.  run()
 # returns (grid, values, target, note), or raises the error of its first
@@ -318,47 +320,27 @@ def _rate_scale_limit(models, betas):
     return lambda m: [((), _row(grid, lambda: ratios(m), 1.0))] if m.has_tail_rate else []
 
 
-_CHECKS = {
-    "domain_ratio": _domain_ratio,
-    "scale_slow_variation": _scale_slow_variation,
-    "representation_residual": _representation_residual,
-    "spacing_log_limit": _spacing_log_limit,
-    "scale_beta_limit": _scale_beta_limit,
-    "variance_scale_limit": _variance_scale_limit,
-    "sequence_slowvar_limit": _sequence_slowvar_limit,
-    "rate_scale_limit": _rate_scale_limit,
-}
-
-DEFAULT_CHECKS = tuple(_CHECKS)
-
 # Models with elementary closed-form tail functionals converge to their
 # limits exponentially fast in ln(1/s); everything else in the catalog has
 # a log-type tail and needs loose tolerances: O(1/log(1/s)) convergence for
 # Weibull-type quantiles, only O(1/sqrt(log(1/s))) for the LogNormal.
 _EXACT_CLASS = ("exponential", "gumbel")
 
-_CLASS_TOL = {
-    "exact": {
-        "domain_ratio": 0.2,
-        "scale_slow_variation": 1e-3,
-        "representation_residual": 1e-6,
-        "spacing_log_limit": 1e-3,
-        "scale_beta_limit": 1e-3,
-        "variance_scale_limit": 1e-3,
-        "sequence_slowvar_limit": 0.01,
-        "rate_scale_limit": 1e-3,
-    },
-    "log": {
-        "domain_ratio": 0.2,
-        "scale_slow_variation": 0.05,
-        "representation_residual": 1e-6,
-        "spacing_log_limit": 0.05,
-        "scale_beta_limit": 0.1,
-        "variance_scale_limit": 0.05,
-        "sequence_slowvar_limit": 0.01,
-        "rate_scale_limit": 0.05,
-    },
+# A check's request and its tolerance in each convergence class.
+_Check = namedtuple("_Check", "request exact log")
+
+_CHECKS = {
+    "domain_ratio": _Check(_domain_ratio, 0.2, 0.2),
+    "scale_slow_variation": _Check(_scale_slow_variation, 1e-3, 0.05),
+    "representation_residual": _Check(_representation_residual, 1e-6, 1e-6),
+    "spacing_log_limit": _Check(_spacing_log_limit, 1e-3, 0.05),
+    "scale_beta_limit": _Check(_scale_beta_limit, 1e-3, 0.1),
+    "variance_scale_limit": _Check(_variance_scale_limit, 1e-3, 0.05),
+    "sequence_slowvar_limit": _Check(_sequence_slowvar_limit, 0.01, 0.01),
+    "rate_scale_limit": _Check(_rate_scale_limit, 1e-3, 0.05),
 }
+
+DEFAULT_CHECKS = tuple(_CHECKS)
 
 
 def convergence_class(model: TailModel) -> str:
@@ -385,7 +367,7 @@ def run_limit_suite(model, checks=DEFAULT_CHECKS, betas=(0.5, 2.0)) -> list:
     if unknown:
         raise ValueError(f"unknown check id: {unknown[0]}")
     rows = [[] for _ in models]
-    for check, check_rows in zip(checks, _run(*(_CHECKS[c](models, betas) for c in checks))):
+    for check, check_rows in zip(checks, _run(*(_CHECKS[c].request(models, betas) for c in checks))):
         for m, out in zip(models, rows):
             for params, run in check_rows(m):
                 try:
@@ -396,6 +378,6 @@ def run_limit_suite(model, checks=DEFAULT_CHECKS, betas=(0.5, 2.0)) -> list:
                 out.append(LimitCheckReport(
                     check_id=check, model=m.describe(), params=params, grid=grid,
                     values=values, target=target,
-                    tolerance=_CLASS_TOL[convergence_class(m)][check], note=note,
+                    tolerance=getattr(_CHECKS[check], convergence_class(m)), note=note,
                 ))
     return [report for model_rows in rows for report in model_rows]

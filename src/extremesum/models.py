@@ -40,26 +40,6 @@ import numpy as np
 from .cephes import ndtr
 from .errors import UnsupportedModelError
 
-__all__ = [
-    "GUMBEL_DOMAIN",
-    "FRECHET_DOMAIN",
-    "WEIBULL_DOMAIN",
-    "UNKNOWN_DOMAIN",
-    "TailModel",
-    "Exponential",
-    "Gumbel",
-    "Weibull",
-    "Normal",
-    "LogNormal",
-    "Gamma",
-    "Pareto",
-    "Uniform",
-    "AffineModel",
-    "CatalogEntry",
-    "catalog",
-    "parse_model",
-]
-
 GUMBEL_DOMAIN = "Gumbel"
 FRECHET_DOMAIN = "Frechet"
 WEIBULL_DOMAIN = "Weibull-domain"
@@ -555,17 +535,18 @@ def catalog() -> list[CatalogEntry]:
     ]
 
 
-_MODEL_FACTORIES = {
-    # name -> (factory, min arity, max arity)
-    "exponential": (Exponential, 0, 1),
-    "gumbel": (Gumbel, 0, 2),
-    "weibull": (Weibull, 1, 1),
-    "normal": (Normal, 0, 0),
-    "lognormal": (LogNormal, 0, 0),
-    "gamma": (Gamma, 1, 1),
-    "pareto": (Pareto, 1, 1),
-    "uniform": (Uniform, 0, 0),
-}
+# name -> (factory, min arity, max arity); a descriptor names Weibull's
+# shape although its constructor has a default
+_MODEL_FACTORIES = {factory.name: (factory, lo, hi) for factory, lo, hi in (
+    (Exponential, 0, 1),
+    (Gumbel, 0, 2),
+    (Weibull, 1, 1),
+    (Normal, 0, 0),
+    (LogNormal, 0, 0),
+    (Gamma, 1, 1),
+    (Pareto, 1, 1),
+    (Uniform, 0, 0),
+)}
 
 _DESCRIPTOR_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 

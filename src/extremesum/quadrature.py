@@ -75,9 +75,6 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["DEFAULT_REL_TOL", "semiinf_quad", "log_interval_quad", "log_interval_quads",
-           "tail_quads", "exp_each"]
-
 DEFAULT_REL_TOL = 1e-11
 
 # QUADPACK is asked for pure relative accuracy; the absolute floor only

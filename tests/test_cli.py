@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 
 from extremesum import (ConfigError, ExperimentConfig, KRule, SGrid,
                         build_functional_table)
-from extremesum.cli import main
+from extremesum.cli import _build_parser, cmd_functionals, cmd_lemmas, cmd_simulate, main
 from extremesum.reports import (
     atomic_write_text,
     sha256_file,
@@ -41,6 +42,30 @@ _LOOSE = {
 
 
 # -- config parsing -----------------------------------------------------
+
+
+def test_help_lists_the_commands_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert re.findall(r"^    (\w+) +(\S.*)$", capsys.readouterr().out, re.M) == [
+        ("functionals", "write tail-functional tables"),
+        ("lemmas", "run the limit-check suite"),
+        ("simulate", "run replicated experiments"),
+        ("report", "merge manifests into a summary"),
+    ]
+
+
+@pytest.mark.parametrize("command, func", [
+    ("functionals", cmd_functionals), ("lemmas", cmd_lemmas), ("simulate", cmd_simulate),
+])
+def test_config_commands_take_the_common_options(command, func):
+    args = _build_parser().parse_args([
+        command, "--config", "c.json", "--output-dir", "out", "--threads", "2",
+        "--master-seed", "5", "--replicates", "9"])
+    assert (args.func, args.config, args.output_dir, args.threads, args.master_seed,
+            args.replicates) == (func, "c.json", "out", 2, 5, 9)
 
 
 def test_config_round_trip_is_idempotent():

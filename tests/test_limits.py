@@ -6,6 +6,7 @@ import pytest
 
 from extremesum import (
     DEFAULT_CHECKS,
+    AffineModel,
     Exponential,
     Gamma,
     Gumbel,
@@ -294,6 +295,49 @@ def test_suite_uniform_negative_control():
     reports = run_limit_suite(Uniform())
     passing = sorted(r.check_id for r in reports if r.passed)
     assert passing == ["representation_residual", "sequence_slowvar_limit"]
+
+
+# Each check's tolerance in the exact and in the log convergence class,
+# written out so that a mistyped entry of the suite's table fails.
+EXACT_TOL = {
+    "domain_ratio": 0.2,
+    "scale_slow_variation": 1e-3,
+    "representation_residual": 1e-6,
+    "spacing_log_limit": 1e-3,
+    "scale_beta_limit": 1e-3,
+    "variance_scale_limit": 1e-3,
+    "sequence_slowvar_limit": 0.01,
+    "rate_scale_limit": 1e-3,
+}
+LOG_TOL = {
+    "domain_ratio": 0.2,
+    "scale_slow_variation": 0.05,
+    "representation_residual": 1e-6,
+    "spacing_log_limit": 0.05,
+    "scale_beta_limit": 0.1,
+    "variance_scale_limit": 0.05,
+    "sequence_slowvar_limit": 0.01,
+    "rate_scale_limit": 0.05,
+}
+
+
+@pytest.mark.parametrize("models, expected", [
+    ([AffineModel(Gumbel(), 2.0, 1.0)], EXACT_TOL),
+    # Normal carries no rate, so Weibull(2) gives the log class's rate row
+    ([AffineModel(Normal(), 2.0, 1.0), AffineModel(Weibull(2.0), 2.0, 1.0)], LOG_TOL),
+], ids=["exact", "log"])
+def test_suite_tolerance_follows_the_base_model_class(models, expected):
+    rows = run_limit_suite(models)
+    assert sorted({(r.check_id, r.tolerance) for r in rows}) == sorted(expected.items())
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: the default betas (1, 2) repeat the beta = 1 work; scale_slow_variation "
+    "prepends beta = 1 to them, so its beta = 1 rows appear twice"))
+def test_suite_rows_are_distinct_at_the_default_betas():
+    rows = run_limit_suite(Exponential(), betas=(1.0, 2.0))
+    keys = [(r.check_id, r.model, r.params) for r in rows]
+    assert len(set(keys)) == len(keys)
 
 
 def test_suite_check_subset_and_unknown():
