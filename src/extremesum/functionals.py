@@ -65,6 +65,10 @@ unfinished quadrature; the values equal the scalar ones bit for bit.  The
 weights e^{-beta w} come from the round's node table in
 ``quadrature.tail_quads``, libm's exp once per distinct interval and
 beta: np.exp differs from math.exp in the last bit on some doubles.
+
+``build_functional_table`` gives a FunctionalTable: columns, error
+bounds, notes and, for a model outside the Gumbel domain, a warning.
+``reports`` lays it out as a CSV file.
 """
 
 from __future__ import annotations
@@ -612,13 +616,10 @@ def sequence_slowvar_ratio(slowvar, beta: float, a_of_n, n) -> float:
 # -- tabulation ---------------------------------------------------------
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @dataclass
 class FunctionalTable:
-    """Functionals evaluated on a grid, with per-entry error estimates."""
+    """Functionals evaluated on a grid, with per-entry error estimates;
+    ``reports.functional_table_csv`` writes one as a file."""
 
     model: TailModel
     grid: SGrid
@@ -634,17 +635,13 @@ class FunctionalTable:
     def err_max(self, i: int) -> float:
         return max((self.errors[name][i] for name in self.errors), default=0.0)
 
-    def to_csv(self, fh) -> None:
-        """Write the table; deterministic order and 17 significant digits."""
-        if self.model.domain_label != GUMBEL_DOMAIN:
-            fh.write(
-                f"# warning: {self.model.describe()} has domain label "
-                f"{self.model.domain_label}; tail functionals target Gumbel-domain models\n"
-            )
-        fh.write(",".join(self.column_order) + "\n")
-        for i, s in enumerate(self.grid.points):
-            row = [s, *(self.columns[name][i] for name in self.columns), self.err_max(i)]
-            fh.write(",".join(map(_fmt17, row)) + "\n")
+    @property
+    def warning(self) -> str:
+        """Why the table's model is off target, or "" for a Gumbel-domain model."""
+        if self.model.domain_label == GUMBEL_DOMAIN:
+            return ""
+        return (f"{self.model.describe()} has domain label {self.model.domain_label}; "
+                "tail functionals target Gumbel-domain models")
 
 
 def build_functional_table(model, grid: SGrid, betas=()):

@@ -23,6 +23,9 @@ outcome, value or error, does not depend on the request or the batch
 around it, so a row fails with the error its first failing point would
 raise in a scalar evaluation of the grid, and one model's error fails
 only that model's rows.
+
+A LimitCheckReport holds a check's sequence and verdict; ``reports``
+lays its row of ``limit_checks.csv`` out.
 """
 
 from __future__ import annotations
@@ -83,35 +86,6 @@ class LimitCheckReport:
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
-
-    def row(self):
-        """Flat tuple for CSV emission: one row per report, final point."""
-        s_final = self.grid[-1] if self.grid else float("nan")
-        v_final = self.values[-1] if self.values else float("nan")
-        return (
-            self.check_id,
-            self.model,
-            ";".join(f"{k}={format(v, 'g')}" for k, v in self.params),
-            s_final,
-            v_final,
-            self.target,
-            self.tolerance,
-            self.final_error,
-            self.verdict,
-        )
-
-
-CSV_HEADER = (
-    "check_id",
-    "model",
-    "params",
-    "s",
-    "value",
-    "target",
-    "tolerance",
-    "error",
-    "verdict",
-)
 
 
 def _default_grid(stop: float, count: int = 5) -> SGrid:

@@ -1,14 +1,21 @@
 """File emission: CSV/JSON reports, checksummed manifests, summaries.
 
+This is the one module that knows how each output file is laid out:
+``limit_checks.csv``, one functional table per model, ``report.csv`` and
+``report.json``, the replicate dumps and the manifest.  A CSV layout is
+an ordered table of column name -> getter, and every CSV goes through
+one writer, with \n line ends and floats printed with %.17g so that
+every double survives a round trip through text unchanged.  The module
+imports only the standard library and ``errors``: it reads the reports
+and tables the numeric layers hand it by their fields, so checking a
+manifest loads no numeric layer.
+
 Every file is written to a temporary sibling and atomically renamed into
 place, so a crashed run never leaves a truncated report behind.  Each
 command finishes by writing a manifest that echoes the config and lists a
 SHA-256 checksum for every file it produced; reruns with the same config
 and seed must reproduce those checksums bit for bit, which is what the
 reproducibility tests pin.
-
-Floating-point values in CSV files are printed with %.17g so that every
-double survives a round trip through text unchanged.
 """
 
 from __future__ import annotations
@@ -23,10 +30,11 @@ import math
 import os
 import re
 import tempfile
+from collections import namedtuple
 from datetime import datetime, timezone
+from operator import attrgetter
 
 from .errors import ConfigError
-from .limits import CSV_HEADER as _LIMIT_HEADER
 
 MANIFEST_NAME = "manifest.json"
 
@@ -41,6 +49,19 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
+
+
+def _csv(columns: dict, rows, comment: str = "") -> str:
+    """A CSV file's text: ``comment``, a header of the names in
+    ``columns``, then one line per item of ``rows``, each cell its
+    column's getter applied to the item and passed through _fmt."""
+    buf = io.StringIO()
+    buf.write(comment)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    getters = columns.values()
+    writer.writerows([_fmt(get(row)) for get in getters] for row in rows)
+    return buf.getvalue()
 
 
 _ascii = json.encoder.encode_basestring_ascii
@@ -111,29 +132,45 @@ def sanitize_name(descriptor: str) -> str:
 # -- functional tables --------------------------------------------------
 
 
+def functional_table_csv(table) -> str:
+    """A FunctionalTable's file: its warning, if any, as a comment line,
+    then s, every column and err_max at each grid point."""
+    columns = {"s": table.grid.points.__getitem__,
+               **{name: values.__getitem__ for name, values in table.columns.items()},
+               "err_max": table.err_max}
+    comment = f"# warning: {table.warning}\n" if table.warning else ""
+    return _csv(columns, range(len(table.grid.points)), comment)
+
+
 def write_functional_tables(tables, outdir) -> dict:
     """One CSV per model; returns {filename: path}."""
     outputs = {}
     for table in tables:
         name = f"functionals_{sanitize_name(table.model.describe())}.csv"
-        buf = io.StringIO()
-        table.to_csv(buf)
         outputs[name] = atomic_write_text(
-            os.path.join(outdir, name), buf.getvalue()
+            os.path.join(outdir, name), functional_table_csv(table)
         )
     return outputs
 
 
 # -- limit-check suite --------------------------------------------------
 
+# One row per LimitCheckReport: its final grid point and verdict.
+_LIMIT_COLUMNS = {
+    "check_id": attrgetter("check_id"),
+    "model": attrgetter("model"),
+    "params": lambda r: ";".join(f"{k}={format(v, 'g')}" for k, v in r.params),
+    "s": lambda r: r.grid[-1] if r.grid else math.nan,
+    "value": lambda r: r.values[-1] if r.values else math.nan,
+    "target": attrgetter("target"),
+    "tolerance": attrgetter("tolerance"),
+    "error": attrgetter("final_error"),
+    "verdict": attrgetter("verdict"),
+}
+
 
 def limit_reports_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_LIMIT_HEADER)
-    for rep in reports:
-        writer.writerow([_fmt(v) for v in rep.row()])
-    return buf.getvalue()
+    return _csv(_LIMIT_COLUMNS, reports)
 
 
 def write_limit_reports(reports, outdir) -> dict:
@@ -143,10 +180,22 @@ def write_limit_reports(reports, outdir) -> dict:
 
 # -- simulation reports -------------------------------------------------
 
-_REPORT_COLUMNS = (
-    "model", "n", "k", "stat", "mean", "var", "skew", "kurt",
-    "ks", "ad", "target_var", "verdict",
-)
+# One row per cell (a NormalityReport) and statistic (its StatSummary).
+_ReportRow = namedtuple("_ReportRow", "cell stat")
+_REPORT_COLUMNS = {
+    "model": attrgetter("cell.model"),
+    "n": attrgetter("cell.n"),
+    "k": attrgetter("cell.k"),
+    "stat": attrgetter("stat.statistic_id"),
+    "mean": attrgetter("stat.mean"),
+    "var": attrgetter("stat.variance"),
+    "skew": attrgetter("stat.skewness"),
+    "kurt": attrgetter("stat.excess_kurtosis"),
+    "ks": attrgetter("stat.ks"),
+    "ad": attrgetter("stat.ad"),
+    "target_var": attrgetter("stat.target_variance"),
+    "verdict": attrgetter("stat.verdict"),
+}
 
 
 @functools.cache
@@ -184,43 +233,15 @@ def normality_report_json(result, config) -> str:
 
 
 def normality_report_csv(result) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_REPORT_COLUMNS)
-    for rep in result.reports:
-        for s in rep.summaries:
-            writer.writerow(
-                [
-                    rep.model,
-                    rep.n,
-                    rep.k,
-                    s.statistic_id,
-                    _fmt(s.mean),
-                    _fmt(s.variance),
-                    _fmt(s.skewness),
-                    _fmt(s.excess_kurtosis),
-                    _fmt(s.ks),
-                    _fmt(s.ad),
-                    _fmt(s.target_variance),
-                    s.verdict,
-                ]
-            )
-    return buf.getvalue()
+    return _csv(_REPORT_COLUMNS,
+                (_ReportRow(rep, s) for rep in result.reports for s in rep.summaries))
 
 
 def samples_csv(cell_samples) -> str:
     """Replicate values, one column per statistic, one row per replicate."""
-    stats = list(cell_samples)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(stats)
-    if stats:
-        r = len(cell_samples[stats[0]].values)
-        for i in range(r):
-            writer.writerow(
-                [_fmt(float(cell_samples[s].values[i])) for s in stats]
-            )
-    return buf.getvalue()
+    columns = {stat: sample.values.tolist() for stat, sample in cell_samples.items()}
+    r = min(map(len, columns.values()), default=0)
+    return _csv({stat: values.__getitem__ for stat, values in columns.items()}, range(r))
 
 
 def write_simulation(result, config, outdir) -> dict:

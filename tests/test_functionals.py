@@ -1,6 +1,5 @@
 """Tail functionals: closed forms, dual quadrature routes, tables."""
 
-import io
 import math
 
 import numpy as np
@@ -30,6 +29,7 @@ from extremesum import (
     tail_variance,
 )
 from extremesum import functionals, quadrature
+from extremesum.reports import functional_table_csv, limit_reports_csv
 
 GUMBEL_MODELS = [
     Exponential(1.0), Gumbel(), Weibull(2.0), Normal(), LogNormal(), Gamma(2.0),
@@ -383,9 +383,7 @@ def test_table_pareto_scale_column_and_flags():
     assert any("sigma2" in note for note in t.notes)
     assert "rho" not in t.columns
 
-    buf = io.StringIO()
-    t.to_csv(buf)
-    text = buf.getvalue()
+    text = functional_table_csv(t)
     assert text.startswith("# warning: pareto(2)")
     assert "Frechet" in text.splitlines()[0]
 
@@ -394,11 +392,9 @@ def test_table_empty_betas_and_determinism():
     grid = SGrid.geometric(0.25, 0.1, 2)
     t1 = build_functional_table(Weibull(2.0), grid)
     assert t1.column_order == ["s", "c", "sigma2", "mu", "rho", "err_max"]
-    b1, b2 = io.StringIO(), io.StringIO()
-    t1.to_csv(b1)
-    build_functional_table(Weibull(2.0), grid).to_csv(b2)
-    assert b1.getvalue() == b2.getvalue()
-    header = b1.getvalue().splitlines()[0]
+    text = functional_table_csv(t1)
+    assert functional_table_csv(build_functional_table(Weibull(2.0), grid)) == text
+    header = text.splitlines()[0]
     assert header == "s,c,sigma2,mu,rho,err_max"
 
 
@@ -536,5 +532,5 @@ def test_failed_quadrature_fails_again(quad_calls):
 
 def test_limit_suite_repeats_on_one_instance():
     model = Gamma(2.0)
-    first = [r.row() for r in run_limit_suite(model)]
-    assert [r.row() for r in run_limit_suite(model)] == first
+    first = limit_reports_csv(run_limit_suite(model))
+    assert limit_reports_csv(run_limit_suite(model)) == first

@@ -1,5 +1,7 @@
 """Limit checks: domain probe, slow variation, default suite."""
 
+import csv
+import io
 import math
 
 import pytest
@@ -24,6 +26,7 @@ from extremesum import (
     tail_scale,
     variance_scale_ratio,
 )
+from extremesum.reports import limit_reports_csv
 
 D_STAR_TRIO = [Exponential(1.0), Weibull(2.0), Gumbel()]
 FAST_GUMBEL = [Exponential(1.0), Gumbel(), Weibull(2.0), Normal(), Gamma(2.0)]
@@ -40,6 +43,12 @@ def _report(values, target=1.0, tol=0.1):
     )
 
 
+def _row(report):
+    """The report's line of limit_checks.csv, by column name."""
+    [row] = csv.DictReader(io.StringIO(limit_reports_csv([report])))
+    return row
+
+
 def test_report_verdict_uses_final_point_only():
     r = _report([5.0, 2.0, 1.05])
     assert r.final_error == pytest.approx(0.05)
@@ -51,18 +60,21 @@ def test_report_empty_and_nonfinite_values():
     r = LimitCheckReport("demo", "m", (), (), (), 1.0, 0.1)
     assert r.final_error == math.inf
     assert r.verdict == "fail"
-    assert math.isnan(r.row()[3]) and math.isnan(r.row()[4])
+    row = _row(r)
+    assert math.isnan(float(row["s"])) and math.isnan(float(row["value"]))
     assert not _report([1.0, math.nan]).passed
     assert not _report([1.0, math.inf]).passed
 
 
 def test_report_row_layout():
-    row = _report([2.0, 1.02], tol=0.1).row()
-    assert row[0] == "demo"
-    assert row[2] == "p=1"
-    assert row[3] == pytest.approx(0.01)
-    assert row[4] == pytest.approx(1.02)
-    assert row[-1] == "pass"
+    row = _row(_report([2.0, 1.02], tol=0.1))
+    assert list(row) == ["check_id", "model", "params", "s", "value", "target",
+                         "tolerance", "error", "verdict"]
+    assert row["check_id"] == "demo"
+    assert row["params"] == "p=1"
+    assert float(row["s"]) == pytest.approx(0.01)
+    assert float(row["value"]) == pytest.approx(1.02)
+    assert row["verdict"] == "pass"
 
 
 # -- domain probe -------------------------------------------------------

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import extremesum
 
 
@@ -73,3 +75,48 @@ def test_submodule_resolves_after_a_bare_import(subprocess_env):
 def test_every_module_of_the_package_resolves():
     files = {path.stem for path in Path(extremesum.__file__).parent.glob("*.py")}
     assert extremesum._MODULES == files - {"__init__", "__main__"}
+
+
+_CATALOG = ["exponential(1)", "gumbel(0,1)", "weibull(2)", "normal", "lognormal", "gamma(2)",
+            "pareto(2)", "uniform"]
+_STATISTICS = ["T1", "T2", "T3", "BDH", "MAX"]
+
+# The benchmark's configs: the desk cell, the catalog's limit suite and
+# tables, the Gumbel-domain sweep; and whether loading them loads scipy.special.
+_BENCH_CONFIGS = {
+    "desk_cell": ({"models": ["exponential(1)"], "n_values": [50000], "replicates": 2000,
+                   "master_seed": 7, "statistics": _STATISTICS}, False),
+    "catalog_lemmas": ({"models": _CATALOG, "master_seed": 7,
+                        "s_grid": {"start": 0.1, "ratio": 0.1, "count": 8}}, True),
+    "catalog_sweep": ({"models": _CATALOG[:6], "n_values": [5000, 50000, 10**9],
+                       "replicates": 5, "master_seed": 7, "statistics": _STATISTICS}, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_CONFIGS))
+def test_benchmark_timing_windows_load_fixed_modules(name, tmp_path, subprocess_env):
+    """The benchmark times set-up (``import extremesum`` and
+    ``ExperimentConfig.load``) apart from the command, which imports
+    ``cli`` first.  An import that moves from one window to the other moves
+    its cost between setup_s and wall_s, so it has to show here."""
+    config, special = _BENCH_CONFIGS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = f"""if 1:
+        import json, sys
+        def ours():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "extremesum")
+        import extremesum
+        from extremesum.config import ExperimentConfig
+        ExperimentConfig.load({str(path)!r})
+        setup = ours()
+        loaded = ["numpy.random" in sys.modules, "scipy.special" in sys.modules]
+        from extremesum import cli
+        print(json.dumps([setup, loaded, sorted(set(ours()) - set(setup))]))
+    """
+    setup, loaded, command = _run(code, subprocess_env)
+    assert setup == ["extremesum", *(f"extremesum.{m}" for m in (
+        "cephes", "clt", "config", "errors", "functionals", "gof", "limits", "models",
+        "quadrature", "sampling"))]
+    assert loaded == [True, special]
+    assert command == ["extremesum.cli", "extremesum.reports"]
