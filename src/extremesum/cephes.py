@@ -6,8 +6,10 @@ operation: the same rational approximations, Horner steps in the same
 order (no fused multiply-add) and libm's exp, taken per element through
 ``exp_each`` because numpy's exp differs from libm's in the last bit on
 some doubles.  So it returns the bits of scipy's ndtr, which the tests
-check.  Small inputs take a loop over Python floats, larger ones the
-same steps on numpy arrays; both give every element the same value.
+check.  It runs these steps on numpy arrays, whatever the input's size.
+
+The module is a leaf: it imports no other module of the package, which
+takes its libm-exact elementwise helpers (``exp_each``) from here.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .quadrature import exp_each
 
 _SQRTH = 0.7071067811865476
 # erfc(z) is 0 where -z*z < -MAXLOG = -ln(DBL_MAX), that is for z > _ZMAX
@@ -40,9 +40,15 @@ _T = (9.604973739870516, 90.02601972038427, 2232.005345946843,
 _U = (33.56171416475031, 521.3579497801527, 4594.323829709801,
       22629.000061389095, 49267.39426086359)
 
-# Up to this many elements a loop over Python floats beats the array
-# path, whose fixed cost is about 90 numpy calls.
-_SMALL = 48
+
+def exp_each(x):
+    """math.exp on each element of the array x, as an array.
+
+    numpy's exp differs from libm's in the last bit on some doubles, so
+    every exponential that feeds a quadrature node, an integrand or ndtr
+    is libm's.
+    """
+    return np.fromiter(map(math.exp, x.tolist()), float, x.size)
 
 
 def _polevl(x, c):
@@ -70,22 +76,6 @@ def _erf(v):
     return v * _polevl(w, _T) / _p1evl(w, _U)
 
 
-def _ndtr_float(a):
-    x = a * _SQRTH
-    z = abs(x)
-    if z < _SQRTH:
-        return 0.5 + 0.5 * _erf(x)
-    if z < 1.0:
-        y = 0.5 * (1.0 - _erf(z))
-    elif z > _ZMAX:
-        y = 0.0
-    elif z < 8.0:
-        y = 0.5 * (math.exp(-z * z) * _polevl(z, _P) / _p1evl(z, _Q))
-    else:  # z >= 8, or NaN
-        y = 0.5 * (math.exp(-z * z) * _polevl(z, _R) / _p1evl(z, _S))
-    return 1.0 - y if x > 0.0 else y
-
-
 def _erfc_big(z):
     """erfc(z) for an array of z in [1, _ZMAX]."""
     y = exp_each(-z * z)
@@ -96,8 +86,11 @@ def _erfc_big(z):
     return y
 
 
-def _ndtr_array(a):
-    x = a * _SQRTH
+def ndtr(a):
+    """Phi(a), the N(0, 1) CDF, elementwise: a float for a scalar or 0-d
+    input, else an array of the input's shape."""
+    a = np.asarray(a, dtype=float)
+    x = a.ravel() * _SQRTH
     z = np.abs(x)
     y = np.where(z > _ZMAX, 0.0, np.nan)  # erfc underflows; NaN stays NaN
     low = z < 1.0
@@ -108,14 +101,5 @@ def _ndtr_array(a):
     y = np.where(x > 0.0, 1.0 - y, y)
     inner = z < _SQRTH
     y[inner] = 0.5 + 0.5 * e[inner[low]]
-    return y
-
-
-def ndtr(a):
-    """Phi(a), the N(0, 1) CDF, elementwise: a float for a scalar or 0-d
-    input, else an array of the input's shape."""
-    a = np.asarray(a, dtype=float)
-    if a.size > _SMALL:
-        return _ndtr_array(a)
-    y = np.array([_ndtr_float(v) for v in a.ravel().tolist()]).reshape(a.shape)
+    y = y.reshape(a.shape)
     return y if y.ndim else float(y)

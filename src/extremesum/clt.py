@@ -43,13 +43,14 @@ one-cell and one-sample cases of these stages.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cephes import ndtr
 from .errors import ConfigError, NumericError
-from .functionals import _at_s, _mean, _rate, _run, _scale, tail_scale, tail_variance
+from .functionals import _at_s, _mean, _rate, _run, _scale, _values, _variance, tail_scale
 from .gof import distances
 from .models import TailModel
 from .sampling import ReplicateDraw, SeedSpec, _draw_segments, _rescaled_threshold_tail
@@ -220,8 +221,9 @@ def limiting_gaussian_moments(model: TailModel, n: int, k: int) -> GaussianMomen
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     s = k / n
-    c = tail_scale(model, s)
-    var_z = tail_variance(model, s) / (s * c * c)
+    keys = [(model, s)]
+    [[c], [var]] = _values(*_run(_scale(keys, 1.0), _variance(keys)))
+    var_z = var / (s * c * c)
     return GaussianMoments(varZ=var_z, varY=1.0 - s, cov=1.0 - s)
 
 
@@ -242,11 +244,9 @@ def gumbel_cdf(x):
         return np.exp(-np.exp(-np.asarray(x, dtype=np.float64)))
 
 
-@dataclass(frozen=True)
-class Statistic:
-    cdf: object              # target law, None where there is none to test
-    variance: float | None   # target variance, None for BDH's 1/k
-    bounds: dict             # default bounds, keyed as in BOUNDS
+# A statistic's target law (None where there is none to test), its target
+# variance (None for BDH's 1/k) and its default bounds, keyed as in BOUNDS.
+Statistic = namedtuple("Statistic", "cdf variance bounds")
 
 
 STATISTICS = {
@@ -282,12 +282,10 @@ def _sd_failure(summary, factor, k):
         return f"sd {sd:.4g} outside factor {factor:g} of {ref:.4g}"
 
 
-@dataclass(frozen=True)
-class Bound:
-    valid: object     # shape and range test for a configured value
-    want: str         # what a valid value is
-    applies: object   # Statistic -> whether the bound means anything for it
-    failure: object   # (summary, value, k) -> failure text, None when met
+# A bound's shape and range test for a configured value, what a valid
+# value is, whether it means anything for a Statistic, and its failure
+# text for (summary, value, k), None when met.
+Bound = namedtuple("Bound", "valid want applies failure")
 
 
 _RANGE = "a [lo, hi] pair of numbers with lo <= hi"

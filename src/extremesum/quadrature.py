@@ -45,8 +45,8 @@ Kronrod sums stay per quadrature and interval: sequential
 never pairwise sums, and QK21's Gauss sum skips its Kronrod-only nodes.
 The rest is elementwise IEEE arithmetic, so a quadrature's bits do not
 depend on the batch it runs in.  Exponentials and powers stay per
-element on libm (``exp_each``, ``x ** 1.5``): numpy's SIMD exp and power
-differ from libm in the last bit on some doubles.
+element on libm (``cephes.exp_each``, ``x ** 1.5``): numpy's SIMD exp and
+power differ from libm in the last bit on some doubles.
 
 A batch of M quadratures makes max(last) integrand calls instead of the
 sum of them, and may mix models, functionals and checks: a command step
@@ -73,6 +73,7 @@ import sys
 
 import numpy as np
 
+from .cephes import exp_each
 from .errors import QuadratureError
 
 DEFAULT_REL_TOL = 1e-11
@@ -140,15 +141,6 @@ def _div(a, b):
         if a != a or a == 0.0:
             return math.nan
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
-def exp_each(x):
-    """math.exp on each element of the array x, as an array.
-
-    numpy's exp differs from libm's in the last bit on some doubles, so
-    every exponential that feeds a quadrature node or integrand is libm's.
-    """
-    return np.fromiter(map(math.exp, x.tolist()), float, x.size)
 
 
 def _table(xgk, wgk, wg, order):

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, manifests, config round trips."""
 
+import csv
 import json
 import math
 import os
@@ -620,6 +621,46 @@ def test_report_detects_corruption(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "checksum mismatch" in err
     assert "report.csv" in err
+
+
+def _lemmas_run(tmp_path):
+    """The limit suite's outputs for a passing and a failing model."""
+    cfg = _write_config(tmp_path / "cfg.json", models=["exponential(1)", "pareto(2)"])
+    out = tmp_path / "run"
+    assert main(["lemmas", "--config", cfg, "--output-dir", str(out)]) == 4
+    return out
+
+
+def test_report_summarizes_limit_checks(tmp_path):
+    out = _lemmas_run(tmp_path)
+    with open(out / "limit_checks.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    bad = [r for r in rows if r["verdict"] != "pass"]
+    assert bad and len(bad) < len(rows)
+    assert main(["report", str(out / "manifest.json"), "--output-dir", str(tmp_path)]) == 0
+    summary = (tmp_path / "summary.md").read_text().splitlines()
+    assert f"Limit checks: {len(rows) - len(bad)}/{len(rows)} pass." in summary
+    table = [line for line in summary if line.startswith("| ")]
+    assert table == ["| check | model | params | value | target | verdict |"] + [
+        f"| {r['check_id']} | {r['model']} | {r['params']} | {r['value']} "
+        f"| {r['target']} | {r['verdict']} |" for r in bad]
+    assert f"## Verdict: FAILURES ({len(bad)})" in summary
+
+
+def test_report_flags_a_missing_output(tmp_path, capsys):
+    out = _lemmas_run(tmp_path)
+    (out / "limit_checks.csv").unlink()
+    capsys.readouterr()
+    assert main(["report", str(out / "manifest.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'limit_checks.csv'}: listed in manifest but missing" in err
+
+
+def test_report_rejects_a_manifest_without_outputs(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tool_version": "0.1.0", "config": None}))
+    assert main(["report", str(manifest)]) == 2
+    assert f"manifest {manifest} has no outputs section" in capsys.readouterr().err
 
 
 # -- atomic writes ------------------------------------------------------

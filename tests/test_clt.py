@@ -15,6 +15,7 @@ from extremesum import (
     GaussianMoments,
     Gumbel,
     KRule,
+    Normal,
     SeedSpec,
     Weibull,
     cell_functionals,
@@ -31,7 +32,9 @@ from extremesum import (
     statistic_T3,
     summarize_statistic,
     tail_scale,
+    tail_variance,
 )
+from extremesum import quadrature
 from extremesum.errors import NumericError
 
 EXP = Exponential(1.0)
@@ -188,6 +191,26 @@ def test_moments_edge_k():
     assert limiting_gaussian_moments(EXP, 10, 9).varY == pytest.approx(0.1)
     with pytest.raises(ValueError):
         limiting_gaussian_moments(EXP, 10, 10)
+
+
+def test_moments_resolve_in_one_batch(monkeypatch):
+    """c(k/n) and sigma2(k/n) share one lockstep batch of quadratures, and
+    give the bits of the two separate calls."""
+    model, n, k = Normal(), 10**4, 10**2
+    s = k / n
+    c = tail_scale(model, s)
+    want = GaussianMoments(varZ=tail_variance(model, s) / (s * c * c), varY=1.0 - s,
+                           cov=1.0 - s)
+    batches = []
+    real = quadrature._run_quads
+
+    def counted(rule, fn, bounds, rel_tol, whats):
+        batches.append(list(whats))
+        return real(rule, fn, bounds, rel_tol, whats)
+
+    monkeypatch.setattr(quadrature, "_run_quads", counted)
+    assert limiting_gaussian_moments(model, n, k) == want
+    assert batches == [["c(0.01,1) ibp", "sigma2(0.01)"]]
 
 
 def test_gaussian_moments_vardiff_formula():

@@ -72,6 +72,17 @@ def test_submodule_resolves_after_a_bare_import(subprocess_env):
     assert _run(code, subprocess_env) == [True, False, False]
 
 
+def test_cephes_is_a_leaf(subprocess_env):
+    """cephes loads no other module of the package: the layers take their
+    libm-exact elementwise helpers from it."""
+    code = """if 1:
+        import json, sys
+        import extremesum.cephes
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "extremesum")))
+    """
+    assert _run(code, subprocess_env) == ["extremesum", "extremesum.cephes"]
+
+
 def test_every_module_of_the_package_resolves():
     files = {path.stem for path in Path(extremesum.__file__).parent.glob("*.py")}
     assert extremesum._MODULES == files - {"__init__", "__main__"}

@@ -1,8 +1,10 @@
 """The package's own ndtr against scipy's, bit for bit.
 
 ``cephes.ndtr`` is a port of Cephes's ndtr, erf and erfc; scipy's ndtr is
-the reference.  Both of its paths, the Python-float loop for small inputs
-and the numpy one for larger ones, are checked on every point.
+the reference.  It has one path, the numpy one, for every input: the
+bulk, the branch edges and the specials are checked through it, and so
+are scalars, 0-d arrays and the small sizes an earlier loop over Python
+floats once served.
 """
 
 import math
@@ -19,10 +21,6 @@ def _bits(y):
     """Bit patterns, with every NaN the same."""
     y = np.asarray(y, dtype=float)
     return np.where(np.isnan(y), np.nan, y).view(np.int64)
-
-
-def _float_path(a):
-    return np.array([cephes._ndtr_float(v) for v in np.ravel(a).tolist()])
 
 
 def _neighbours(x, steps=4):
@@ -47,6 +45,8 @@ _EDGES = np.concatenate([_neighbours(x, 8) for x in (
 _SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
                      2.2250738585072014e-308, -1e-310, 1e-300, -1e-16, 1e-16,
                      1e308, -1e308])
+# every branch and special in a shuffled order, for the small sizes
+_MIXED = _RNG.permutation(np.concatenate([_EDGES, _SPECIAL, _BULK[:64]]))
 
 
 def test_zmax_is_the_underflow_cutoff():
@@ -58,21 +58,16 @@ def test_zmax_is_the_underflow_cutoff():
     assert cephes._MAXLOG == 7.09782712893383996843e2
 
 
-def test_array_path_matches_scipy_on_the_bulk():
-    assert _BULK.size > cephes._SMALL
+def test_matches_scipy_on_the_bulk():
     np.testing.assert_array_equal(_bits(ndtr(_BULK)), _bits(special.ndtr(_BULK)))
 
 
-def test_float_path_matches_scipy_on_the_bulk():
-    bulk = _BULK[::2]
-    np.testing.assert_array_equal(_bits(_float_path(bulk)), _bits(special.ndtr(bulk)))
-
-
 @pytest.mark.parametrize("points", [_EDGES, _SPECIAL], ids=["edges", "special"])
-def test_both_paths_match_scipy_at_the_edges(points):
+def test_matches_scipy_at_the_edges(points):
     want = _bits(special.ndtr(points))
-    np.testing.assert_array_equal(_bits(cephes._ndtr_array(points)), want)
-    np.testing.assert_array_equal(_bits(_float_path(points)), want)
+    np.testing.assert_array_equal(_bits(ndtr(points)), want)
+    # one value at a time, as the models' scalar calls take it
+    np.testing.assert_array_equal(_bits([ndtr(v) for v in points.tolist()]), want)
 
 
 def test_edges_reach_every_branch():
@@ -82,7 +77,7 @@ def test_edges_reach_every_branch():
         (z >= 8.0) & (z <= cephes._ZMAX), z > cephes._ZMAX))
 
 
-@pytest.mark.parametrize("x", [-3.0, -0.5, 0.25, 1.5, 12.0])
+@pytest.mark.parametrize("x", [-40.0, -3.0, -1.2, -0.5, 0.0, 0.25, 1.5, 12.0, math.nan])
 def test_scalar_and_zero_d_give_a_float(x):
     want = special.ndtr(x)
     for arg in (x, np.float64(x), np.array(x)):
@@ -91,13 +86,19 @@ def test_scalar_and_zero_d_give_a_float(x):
         assert _bits(got) == _bits(want)
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (40, 25)], ids=["float-path", "array-path"])
+@pytest.mark.parametrize("size", [0, 1, 2, 47, 48, 49])
+def test_small_sizes_match_scipy(size):
+    """The sizes an earlier size switch told apart: up to 48 values went
+    through a loop over Python floats, from 49 through numpy."""
+    a = _MIXED[:size]
+    got = ndtr(a)
+    assert isinstance(got, np.ndarray) and got.shape == (size,)
+    np.testing.assert_array_equal(_bits(got), _bits(special.ndtr(a)))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (40, 25), (0, 3)])
 def test_two_d_keeps_its_shape(shape):
     a = _RNG.uniform(-12.0, 12.0, shape)
     got = ndtr(a)
     assert isinstance(got, np.ndarray) and got.shape == shape
     np.testing.assert_array_equal(_bits(got), _bits(special.ndtr(a)))
-
-
-def test_empty_input():
-    assert ndtr(np.array([])).shape == (0,)
