@@ -7,14 +7,20 @@ Four subcommands cover the batch workflows:
     simulate      replicated statistic experiments (JSON + CSV reports)
     report        merge run manifests into a markdown summary
 
-Every run writes its files atomically and finishes with a manifest that
-checksums them.  Exit codes: 0 success, 2 configuration error, 3 runtime
-numeric error, 4 check or verdict failure.
+The three config commands take one path: load and check the config
+(overridden by the flags that are given), make the output directory,
+compute, write the files atomically, checksum them into a manifest and
+print their paths.  Each command supplies its compute step, its writer
+and its stderr lines; ``report`` verifies manifests and merges them.
+
+Exit codes: 0 success, 2 configuration error, 3 runtime numeric error,
+4 check or verdict failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -49,15 +55,11 @@ def _add_common(sub):
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.load(args.config)
-    else:
-        cfg = ExperimentConfig().validate()
-    return cfg.with_overrides(
-        master_seed=args.master_seed,
-        replicates=args.replicates,
-        output_dir=args.output_dir,
-    )
+    cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
+    # the flags share their config fields' names; a flag not given is None
+    flags = {name: getattr(args, name) for name in ("master_seed", "replicates", "output_dir")
+             if getattr(args, name) is not None}
+    return dataclasses.replace(cfg, **flags) if flags else cfg
 
 
 def _outdir(path) -> str:
@@ -71,14 +73,36 @@ def _outdir(path) -> str:
     return out
 
 
-def cmd_functionals(args) -> int:
+def _run(args, compute, write, order=list):
+    """Load the config, make its output directory, ``compute(cfg)``,
+    ``write(result, cfg, out)``, checksum the outputs into a manifest and
+    print their paths in ``order``; returns the computed result."""
     cfg = _load_config(args)
     out = _outdir(cfg.output_dir)
-    tables = build_functional_table(cfg.model_objects(), cfg.s_grid, betas=cfg.betas)
-    outputs = rep.write_functional_tables(tables, out)
+    result = compute(cfg)
+    outputs = write(result, cfg, out)
     rep.write_manifest(out, cfg, outputs)
-    for name in outputs:
+    for name in order(outputs):
         print(os.path.join(out, name))
+    return result
+
+
+def _check_exit(header, failures) -> int:
+    """EXIT_OK without ``failures``; else EXIT_CHECK, after printing
+    ``header`` and each failure, indented, to stderr."""
+    if not failures:
+        return EXIT_OK
+    print(header, file=sys.stderr)
+    for line in failures:
+        print("  " + line, file=sys.stderr)
+    return EXIT_CHECK
+
+
+def cmd_functionals(args) -> int:
+    tables = _run(args,
+                  lambda cfg: build_functional_table(cfg.model_objects(), cfg.s_grid,
+                                                     betas=cfg.betas),
+                  lambda result, cfg, out: rep.write_functional_tables(result, out))
     for table in tables:
         for note in table.notes:
             print(f"{table.model.describe()}: {note}", file=sys.stderr)
@@ -86,49 +110,24 @@ def cmd_functionals(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(cfg.output_dir)
-    all_reports = run_limit_suite(cfg.model_objects(), checks=cfg.checks, betas=cfg.betas)
-    outputs = rep.write_limit_reports(all_reports, out)
-    rep.write_manifest(out, cfg, outputs)
-    print(os.path.join(out, "limit_checks.csv"))
-    failures = [r for r in all_reports if not r.passed]
-    if failures:
-        print(f"{len(failures)} of {len(all_reports)} checks failed:",
-              file=sys.stderr)
-        for r in failures:
+    reports = _run(args,
+                   lambda cfg: run_limit_suite(cfg.model_objects(), checks=cfg.checks,
+                                               betas=cfg.betas),
+                   lambda result, cfg, out: rep.write_limit_reports(result, out))
+    failures = []
+    for r in reports:
+        if not r.passed:
             final = r.values[-1] if r.values else float("nan")
-            print(
-                f"  {r.check_id} {r.model} "
-                f"value={final:.6g} target={r.target:.6g} "
-                f"tol={r.tolerance:g}" + (f" ({r.note})" if r.note else ""),
-                file=sys.stderr,
-            )
-        return EXIT_CHECK
-    return EXIT_OK
+            failures.append(f"{r.check_id} {r.model} value={final:.6g} target={r.target:.6g} "
+                            f"tol={r.tolerance:g}" + (f" ({r.note})" if r.note else ""))
+    return _check_exit(f"{len(failures)} of {len(reports)} checks failed:", failures)
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(cfg.output_dir)
-    result = run_experiment(cfg)
-    outputs = rep.write_simulation(result, cfg, out)
-    rep.write_manifest(out, cfg, outputs)
-    for name in sorted(outputs):
-        print(os.path.join(out, name))
-    if not result.passed:
-        bad = [
-            f"{r.model} n={r.n} {s.statistic_id}: {s.verdict}"
-            f" ({'; '.join(s.failed_bounds)})"
-            for r in result.reports
-            for s in r.summaries
-            if s.verdict != "pass"
-        ]
-        print(f"{len(bad)} verdict failure(s):", file=sys.stderr)
-        for line in bad:
-            print("  " + line, file=sys.stderr)
-        return EXIT_CHECK
-    return EXIT_OK
+    result = _run(args, run_experiment, rep.write_simulation, sorted)
+    failures = [f"{r.model} n={r.n} {s.statistic_id}: {s.verdict} ({'; '.join(s.failed_bounds)})"
+                for r in result.reports for s in r.summaries if s.verdict != "pass"]
+    return _check_exit(f"{len(failures)} verdict failure(s):", failures)
 
 
 def cmd_report(args) -> int:

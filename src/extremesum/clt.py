@@ -417,12 +417,12 @@ def _summary(stat, count, failures, moments, variance, ks, ad, tolerances, k):
 def _summaries(samples):
     """summarize_statistic of every (stat, values, failures, tolerances, k)
     sample: the samples of one length are the rows of one matrix, reduced
-    along its rows, with one ``gof.distances`` call per statistic."""
+    along its rows, with one ``gof.distances`` call per statistic.  The
+    tolerances are taken as checked: run_experiment's come from a built
+    config, and summarize_statistic checks its own."""
     nan = math.nan
     by_length = {}
-    for i, (stat, values, _, tolerances, _) in enumerate(samples):
-        if tolerances:
-            check_tolerances({stat: tolerances})
+    for i, (_, values, *_) in enumerate(samples):
         by_length.setdefault(values.size, []).append(i)
     out = [None] * len(samples)
     for r, at in by_length.items():
@@ -455,8 +455,12 @@ def summarize_statistic(stat: str, values: np.ndarray, failures: int,
 
     ``tolerances`` override the default bounds key by key; BDH needs the
     cell's ``k``.  Fewer than two finite values cannot support a variance,
-    so the verdict degrades to "insufficient" rather than guessing.
+    so the verdict degrades to "insufficient" rather than guessing.  A
+    tolerance key that does not apply to ``stat``, or a value no sample
+    could meet, raises ConfigError.
     """
+    if tolerances:
+        check_tolerances({stat: tolerances})
     return _summaries([(stat, values, failures, tolerances, k)])[0]
 
 
@@ -576,7 +580,6 @@ def run_experiment(config) -> ExperimentResult:
 
     if not isinstance(config, ExperimentConfig):
         raise TypeError("run_experiment expects an ExperimentConfig")
-    config.validate()
     result = ExperimentResult()
     replicates = config.replicates
 

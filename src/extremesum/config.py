@@ -1,10 +1,15 @@
-"""Experiment configuration: one JSON document, validated before any work.
+"""Experiment configuration: one JSON document, checked before any work.
 
 The config names the models, the n grid, the k rule, replication and
 seeding, which statistics to run, and the grids for functional tables.
 Scalar fields can be overridden from the command line; everything else is
 the file's business.  Parsing is strict: unknown keys are errors, because
 a silently ignored "replicate" typo would change results.
+
+An ExperimentConfig is valid by construction: its ``__post_init__`` raises
+ConfigError on a bad field, so ``from_dict``, ``dataclasses.replace`` and
+the constructor only ever return a checked config, and nothing downstream
+checks one again.
 """
 
 from __future__ import annotations
@@ -93,7 +98,8 @@ class ExperimentConfig:
 
     # -- validation ----------------------------------------------------
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
+        """Raise ConfigError unless the fields make a runnable experiment."""
         if not self.models:
             raise ConfigError("config needs at least one model")
         described = []
@@ -153,7 +159,6 @@ class ExperimentConfig:
             # a hand-built grid has no (start, ratio, count) to record
             raise ConfigError("s_grid must be built with SGrid.geometric")
         check_tolerances(self.tolerances)
-        return self
 
     def model_objects(self):
         return [parse_model(desc) for desc in self.models]
@@ -198,7 +203,7 @@ class ExperimentConfig:
                 kwargs["models"] = _typed_list(data, "models", lambda m: isinstance(m, str),
                                                "model descriptors")
         if "n_values" in data:
-            # each value's range is validate()'s business
+            # each value's range is checked when the config is built
             kwargs["n_values"] = _typed_list(data, "n_values", lambda n: True, "integers")
         if "k_rule" in data:
             kr = data["k_rule"]
@@ -241,11 +246,7 @@ class ExperimentConfig:
                 kwargs["s_grid"] = SGrid.geometric(_as_float(start), _as_float(ratio), count)
             except ValueError as exc:
                 raise ConfigError(f"bad s_grid: {exc}") from exc
-        try:
-            cfg = cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        return cfg.validate()
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -263,14 +264,3 @@ class ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_json(text)
-
-    def with_overrides(self, **overrides) -> "ExperimentConfig":
-        """Replace scalar fields (CLI flags) and re-validate."""
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        if not clean:
-            return self
-        try:
-            cfg = dataclasses.replace(self, **clean)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-        return cfg.validate()

@@ -293,8 +293,11 @@ def load_manifest(path) -> dict:
 
 def verify_manifest(path) -> list:
     """Return a list of problems (missing files, checksum mismatches)."""
-    doc = load_manifest(path)
-    base = os.path.dirname(os.path.abspath(path))
+    return _problems(load_manifest(path), os.path.dirname(os.path.abspath(path)))
+
+
+def _problems(doc, base) -> list:
+    """verify_manifest's problems for the loaded manifest ``doc`` of directory ``base``."""
     problems = []
     for name, digest in doc["outputs"].items():
         target = os.path.join(base, name)
@@ -363,13 +366,14 @@ def summarize_manifests(paths) -> tuple:
     lines = ["# Run summary", ""]
     failures = []
     for path in paths:
-        problems = verify_manifest(path)
+        # one read: the summary describes the very document that was verified
+        doc = load_manifest(path)
+        base = os.path.dirname(os.path.abspath(path))
+        problems = _problems(doc, base)
         if problems:
             raise ConfigError(
                 f"manifest {path} failed verification: " + "; ".join(problems)
             )
-        doc = load_manifest(path)
-        base = os.path.dirname(os.path.abspath(path))
         lines.append(f"## {path}")
         lines.append("")
         created = doc.get("created_utc", "unknown time")

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, manifests, config round trips."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 from extremesum import (ConfigError, ExperimentConfig, KRule, SGrid,
                         build_functional_table)
 from extremesum.cli import _build_parser, cmd_functionals, cmd_lemmas, cmd_simulate, main
+from extremesum import reports
 from extremesum.reports import (
     atomic_write_text,
     functional_table_csv,
@@ -81,7 +83,7 @@ def test_config_round_trip_is_idempotent():
         s_grid=SGrid.geometric(0.25, 0.1, 4),
         tolerances={"T1": {"ks": 0.1}},
         checks=("domain_ratio",),
-    ).validate()
+    )
     d1 = cfg.to_dict()
     cfg2 = ExperimentConfig.from_dict(d1)
     d2 = cfg2.to_dict()
@@ -90,7 +92,7 @@ def test_config_round_trip_is_idempotent():
 
 
 def test_config_default_round_trip():
-    cfg = ExperimentConfig().validate()
+    cfg = ExperimentConfig()
     assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
@@ -112,17 +114,31 @@ def test_config_rejects_unknown_keys():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        ExperimentConfig(models=()).validate()
+        ExperimentConfig(models=())
     with pytest.raises(ConfigError):
-        ExperimentConfig(models=("nosuchmodel(1)",)).validate()
+        ExperimentConfig(models=("nosuchmodel(1)",))
     with pytest.raises(ConfigError):
-        ExperimentConfig(replicates=0).validate()
+        ExperimentConfig(replicates=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(statistics=("T9",)).validate()
+        ExperimentConfig(statistics=("T9",))
     with pytest.raises(ConfigError):
-        ExperimentConfig(n_values=(3,)).validate()
+        ExperimentConfig(n_values=(3,))
     with pytest.raises(ConfigError):
-        ExperimentConfig(checks=("bogus",)).validate()
+        ExperimentConfig(checks=("bogus",))
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: ExperimentConfig(models=("nosuch(1)",)), "bad model descriptor 'nosuch(1)'"),
+    (lambda: dataclasses.replace(ExperimentConfig(), replicates=0),
+     "replicates must be an integer >= 1"),
+    (lambda: ExperimentConfig(tolerances={"T2": {"sd_factor": 2}}),
+     "inapplicable tolerance key T2.sd_factor"),
+], ids=["constructor", "replace", "tolerances"])
+def test_a_bad_config_cannot_be_built(build, named):
+    """Every way of building a config checks it: no config object exists
+    for a bad field, so nothing downstream checks one again."""
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        build()
 
 
 # -- exit codes ---------------------------------------------------------
@@ -192,8 +208,8 @@ def test_config_tolerance_shape_errors():
         ({"BDH": {"sd_factor": True}}, "a number"),
     ):
         with pytest.raises(ConfigError, match=match):
-            ExperimentConfig(tolerances=tol).validate()
-    ExperimentConfig(tolerances={"BDH": {"mean": (0.5, 1.5), "sd_factor": 3}}).validate()
+            ExperimentConfig(tolerances=tol)
+    ExperimentConfig(tolerances={"BDH": {"mean": (0.5, 1.5), "sd_factor": 3}})
 
 
 @pytest.mark.parametrize("tol, allowed", [
@@ -224,8 +240,8 @@ def test_exit_config_on_empty_range(tmp_path, capsys):
         assert _simulate_exit(tmp_path, tol) == 2
         assert "lo <= hi" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="lo <= hi"):
-        ExperimentConfig(tolerances={"T1": {"mean": (0.0, math.nan)}}).validate()
-    ExperimentConfig(tolerances={"T1": {"mean": (0.5, 0.5)}}).validate()
+        ExperimentConfig(tolerances={"T1": {"mean": (0.0, math.nan)}})
+    ExperimentConfig(tolerances={"T1": {"mean": (0.5, 0.5)}})
 
 
 def test_exit_config_on_ks_outside_unit_interval(tmp_path, capsys):
@@ -233,9 +249,9 @@ def test_exit_config_on_ks_outside_unit_interval(tmp_path, capsys):
         assert _simulate_exit(tmp_path, {"T1": {"ks": ks}}) == 2
         assert "T1.ks must be a number in [0, 1]" in capsys.readouterr().err
     with pytest.raises(ConfigError, match=r"in \[0, 1\]"):
-        ExperimentConfig(tolerances={"T1": {"ks": math.nan}}).validate()
+        ExperimentConfig(tolerances={"T1": {"ks": math.nan}})
     for ks in (0, 1):
-        ExperimentConfig(tolerances={"T1": {"ks": ks}}).validate()
+        ExperimentConfig(tolerances={"T1": {"ks": ks}})
 
 
 def test_exit_config_on_sd_factor_below_one(tmp_path, capsys):
@@ -243,14 +259,14 @@ def test_exit_config_on_sd_factor_below_one(tmp_path, capsys):
     for factor in (0, 0.5, 0.999):
         assert _simulate_exit(tmp_path, {"BDH": {"sd_factor": factor}}) == 2
         assert "BDH.sd_factor must be a number >= 1" in capsys.readouterr().err
-    ExperimentConfig(tolerances={"BDH": {"sd_factor": 1}}).validate()
+    ExperimentConfig(tolerances={"BDH": {"sd_factor": 1}})
 
 
 def test_config_rejects_s_grid_it_cannot_record():
     # a hand-built grid would serialize as a geometric one it is not
     with pytest.raises(ConfigError, match="s_grid"):
-        ExperimentConfig(s_grid=SGrid((0.5, 0.1, 0.05))).validate()
-    cfg = ExperimentConfig(s_grid=SGrid.geometric(0.5, 0.2, 3)).validate()
+        ExperimentConfig(s_grid=SGrid((0.5, 0.1, 0.05)))
+    cfg = ExperimentConfig(s_grid=SGrid.geometric(0.5, 0.2, 3))
     assert ExperimentConfig.from_dict(cfg.to_dict()).s_grid.points == cfg.s_grid.points
 
 
@@ -329,23 +345,23 @@ def test_validate_caps_order_statistics_and_rows():
     """k + 1 order statistics per replicate and models x replicates per n
     are capped at 2^20 each, the cap itself allowed."""
     n = 2**30
-    ExperimentConfig(n_values=(n,), k_rule=KRule(kind="fixed", fixed_k=2**20 - 1)).validate()
+    ExperimentConfig(n_values=(n,), k_rule=KRule(kind="fixed", fixed_k=2**20 - 1))
     with pytest.raises(ConfigError, match="k_rule gives k=1048576 for n=1073741824"):
-        ExperimentConfig(n_values=(n,), k_rule=KRule(kind="fixed", fixed_k=2**20)).validate()
+        ExperimentConfig(n_values=(n,), k_rule=KRule(kind="fixed", fixed_k=2**20))
     two = ("exponential(1.0)", "normal")
-    ExperimentConfig(replicates=2**20).validate()
-    ExperimentConfig(models=two, replicates=2**19).validate()
+    ExperimentConfig(replicates=2**20)
+    ExperimentConfig(models=two, replicates=2**19)
     for models, replicates in ((("exponential(1.0)",), 2**20 + 1), (two, 2**19 + 1)):
         with pytest.raises(ConfigError, match="replicates times the number of models"):
-            ExperimentConfig(models=models, replicates=replicates).validate()
+            ExperimentConfig(models=models, replicates=replicates)
 
 
 def test_validate_rejects_overflowing_k_rule_and_infinite_beta():
     for coeff in (math.inf, 1e308):
         with pytest.raises(ConfigError, match="k_rule gives no finite k"):
-            ExperimentConfig(k_rule=KRule(coeff=coeff)).validate()
+            ExperimentConfig(k_rule=KRule(coeff=coeff))
     with pytest.raises(ConfigError, match="betas must be finite and strictly positive"):
-        ExperimentConfig(betas=(2.0, math.inf)).validate()
+        ExperimentConfig(betas=(2.0, math.inf))
 
 
 @pytest.mark.parametrize("command, field, named", [
@@ -376,7 +392,7 @@ def test_config_rejects_bool_integers():
         {"k_rule": KRule(kind="fixed", fixed_k=True)},
     ):
         with pytest.raises(ConfigError):
-            ExperimentConfig(**kwargs).validate()
+            ExperimentConfig(**kwargs)
 
 
 def test_exit_numeric_on_divergent_model(tmp_path, capsys):
@@ -661,6 +677,27 @@ def test_report_rejects_a_manifest_without_outputs(tmp_path, capsys):
     manifest.write_text(json.dumps({"tool_version": "0.1.0", "config": None}))
     assert main(["report", str(manifest)]) == 2
     assert f"manifest {manifest} has no outputs section" in capsys.readouterr().err
+
+
+def test_report_summarizes_the_manifest_it_verified(tmp_path, monkeypatch):
+    """Each manifest is read once, so a file that changes between reads
+    cannot have one document verified and another summarized."""
+    out = _lemmas_run(tmp_path)
+    manifest = str(out / "manifest.json")
+    real, reads = reports.load_manifest, []
+
+    def load_manifest(path):
+        reads.append(path)
+        doc = real(path)
+        # a later read sees a different document
+        return doc if len(reads) == 1 else {**doc, "tool_version": "9.9.9", "outputs": {}}
+
+    monkeypatch.setattr(reports, "load_manifest", load_manifest)
+    text, ok = reports.summarize_manifests([manifest])
+    assert reads == [manifest]
+    assert "Produced by version 9.9.9" not in text
+    assert "1 file(s), checksums verified." in text and "Limit checks:" in text
+    assert not ok
 
 
 # -- atomic writes ------------------------------------------------------

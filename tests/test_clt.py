@@ -310,6 +310,9 @@ def test_summarize_rejects_bounds_that_do_not_apply():
         summarize_statistic("BDH", 1.0 + vals, 0, {"ks": 0.1}, k=10)
     with pytest.raises(ConfigError, match="T2.var must be"):
         summarize_statistic("T2", vals, 0, {"var": (1.2, 0.8)})
+    # sd_factor bounds BDH alone; a built config never carries it for T2
+    with pytest.raises(ConfigError, match=r"inapplicable tolerance key T2\.sd_factor"):
+        summarize_statistic("T2", vals, 0, {"sd_factor": 2})
 
 
 # -- experiments --------------------------------------------------------

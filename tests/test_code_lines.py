@@ -47,3 +47,25 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "notes.txt").write_text("not a module\n")
     assert _tool().main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "     8  a.py\n     1  b.py\n     9  total\n"
+
+
+def test_compares_a_base_and_a_change(tmp_path, capsys):
+    base, change = tmp_path / "base", tmp_path / "change"
+    base.mkdir()
+    change.mkdir()
+    (base / "a.py").write_text(SNIPPET)
+    (base / "gone.py").write_text("x = 1\ny = 2\n")
+    (change / "a.py").write_text(SNIPPET + "z = 3\n")
+    (change / "new.py").write_text("x = 1\n")
+    assert _tool().main([str(base), str(change)]) == 0
+    assert capsys.readouterr().out == (
+        "  base  change    diff  module\n"
+        "     8       9      +1  a.py\n"
+        "     2       0      -2  gone.py\n"
+        "     0       1      +1  new.py\n"
+        "    10      10      +0  total\n")
+
+
+def test_rejects_three_directories(tmp_path, capsys):
+    assert _tool().main([str(tmp_path)] * 3) == 2
+    assert capsys.readouterr().err.startswith("usage:")

@@ -7,7 +7,12 @@ of a module, class or function) do not count.
     python3 tools/code_lines.py src/extremesum
 
 prints one ``<lines>  <module>`` line per module, sorted by name, and
-then ``<total>  total``.
+then ``<total>  total``.  Given two directories, a base and a change,
+
+    python3 tools/code_lines.py BASE/src/extremesum src/extremesum
+
+prints a header and then ``<base>  <change>  <difference>  <module>`` per
+module of either directory (0 where a module is absent) and for the total.
 """
 
 from __future__ import annotations
@@ -43,17 +48,26 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def _counts(directory) -> dict:
+    """{module file name: code lines} of the Python modules in ``directory``."""
+    return {path.name: code_lines(path.read_text(encoding="utf-8"))
+            for path in Path(directory).glob("*.py")}
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: code_lines.py DIRECTORY", file=sys.stderr)
+    if len(args) not in (1, 2):
+        print("usage: code_lines.py DIRECTORY | code_lines.py BASE CHANGE", file=sys.stderr)
         return 2
-    total = 0
-    for path in sorted(Path(args[0]).glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    counts = [_counts(directory) for directory in args]
+    rows = [(name, [c.get(name, 0) for c in counts]) for name in sorted(set().union(*counts))]
+    rows.append(("total", [sum(c.values()) for c in counts]))
+    if len(counts) == 2:
+        print(f"{'base':>6}  {'change':>6}  {'diff':>6}  module")
+    for name, lines in rows:
+        if len(lines) == 2:
+            lines.append(f"{lines[1] - lines[0]:+d}")
+        print("".join(f"{x:>6}  " for x in lines) + name)
     return 0
 
 
