@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,14 +309,15 @@ BOUNDS = {
 
 def check_tolerances(tolerances) -> None:
     """Raise ConfigError unless ``tolerances`` maps statistics to bounds
-    that apply to them and that some sample could meet."""
-    if not isinstance(tolerances, dict):
+    that apply to them and that some sample could meet.  Any mapping will
+    do, so a built config's read-only tolerances check again unchanged."""
+    if not isinstance(tolerances, Mapping):
         raise ConfigError("tolerances must be an object")
     for stat, bounds in tolerances.items():
         if stat not in STATISTICS:
             raise ConfigError(f"unknown statistic {stat!r} in tolerances; "
                               f"allowed: {list(STATISTIC_IDS)}")
-        if not isinstance(bounds, dict):
+        if not isinstance(bounds, Mapping):
             raise ConfigError(f"tolerances for {stat} must be an object")
         allowed = [key for key, b in BOUNDS.items() if b.applies(STATISTICS[stat])]
         for key, value in bounds.items():

@@ -6,10 +6,16 @@ Scalar fields can be overridden from the command line; everything else is
 the file's business.  Parsing is strict: unknown keys are errors, because
 a silently ignored "replicate" typo would change results.
 
-An ExperimentConfig is valid by construction: its ``__post_init__`` raises
-ConfigError on a bad field, so ``from_dict``, ``dataclasses.replace`` and
-the constructor only ever return a checked config, and nothing downstream
-checks one again.
+An ExperimentConfig has one build path.  Its ``__post_init__`` first
+brings each field to its normal form, from the field's JSON form (a list,
+an object) or from its own type: list fields become tuples, a string for
+``models`` is one model, ``k_rule`` and ``s_grid`` become a KRule and an
+SGrid, betas become floats, and tolerances are checked and stored
+read-only.  Then it raises ConfigError on a bad value.  ``from_dict``
+only renames the ``model`` alias before calling the constructor, so the
+constructor, ``from_dict`` and ``dataclasses.replace`` give one checked
+config for one input, and nothing downstream checks one again.  The
+normal forms are fixed points, so a built config's fields build it again.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .clt import STATISTIC_IDS, KRule, _is_number, check_tolerances
 from .errors import ConfigError
@@ -46,13 +54,31 @@ def _as_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _typed_list(data, key, ok, what):
-    """data[key] as a tuple after checking it is a list of ``what``; a
-    bare string would iterate as its characters, so it is refused."""
-    value = data[key]
-    if not isinstance(value, (list, tuple)) or not all(ok(x) for x in value):
+def _is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+def _typed_list(key, value, ok, what):
+    """value as a tuple after checking it is a list of ``what``; a bare
+    string would iterate as its characters, so it is refused."""
+    if not isinstance(value, (list, tuple)) or not all(map(ok, value)):
         raise ConfigError(f"{key} must be a list of {what}, got {value!r}")
     return tuple(value)
+
+
+def _frozen(value):
+    """value with every mapping read-only and every list a tuple."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({key: _frozen(v) for key, v in value.items()})
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _plain(value):
+    """_frozen's inverse: value as JSON, every mapping a dict and every
+    tuple a list."""
+    if isinstance(value, Mapping):
+        return {key: _plain(v) for key, v in value.items()}
+    return list(map(_plain, value)) if isinstance(value, (list, tuple)) else value
 
 
 def _reject_unknown(what, given, allowed):
@@ -81,6 +107,41 @@ def _reject_duplicates(what, given, keys=None):
 DEFAULT_S_GRID = SGrid.geometric(0.5, 0.5, 3)
 
 
+def _k_rule(kr) -> KRule:
+    """A KRule as itself, or built from its JSON object."""
+    if isinstance(kr, KRule):
+        return kr
+    if not isinstance(kr, dict):
+        raise ConfigError("k_rule must be an object")
+    _reject_unknown("k_rule", kr, _field_names(KRule))
+    for key in ("coeff", "gamma"):
+        if key in kr and not (_is_number(kr[key]) and math.isfinite(_as_float(kr[key]))):
+            raise ConfigError(f"k_rule.{key} must be a finite number, got {kr[key]!r}")
+    try:
+        return KRule(**kr)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad k_rule: {exc}") from exc
+
+
+def _s_grid(sg) -> SGrid:
+    """An SGrid as itself, or built from its JSON object."""
+    if isinstance(sg, SGrid):
+        return sg
+    if not isinstance(sg, dict):
+        raise ConfigError("s_grid must be an object")
+    _reject_unknown("s_grid", sg, _SGRID_KEYS)
+    start, ratio, count = (sg.get(key, default) for key, default
+                           in zip(_SGRID_KEYS, DEFAULT_S_GRID.geometry))
+    if not (_is_number(start) and _is_number(ratio)):
+        raise ConfigError("s_grid.start and s_grid.ratio must be numbers")
+    if not _is_int(count):
+        raise ConfigError(f"s_grid.count must be an integer, got {count!r}")
+    try:
+        return SGrid.geometric(_as_float(start), _as_float(ratio), count)
+    except ValueError as exc:
+        raise ConfigError(f"bad s_grid: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     models: tuple = ("exponential(1.0)",)
@@ -91,7 +152,7 @@ class ExperimentConfig:
     statistics: tuple = ("T1", "T2", "T3")
     betas: tuple = (1.0, 2.0)
     s_grid: SGrid = DEFAULT_S_GRID
-    tolerances: dict = field(default_factory=dict)
+    tolerances: Mapping = field(default_factory=dict)
     checks: tuple = DEFAULT_CHECKS
     output_dir: str = "."
     dump_samples: bool = False
@@ -99,7 +160,25 @@ class ExperimentConfig:
     # -- validation ----------------------------------------------------
 
     def __post_init__(self):
-        """Raise ConfigError unless the fields make a runnable experiment."""
+        """Bring each field to its normal form, then raise ConfigError
+        unless the fields make a runnable experiment."""
+        check_tolerances(self.tolerances)
+        normal = {
+            "models": _typed_list("models", (self.models,) if _is_str(self.models)
+                                  else self.models, _is_str, "model descriptors"),
+            # each value's range is checked below
+            "n_values": _typed_list("n_values", self.n_values, lambda n: True, "integers"),
+            "k_rule": _k_rule(self.k_rule),
+            "statistics": _typed_list("statistics", self.statistics, _is_str, "statistic ids"),
+            "betas": tuple(map(_as_float, _typed_list("betas", self.betas, _is_number,
+                                                      "numbers"))),
+            "checks": _typed_list("checks", self.checks, _is_str, "check ids"),
+            "s_grid": _s_grid(self.s_grid),
+            "tolerances": _frozen(self.tolerances),   # checked first
+        }
+        for name, value in normal.items():
+            object.__setattr__(self, name, value)
+
         if not self.models:
             raise ConfigError("config needs at least one model")
         described = []
@@ -143,7 +222,7 @@ class ExperimentConfig:
             )
         _reject_duplicates("statistic", self.statistics)
         for b in self.betas:
-            if not (b > 0.0 and math.isfinite(_as_float(b))):
+            if not (b > 0.0 and math.isfinite(b)):
                 raise ConfigError(f"betas must be finite and strictly positive, got {b!r}")
         bad = [c for c in self.checks if c not in DEFAULT_CHECKS]
         if bad:
@@ -158,7 +237,6 @@ class ExperimentConfig:
         if self.s_grid.geometry is None:
             # a hand-built grid has no (start, ratio, count) to record
             raise ConfigError("s_grid must be built with SGrid.geometric")
-        check_tolerances(self.tolerances)
 
     def model_objects(self):
         return [parse_model(desc) for desc in self.models]
@@ -175,11 +253,7 @@ class ExperimentConfig:
                 value = {key: getattr(value, key) for key in kept}
             elif name == "s_grid":
                 value = dict(zip(_SGRID_KEYS, value.geometry))
-            elif name == "betas":
-                value = [float(b) for b in value]
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[name] = value
+            out[name] = _plain(value)
         return out
 
     def to_json(self) -> str:
@@ -187,66 +261,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data) -> "ExperimentConfig":
+        """The config of a JSON object: the constructor, after unknown keys
+        are refused and the one-model alias ``model`` becomes ``models``."""
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
         _reject_unknown("config", data, [*_field_names(cls), "model"])
-        if "model" in data and "models" in data:
-            raise ConfigError("give either 'model' or 'models', not both")
-
-        kwargs = {}
+        data = dict(data)
         if "model" in data:
-            kwargs["models"] = (str(data["model"]),)
-        if "models" in data:
-            if isinstance(data["models"], str):
-                kwargs["models"] = (data["models"],)
-            else:
-                kwargs["models"] = _typed_list(data, "models", lambda m: isinstance(m, str),
-                                               "model descriptors")
-        if "n_values" in data:
-            # each value's range is checked when the config is built
-            kwargs["n_values"] = _typed_list(data, "n_values", lambda n: True, "integers")
-        if "k_rule" in data:
-            kr = data["k_rule"]
-            if not isinstance(kr, dict):
-                raise ConfigError("k_rule must be an object")
-            _reject_unknown("k_rule", kr, _field_names(KRule))
-            for key in ("coeff", "gamma"):
-                if key in kr and not (_is_number(kr[key]) and math.isfinite(_as_float(kr[key]))):
-                    raise ConfigError(f"k_rule.{key} must be a finite number, got {kr[key]!r}")
-            try:
-                kwargs["k_rule"] = KRule(**kr)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad k_rule: {exc}") from exc
-        for key in ("replicates", "master_seed", "output_dir", "dump_samples"):
-            if key in data:
-                kwargs[key] = data[key]
-        if "statistics" in data:
-            kwargs["statistics"] = _typed_list(data, "statistics", lambda x: isinstance(x, str),
-                                               "statistic ids")
-        if "betas" in data:
-            kwargs["betas"] = tuple(map(_as_float, _typed_list(data, "betas", _is_number,
-                                                               "numbers")))
-        if "checks" in data:
-            kwargs["checks"] = _typed_list(data, "checks", lambda x: isinstance(x, str),
-                                           "check ids")
-        if "tolerances" in data:
-            kwargs["tolerances"] = data["tolerances"]
-        if "s_grid" in data:
-            sg = data["s_grid"]
-            if not isinstance(sg, dict):
-                raise ConfigError("s_grid must be an object")
-            _reject_unknown("s_grid", sg, _SGRID_KEYS)
-            start, ratio, count = (sg.get(key, default) for key, default
-                                   in zip(_SGRID_KEYS, DEFAULT_S_GRID.geometry))
-            if not (_is_number(start) and _is_number(ratio)):
-                raise ConfigError("s_grid.start and s_grid.ratio must be numbers")
-            if not _is_int(count):
-                raise ConfigError(f"s_grid.count must be an integer, got {count!r}")
-            try:
-                kwargs["s_grid"] = SGrid.geometric(_as_float(start), _as_float(ratio), count)
-            except ValueError as exc:
-                raise ConfigError(f"bad s_grid: {exc}") from exc
-        return cls(**kwargs)
+            if "models" in data:
+                raise ConfigError("give either 'model' or 'models', not both")
+            data["models"] = str(data.pop("model"))
+        return cls(**data)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

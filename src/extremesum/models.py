@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 
 import numpy as np
 
@@ -510,43 +511,31 @@ class AffineModel(TailModel):
         return self.scale * inner
 
 
-class CatalogEntry:
-    """A catalog model plus a note on where its closed forms come from."""
+# A catalog model plus a note on where its closed forms come from.
+CatalogEntry = namedtuple("CatalogEntry", "model notes")
 
-    def __init__(self, model: TailModel, notes: str):
-        self.model = model
-        self.notes = notes
+# Each family once: its class, the least and most parameters a descriptor
+# gives (one names Weibull's shape although its constructor has a
+# default), and the parameters and note of its catalog entry.
+_FAMILIES = (
+    (Exponential, 0, 1, (1.0,), "all tail functionals in elementary closed form"),
+    (Gumbel, 0, 2, (0.0, 1.0), "rate integral closed via the exponential integral E1"),
+    (Weibull, 1, 1, (2.0,), "rate integral and mean mass closed via incomplete gamma"),
+    (Normal, 0, 0, (), "mean mass closed: mu(s) = phi(Q(1-s))"),
+    (LogNormal, 0, 0, (), "mean mass closed: mu(s) = sqrt(e) Phi(1 - ln Q(1-s))"),
+    (Gamma, 1, 1, (2.0,), "mean mass closed via incomplete gamma"),
+    (Pareto, 1, 1, (2.0,), "polynomial tail, scale functional closed for a*beta > 1"),
+    (Uniform, 0, 0, (), "bounded support, everything elementary"),
+)
 
-    def __repr__(self):
-        return f"<CatalogEntry {self.model.describe()}>"
+# name -> (class, min arity, max arity)
+_MODEL_FACTORIES = {cls.name: (cls, lo, hi) for cls, lo, hi, _, _ in _FAMILIES}
 
 
 def catalog() -> list[CatalogEntry]:
     """Default model catalog used by demos and the limit-check suite."""
-    return [
-        CatalogEntry(Exponential(1.0), "all tail functionals in elementary closed form"),
-        CatalogEntry(Gumbel(0.0, 1.0), "rate integral closed via the exponential integral E1"),
-        CatalogEntry(Weibull(2.0), "rate integral and mean mass closed via incomplete gamma"),
-        CatalogEntry(Normal(), "mean mass closed: mu(s) = phi(Q(1-s))"),
-        CatalogEntry(LogNormal(), "mean mass closed: mu(s) = sqrt(e) Phi(1 - ln Q(1-s))"),
-        CatalogEntry(Gamma(2.0), "mean mass closed via incomplete gamma"),
-        CatalogEntry(Pareto(2.0), "polynomial tail, scale functional closed for a*beta > 1"),
-        CatalogEntry(Uniform(), "bounded support, everything elementary"),
-    ]
+    return [CatalogEntry(cls(*params), notes) for cls, _, _, params, notes in _FAMILIES]
 
-
-# name -> (factory, min arity, max arity); a descriptor names Weibull's
-# shape although its constructor has a default
-_MODEL_FACTORIES = {factory.name: (factory, lo, hi) for factory, lo, hi in (
-    (Exponential, 0, 1),
-    (Gumbel, 0, 2),
-    (Weibull, 1, 1),
-    (Normal, 0, 0),
-    (LogNormal, 0, 0),
-    (Gamma, 1, 1),
-    (Pareto, 1, 1),
-    (Uniform, 0, 0),
-)}
 
 _DESCRIPTOR_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 

@@ -281,6 +281,8 @@ def write_manifest(outdir, config, outputs: dict) -> str:
 
 
 def load_manifest(path) -> dict:
+    """The manifest at ``path``, once its outputs map plain file names,
+    which name files next to it, to digest strings."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -288,6 +290,11 @@ def load_manifest(path) -> dict:
         raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(doc, dict) or "outputs" not in doc:
         raise ConfigError(f"manifest {path} has no outputs section")
+    outputs = doc["outputs"]
+    if not isinstance(outputs, dict) or any(
+            os.path.basename(name) != name or name in ("", ".", "..")
+            or not isinstance(digest, str) for name, digest in outputs.items()):
+        raise ConfigError(f"manifest {path}: outputs must map file names to digest strings")
     return doc
 
 
@@ -358,8 +365,9 @@ def _summarize_limit_csv(base, name, lines, failures):
 def summarize_manifests(paths) -> tuple:
     """Merge manifests into markdown; returns (text, all_pass).
 
-    Raises ConfigError when a manifest is unreadable or a referenced file
-    is missing or fails its checksum.
+    Raises ConfigError when a manifest is unreadable, or a referenced file
+    is missing, fails its checksum or, for report.json and
+    limit_checks.csv, does not parse.
     """
     if not paths:
         raise ConfigError("need at least one manifest to summarize")
@@ -382,10 +390,15 @@ def summarize_manifests(paths) -> tuple:
             f"{len(doc['outputs'])} file(s), checksums verified."
         )
         for name in doc["outputs"]:
-            if name.endswith("report.json"):
-                _summarize_report_json(base, name, lines, failures)
-            elif name.endswith("limit_checks.csv"):
-                _summarize_limit_csv(base, name, lines, failures)
+            try:
+                if name.endswith("report.json"):
+                    _summarize_report_json(base, name, lines, failures)
+                elif name.endswith("limit_checks.csv"):
+                    _summarize_limit_csv(base, name, lines, failures)
+            except (ValueError, KeyError, TypeError, AttributeError, csv.Error) as exc:
+                # checksummed, but not the layout this module writes
+                raise ConfigError(f"cannot summarize {os.path.join(base, name)}: "
+                                  f"{type(exc).__name__}: {exc}") from exc
         lines.append("")
     if failures:
         lines.append(f"## Verdict: FAILURES ({len(failures)})")

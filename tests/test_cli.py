@@ -2,12 +2,15 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -141,6 +144,52 @@ def test_a_bad_config_cannot_be_built(build, named):
         build()
 
 
+@pytest.mark.parametrize("field, name, normal", [
+    ({"models": "exponential(1)"}, "models", ("exponential(1)",)),
+    ({"n_values": [5000]}, "n_values", (5000,)),
+    ({"betas": [1, 2]}, "betas", (1.0, 2.0)),
+    ({"k_rule": {"kind": "power"}}, "k_rule", KRule()),
+    ({"s_grid": {"start": 0.5}}, "s_grid", SGrid.geometric(0.5, 0.5, 3)),
+    ({"tolerances": {"T1": {"var": [1, 3]}}}, "tolerances",
+     MappingProxyType({"T1": MappingProxyType({"var": (1, 3)})})),
+], ids=["models-str", "n_values-list", "betas-int", "k_rule-object", "s_grid-object",
+        "tolerances-list"])
+def test_the_constructor_takes_the_json_forms(field, name, normal):
+    """The constructor brings a field's JSON form to the form from_dict
+    gives, and a built config's fields build it again unchanged."""
+    cfg = ExperimentConfig(**field)
+    assert repr(getattr(cfg, name)) == repr(normal)
+    assert cfg == ExperimentConfig.from_dict(field) == dataclasses.replace(cfg)
+    assert cfg.to_dict() == dataclasses.replace(cfg).to_dict()
+
+
+def test_a_built_config_cannot_change():
+    given = {"T1": {"mean": [-1, 1], "ks": 1}, "BDH": {"sd_factor": 2.5}}
+    cfg = ExperimentConfig(tolerances=given)
+    with pytest.raises(TypeError):
+        cfg.tolerances["T2"] = {"sd_factor": 2}
+    with pytest.raises(TypeError):
+        cfg.tolerances["T1"]["mean"] = (0.0, 0.0)
+    given["T1"]["ks"] = 0.5   # the config keeps a copy, not the caller's dict
+    assert cfg.tolerances["T1"] == {"mean": (-1, 1), "ks": 1}
+    again = dataclasses.replace(cfg, replicates=7)
+    assert again.tolerances == cfg.tolerances
+    plain = again.to_dict()["tolerances"]
+    assert plain == {"T1": {"mean": [-1, 1], "ks": 1}, "BDH": {"sd_factor": 2.5}}
+    assert type(plain) is dict and type(plain["T1"]) is dict
+
+
+def test_readme_config_examples_build():
+    """README's config example and its inline tolerances example are
+    configs that build."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    inline = re.findall(r'`"tolerances"` overrides .*? as\s+in\s+`(\{.*?\})`', text, re.S)
+    assert len(blocks) == 1 and len(inline) == 1
+    for doc in blocks + [f'{{"tolerances": {inline[0]}}}']:
+        ExperimentConfig.from_json(doc)
+
+
 # -- exit codes ---------------------------------------------------------
 
 
@@ -270,30 +319,51 @@ def test_config_rejects_s_grid_it_cannot_record():
     assert ExperimentConfig.from_dict(cfg.to_dict()).s_grid.points == cfg.s_grid.points
 
 
+def _assert_every_build_raises(cfg_path, err):
+    """The constructor, from_dict and dataclasses.replace each raise, on the
+    JSON object of the config file at ``cfg_path``, the ConfigError the CLI
+    printed as ``err``: a config has one build path."""
+    data = json.loads(Path(cfg_path).read_text())
+    for build in (lambda d: ExperimentConfig(**d), ExperimentConfig.from_dict,
+                  lambda d: dataclasses.replace(ExperimentConfig(), **d)):
+        with pytest.raises(ConfigError) as exc:
+            build(data)
+        assert err == f"config error: {exc.value}\n"
+
+
 @pytest.mark.parametrize("field, named", [
     ({"n_values": 5}, "n_values"),
     ({"models": 5}, "models"),
     ({"betas": ["x"]}, "betas"),
     ({"betas": [None]}, "betas"),
+    ({"betas": [True]}, "betas must be a list of numbers, got [True]"),
     ({"s_grid": {"start": [1]}}, "s_grid.start"),
     ({"s_grid": {"count": 2.7}}, "s_grid.count"),
+    ({"s_grid": [0.5]}, "s_grid must be an object"),
+    ({"k_rule": "power"}, "k_rule must be an object"),
+    ({"k_rule": {"kind": "fixed", "fixed_k": "3"}}, "bad k_rule: "),
     ({"statistics": "T1"}, "statistics must be a list"),
+    ({"checks": "domain_ratio"}, "checks must be a list of check ids"),
+    ({"tolerances": ["T1"]}, "tolerances must be an object"),
     ({"output_dir": 5}, "output_dir must be a string"),
     ({"dump_samples": "yes"}, "dump_samples must be true or false"),
     ({"dump_samples": 1}, "dump_samples must be true or false"),
     ({"dump_samples": None}, "dump_samples must be true or false"),
-], ids=["n_values", "models", "betas-str", "betas-null", "s_grid-start",
-        "s_grid-count", "statistics-str", "output_dir-int", "dump_samples-str",
+], ids=["n_values", "models", "betas-str", "betas-null", "betas-bool", "s_grid-start",
+        "s_grid-count", "s_grid-list", "k_rule-str", "k_rule-fixed_k-str", "statistics-str",
+        "checks-str", "tolerances-list", "output_dir-int", "dump_samples-str",
         "dump_samples-int", "dump_samples-null"])
 def test_exit_config_on_wrong_field_type(tmp_path, capsys, field, named):
     """A field of the wrong type is a config error (exit 2) named in the
-    message, never a traceback or a silently converted value."""
+    message, never a traceback or a silently converted value, and the
+    constructor and dataclasses.replace raise it too."""
     cfg = _write_config(tmp_path / "cfg.json", **field)
     assert main(["lemmas", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
     assert "['T', '1']" not in err
+    _assert_every_build_raises(cfg, err)
 
 
 @pytest.mark.parametrize("command, field, named", [
@@ -331,7 +401,8 @@ def test_exit_config_on_bad_k_rule_or_beta(tmp_path, capsys, command, field, nam
     """A k rule whose k overflows, is not a number or passes the order
     statistics a replicate may draw, an infinite beta, an integer too large
     for a float, and an s_grid.count or a models x replicates product over
-    its cap are config errors (exit 2) that name the key."""
+    its cap are config errors (exit 2) that name the key, and the
+    constructor and dataclasses.replace raise them too."""
     cfg = _write_config(tmp_path / "cfg.json", **field)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
@@ -339,6 +410,7 @@ def test_exit_config_on_bad_k_rule_or_beta(tmp_path, capsys, command, field, nam
     assert named in err
     assert "Traceback" not in err
     assert not out.exists()
+    _assert_every_build_raises(cfg, err)
 
 
 def test_validate_caps_order_statistics_and_rows():
@@ -677,6 +749,38 @@ def test_report_rejects_a_manifest_without_outputs(tmp_path, capsys):
     manifest.write_text(json.dumps({"tool_version": "0.1.0", "config": None}))
     assert main(["report", str(manifest)]) == 2
     assert f"manifest {manifest} has no outputs section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("outputs, listed, named", [
+    ([], None, "outputs must map file names to digest strings"),
+    (None, None, "outputs must map file names to digest strings"),
+    ({"a.csv": 5}, None, "outputs must map file names to digest strings"),
+    # a.csv's true digest: a name outside the manifest's directory is refused unread
+    ({"../a.csv": hashlib.sha256(b"x\n").hexdigest()}, None,
+     "outputs must map file names to digest strings"),
+    (None, ("report.json", "not json"), "cannot summarize {}: JSONDecodeError"),
+    (None, ("limit_checks.csv", "check_id,model\nx,y\n"), "cannot summarize {}: KeyError"),
+], ids=["outputs-list", "outputs-null", "digest-int", "name-outside", "report-json-text",
+        "limit-csv-no-verdict"])
+def test_report_exits_config_on_a_malformed_manifest(tmp_path, capsys, outputs, listed, named):
+    """A manifest whose outputs are not file names and digest strings, or
+    whose checksummed report.json or limit_checks.csv does not parse, is a
+    config error that names the file, never a traceback."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (tmp_path / "a.csv").write_text("x\n")
+    (run / "a.csv").write_text("x\n")
+    if listed:
+        name, text = listed
+        (run / name).write_text(text)
+        outputs, named = {name: sha256_file(run / name)}, named.format(run / name)
+    manifest = run / "manifest.json"
+    manifest.write_text(json.dumps({"outputs": outputs}))
+    assert main(["report", str(manifest), "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "summary.md").exists()
 
 
 def test_report_summarizes_the_manifest_it_verified(tmp_path, monkeypatch):
