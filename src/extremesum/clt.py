@@ -16,13 +16,15 @@ tail mass n(1-U_{n-k,n})/k which concentrates at 1.
 
 STATISTICS is the one place that says what each statistic is checked
 against: its target CDF (BDH has none), its target variance (BDH's is
-1/k, from the cell) and its default bounds.  BOUNDS says, per bound key,
-which values are valid, which statistics it applies to and when a
-summary fails it; the config validates tolerances against it.
+1/k, from the cell), its default bounds and the cell functionals it
+reads (BDH none).  BOUNDS says, per bound key, which values are valid,
+which statistics it applies to and when a summary fails it; the config
+validates tolerances against it.
 
 An experiment runs in three stages, each over all of its cells.  First,
-every cell's functionals (c, mu, rho and Q at k/n, and c and Q at 1/n for
-MAX) come from one request per functional across the models.  Second, at
+the functionals that a run's statistics read, of c, mu, rho and Q at k/n
+and c and Q at 1/n, come for every cell from one request per functional
+across the models, so no other functional can fail a run.  Second, at
 each n, the rows of every model, one replicate per row, are drawn one
 model after another in chunks of about 2^14 order statistics that may
 span models, so memory stays flat in the number of replicates.
@@ -108,35 +110,41 @@ class CellFunctionals:
 
     n: int
     k: int
-    s: float
     scale: float        # c(k/n)
     mean_mass: float    # mu(k/n)
     rate_mass: float    # rho(k/n)
     threshold_q: float  # Q(1 - k/n)
 
 
-def _functionals(cells, with_max=False):
-    """Per (model, n, k) cell, its CellFunctionals and, ``with_max``, the
-    norming (c(1/n), Q(1-1/n)) of its maximum, else None; or the first
-    error of c(k/n), mu(k/n), rho(k/n), Q(1-k/n), c(1/n) and Q(1-1/n).
-    One request per functional spans the cells, with one tail_quantile
-    call per model."""
-    keys = [(model, k / n) for model, n, k in cells]
-    if with_max:
-        keys += [(model, 1.0 / n) for model, n, _ in cells]
-    scales, means, rates = _run(_scale(keys, 1.0), _mean(keys[:len(cells)]),
-                                _rate(keys[:len(cells)], extended=True))
+# The functionals a cell may read, in the order in which its first error is
+# found: c, mu, rho and Q at s = k/n, then the norming c and Q of the maximum.
+CELL_FUNCTIONALS = ("c(k/n)", "mu(k/n)", "rho(k/n)", "Q(1-k/n)", "c(1/n)", "Q(1-1/n)")
+
+
+def _functionals(cells, reads):
+    """Per (model, n, k) cell, its CellFunctionals and the norming (c(1/n),
+    Q(1-1/n)) of its maximum, or the first error of the CELL_FUNCTIONALS in
+    ``reads``.  Only those are requested, and the others read NaN.  One
+    request per functional spans the cells, with one tail_quantile call per
+    model."""
+    kn = [(model, k / n) for model, n, k in cells]
+    one = [(model, 1.0 / n) for model, n, _ in cells]
+    at = {name: (kn if "k/n" in name else one) if name in reads else []
+          for name in CELL_FUNCTIONALS}
+    scales, means, rates = _run(_scale(at["c(k/n)"] + at["c(1/n)"], 1.0), _mean(at["mu(k/n)"]),
+                                _rate(at["rho(k/n)"], extended=True))
     failed = {}
-    qs = _at_s(keys, failed).tolist()
+    qs = _at_s(at["Q(1-k/n)"] + at["Q(1-1/n)"], failed).tolist()
+    qs = [failed.get(i, (q,)) for i, q in enumerate(qs)]
+    # one outcome per cell for each of CELL_FUNCTIONALS, in its order
+    c_kn, q_kn = len(at["c(k/n)"]), len(at["Q(1-k/n)"])
+    columns = [col or [(math.nan,)] * len(cells)
+               for col in (scales[:c_kn], means, rates, qs[:q_kn], scales[c_kn:], qs[q_kn:])]
     out = []
-    for i, (model, n, k) in enumerate(cells):
-        norming = scales[len(cells) + i] if with_max else None
-        error = next((o for o in (scales[i], means[i], rates[i], failed.get(i), norming,
-                                  failed.get(len(cells) + i)) if isinstance(o, Exception)), None)
-        out.append(error if error is not None else (
-            CellFunctionals(n=n, k=k, s=keys[i][1], scale=scales[i][0], mean_mass=means[i][0],
-                            rate_mass=rates[i][0], threshold_q=qs[i]),
-            norming and (norming[0], qs[len(cells) + i])))
+    for (_, n, k), row in zip(cells, zip(*columns)):
+        error = next((o for o in row if isinstance(o, Exception)), None)
+        out.append(error or (CellFunctionals(n, k, *(o[0] for o in row[:4])),
+                             tuple(o[0] for o in row[4:])))
     return out
 
 
@@ -145,7 +153,7 @@ def cell_functionals(model: TailModel, n: int, k: int) -> CellFunctionals:
     k = int(k)
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    [out] = _functionals([(model, n, k)])
+    [out] = _functionals([(model, n, k)], CELL_FUNCTIONALS[:4])
     if isinstance(out, Exception):
         raise out
     return out[0]
@@ -246,17 +254,18 @@ def gumbel_cdf(x):
 
 
 # A statistic's target law (None where there is none to test), its target
-# variance (None for BDH's 1/k) and its default bounds, keyed as in BOUNDS.
-Statistic = namedtuple("Statistic", "cdf variance bounds")
+# variance (None for BDH's 1/k), its default bounds, keyed as in BOUNDS, and
+# the CELL_FUNCTIONALS it reads: BDH, a function of uniforms, reads none.
+Statistic = namedtuple("Statistic", "cdf variance bounds reads")
 
 
 STATISTICS = {
     "T1": Statistic(lambda x: ndtr(np.asarray(x) / math.sqrt(2.0)), 2.0,
-                    {"mean": (-0.1, 0.1), "var": (1.8, 2.2), "ks": 0.05}),
-    "T2": Statistic(ndtr, 1.0, {"var": (0.85, 1.15), "ks": 0.05}),
-    "T3": Statistic(ndtr, 1.0, {"var": (0.85, 1.15), "ks": 0.05}),
-    "MAX": Statistic(gumbel_cdf, math.pi**2 / 6.0, {"ks": 0.05}),
-    "BDH": Statistic(None, None, {"mean": (0.9, 1.1), "sd_factor": 2.0}),
+                    {"mean": (-0.1, 0.1), "var": (1.8, 2.2), "ks": 0.05}, ("c(k/n)", "mu(k/n)")),
+    "T2": Statistic(ndtr, 1.0, {"var": (0.85, 1.15), "ks": 0.05}, ("c(k/n)", "Q(1-k/n)")),
+    "T3": Statistic(ndtr, 1.0, {"var": (0.85, 1.15), "ks": 0.05}, ("c(k/n)", "rho(k/n)")),
+    "MAX": Statistic(gumbel_cdf, math.pi**2 / 6.0, {"ks": 0.05}, ("c(1/n)", "Q(1-1/n)")),
+    "BDH": Statistic(None, None, {"mean": (0.9, 1.1), "sd_factor": 2.0}, ()),
 }
 
 STATISTIC_IDS = tuple(STATISTICS)
@@ -333,9 +342,6 @@ def check_tolerances(tolerances) -> None:
 class StatSample:
     """Replicate values of one statistic in one (model, n, k) cell."""
 
-    statistic_id: str
-    n: int
-    k: int
     values: np.ndarray
     seed: SeedSpec
     numeric_failures: int = 0
@@ -365,7 +371,6 @@ class NormalityReport:
     n: int
     k: int
     replicates: int
-    master_seed: int
     summaries: list
 
     @property
@@ -540,7 +545,7 @@ def _run_cells(cells, n, k, replicates, master_seed, statistics):
         columns = np.array([[getattr(cell[1], name) for cell in cells]
                             for name in ("scale", "mean_mass", "rate_mass", "threshold_q")])
         for rows, (tails, xs, _), per_row in chunks(k + 1, 0, columns):
-            cf = CellFunctionals(n, k, k / n, *per_row)
+            cf = CellFunctionals(n, k, *per_row)
             s_k, x_k = _row_fsums(xs[:, :k]), xs[:, k]
             # a non-finite replicate is counted against the budget, not warned about
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -557,9 +562,14 @@ def _run_cells(cells, n, k, replicates, master_seed, statistics):
             for j in range(len(cells))]
 
 
+def _reads(statistics):
+    """The CELL_FUNCTIONALS that any of ``statistics`` reads."""
+    return {name for stat in statistics for name in STATISTICS[stat].reads}
+
+
 def _run_cell(model, n, k, replicates, master_seed, stream_base, statistics):
     """The replicate arrays and functionals of one experiment cell."""
-    [out] = _functionals([(model, n, k)], "MAX" in statistics)
+    [out] = _functionals([(model, n, k)], _reads(statistics))
     if isinstance(out, Exception):
         raise out
     [arrays] = _run_cells([(model, *out, stream_base)], n, k, replicates, master_seed,
@@ -587,7 +597,7 @@ def run_experiment(config) -> ExperimentResult:
 
     cells = [(model, n, config.k_rule.resolve(n))
              for model in config.model_objects() for n in config.n_values]
-    functionals = _functionals(cells, "MAX" in config.statistics)
+    functionals = _functionals(cells, _reads(config.statistics))
     # the cells before the first failure still run and may fail first
     done = next((i for i, out in enumerate(functionals)
                  if isinstance(out, Exception)), len(cells))
@@ -622,10 +632,9 @@ def run_experiment(config) -> ExperimentResult:
     for i, (model, n, k) in enumerate(cells[:done]):
         at = slice(i * width, (i + 1) * width)
         result.reports.append(NormalityReport(
-            model=model.describe(), n=n, k=k, replicates=replicates,
-            master_seed=config.master_seed, summaries=summaries[at]))
+            model=model.describe(), n=n, k=k, replicates=replicates, summaries=summaries[at]))
         seed = SeedSpec(config.master_seed, i * 2 * replicates)
         result.samples[(model.describe(), n)] = {
-            stat: StatSample(stat, n, k, arrays[i][stat], seed, failures)
+            stat: StatSample(arrays[i][stat], seed, failures)
             for stat, _, failures, _, _ in samples[at]}
     return result

@@ -108,9 +108,10 @@ DEFAULT_S_GRID = SGrid.geometric(0.5, 0.5, 3)
 
 
 def _k_rule(kr) -> KRule:
-    """A KRule as itself, or built from its JSON object."""
+    """A KRule built from its JSON object, or from its own fields, which
+    take the same checks: a rule that builds writes JSON that loads."""
     if isinstance(kr, KRule):
-        return kr
+        kr = dataclasses.asdict(kr)
     if not isinstance(kr, dict):
         raise ConfigError("k_rule must be an object")
     _reject_unknown("k_rule", kr, _field_names(KRule))

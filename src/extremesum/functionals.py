@@ -623,7 +623,6 @@ class FunctionalTable:
 
     model: TailModel
     grid: SGrid
-    betas: tuple
     columns: dict          # name -> list of floats (nan where flagged)
     errors: dict           # name -> list of error bounds (inf where flagged)
     notes: list            # human-readable flags for failed entries
@@ -679,6 +678,6 @@ def build_functional_table(model, grid: SGrid, betas=()):
                     out = (math.nan, math.inf)
                 values[name].append(out[0])
                 errors[name].append(out[1])
-        tables.append(FunctionalTable(model=m, grid=grid, betas=betas, columns=values,
-                                      errors=errors, notes=notes))
+        tables.append(FunctionalTable(model=m, grid=grid, columns=values, errors=errors,
+                                      notes=notes))
     return tables[0] if isinstance(model, TailModel) else tables

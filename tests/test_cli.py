@@ -17,7 +17,8 @@ import pytest
 from extremesum import (ConfigError, ExperimentConfig, KRule, SGrid,
                         build_functional_table)
 from extremesum.cli import _build_parser, cmd_functionals, cmd_lemmas, cmd_simulate, main
-from extremesum import reports
+from extremesum.errors import UnsupportedModelError
+from extremesum import cli, reports
 from extremesum.reports import (
     atomic_write_text,
     functional_table_csv,
@@ -136,7 +137,15 @@ def test_config_validation_errors():
      "replicates must be an integer >= 1"),
     (lambda: ExperimentConfig(tolerances={"T2": {"sd_factor": 2}}),
      "inapplicable tolerance key T2.sd_factor"),
-], ids=["constructor", "replace", "tolerances"])
+    # a built KRule takes its JSON object's checks, so its to_json() loads
+    (lambda: ExperimentConfig(k_rule=KRule(coeff=True)),
+     "k_rule.coeff must be a finite number, got True"),
+    (lambda: ExperimentConfig(k_rule=KRule(kind="fixed", fixed_k=3, gamma=True)),
+     "k_rule.gamma must be a finite number, got True"),
+    (lambda: dataclasses.replace(ExperimentConfig(), k_rule=KRule(coeff=True)),
+     "k_rule.coeff must be a finite number, got True"),
+], ids=["constructor", "replace", "tolerances", "k_rule-coeff-bool", "k_rule-gamma-bool",
+        "replace-k_rule-coeff-bool"])
 def test_a_bad_config_cannot_be_built(build, named):
     """Every way of building a config checks it: no config object exists
     for a bad field, so nothing downstream checks one again."""
@@ -193,12 +202,21 @@ def test_readme_config_examples_build():
 # -- exit codes ---------------------------------------------------------
 
 
-def test_exit_config_on_malformed_json(tmp_path, capsys):
-    bad = tmp_path / "cfg.json"
-    bad.write_text("{not json")
-    rc = main(["simulate", "--config", str(bad)])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
+@pytest.mark.parametrize("make, named", [
+    (lambda path: path.write_text("{not json"), "config is not valid JSON: "),
+    (lambda path: path.write_text("[1, 2]"), "config root must be a JSON object"),
+    (lambda path: None, "cannot read config {path}: [Errno 2] No such file or directory"),
+    (lambda path: path.mkdir(), "cannot read config {path}: [Errno 21] Is a directory"),
+], ids=["malformed-json", "root-not-object", "missing", "directory"])
+def test_exit_config_on_unusable_config_file(tmp_path, capsys, make, named):
+    path = tmp_path / "cfg.json"
+    make(path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + named.format(path=path))
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_exit_config_on_unknown_model(tmp_path, capsys):
@@ -223,9 +241,17 @@ def test_exit_config_on_nonfinite_model_parameter(tmp_path, capsys, command, mod
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
-def test_exit_config_on_empty_models(tmp_path):
-    cfg = _write_config(tmp_path / "cfg.json", models=[])
-    assert main(["lemmas", "--config", cfg]) == 2
+@pytest.mark.parametrize("command, field, named", [
+    ("lemmas", "models", "config needs at least one model"),
+    ("simulate", "n_values", "config needs at least one n value"),
+    ("simulate", "statistics", "configure at least one statistic"),
+], ids=["models", "n_values", "statistics"])
+def test_exit_config_on_empty_list(tmp_path, capsys, command, field, named):
+    cfg = _write_config(tmp_path / "cfg.json", **{field: []})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {named}\n"
+    assert not out.exists()
 
 
 def test_exit_config_on_bad_override(tmp_path):
@@ -393,16 +419,18 @@ def test_exit_config_on_wrong_field_type(tmp_path, capsys, field, named):
      "replicates times the number of models must be at most 1048576 rows per n value"),
     ("simulate", {"n_values": [10**21]},
      f"k_rule gives k=251188644 for n={10**21}: a replicate draws at most 1048576"),
+    ("simulate", {"n_values": [100], "k_rule": {"kind": "fixed", "fixed_k": 100}},
+     "k rule gives k=100 outside [1, 99] for n=100"),
 ], ids=["coeff-overflow", "coeff-inf", "coeff-str", "gamma-str", "betas-inf-functionals",
         "betas-inf-lemmas", "coeff-huge-int", "gamma-huge-int", "betas-huge-int",
         "s-grid-huge-int", "s-grid-count-1e9", "s-grid-count-huge-int", "replicates-1e12",
-        "k-over-cap"])
+        "k-over-cap", "fixed-k-not-below-n"])
 def test_exit_config_on_bad_k_rule_or_beta(tmp_path, capsys, command, field, named):
-    """A k rule whose k overflows, is not a number or passes the order
-    statistics a replicate may draw, an infinite beta, an integer too large
-    for a float, and an s_grid.count or a models x replicates product over
-    its cap are config errors (exit 2) that name the key, and the
-    constructor and dataclasses.replace raise them too."""
+    """A k rule whose k overflows, is not a number, is not below n or
+    passes the order statistics a replicate may draw, an infinite beta, an
+    integer too large for a float, and an s_grid.count or a models x
+    replicates product over its cap are config errors (exit 2) that name
+    the key, and the constructor and dataclasses.replace raise them too."""
     cfg = _write_config(tmp_path / "cfg.json", **field)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
@@ -429,9 +457,10 @@ def test_validate_caps_order_statistics_and_rows():
 
 
 def test_validate_rejects_overflowing_k_rule_and_infinite_beta():
-    for coeff in (math.inf, 1e308):
-        with pytest.raises(ConfigError, match="k_rule gives no finite k"):
-            ExperimentConfig(k_rule=KRule(coeff=coeff))
+    with pytest.raises(ConfigError, match="k_rule.coeff must be a finite number, got inf"):
+        ExperimentConfig(k_rule=KRule(coeff=math.inf))
+    with pytest.raises(ConfigError, match="k_rule gives no finite k"):
+        ExperimentConfig(k_rule=KRule(coeff=1e308))
     with pytest.raises(ConfigError, match="betas must be finite and strictly positive"):
         ExperimentConfig(betas=(2.0, math.inf))
 
@@ -475,6 +504,43 @@ def test_exit_numeric_on_divergent_model(tmp_path, capsys):
     )
     assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path)]) == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("statistics, named", [
+    (["BDH"], None),
+    (["MAX"], "c(0.0002,1)"),
+    (["T2"], "c(0.0062,1)"),
+    (["T1", "T2", "T3"], "c(0.0062,1)"),
+], ids=["BDH", "MAX", "T2", "T1-T3"])
+def test_a_run_needs_only_the_functionals_its_statistics_read(tmp_path, capsys, statistics,
+                                                             named):
+    """pareto(1) has no finite c.  BDH, a function of uniform order
+    statistics, reads no functional and runs to its verdict; MAX fails on
+    c(1/n), its only diverging functional, and T1-T3 on c(k/n)."""
+    cfg = _write_config(tmp_path / "cfg.json", models=["pareto(1)"], n_values=[5000],
+                        replicates=50, statistics=statistics)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", cfg, "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    if named is None:
+        assert (code, err) == (0, "")
+        [row] = csv.DictReader((out / "report.csv").read_text().splitlines())
+        assert (row["model"], row["stat"], row["verdict"]) == ("pareto(1)", "BDH", "pass")
+    else:
+        assert (code, err) == (3, "numeric error: functionals failed for pareto(1) at n=5000: "
+                               f"{named} diverges for pareto(1)\n")
+
+
+def test_exit_numeric_on_a_package_error(tmp_path, capsys, monkeypatch):
+    """An ExtremeSumError that is neither a config nor a numeric error
+    exits 3 with one "error:" line."""
+    def unsupported(*args, **kwargs):
+        raise UnsupportedModelError("normal has no analytic tail rate")
+
+    monkeypatch.setattr(cli, "run_limit_suite", unsupported)
+    cfg = _write_config(tmp_path / "cfg.json")
+    assert main(["lemmas", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "error: normal has no analytic tail rate\n"
 
 
 @pytest.mark.parametrize("command, model, code", [
@@ -619,7 +685,7 @@ def test_functionals_prints_flagged_entries(tmp_path, capsys):
     assert all(line.startswith("pareto(2): sigma2 at s=") for line in flags)
     assert flags[0] == "pareto(2): sigma2 at s=0.1: sigma2(0.1): integral is not finite"
     # the notes go to stderr only: the file is the table's own CSV
-    parsed = ExperimentConfig.from_dict(json.loads(open(cfg).read()))
+    parsed = ExperimentConfig.from_dict(json.loads(Path(cfg).read_text()))
     table = build_functional_table(parsed.model_objects()[0], parsed.s_grid,
                                    betas=parsed.betas)
     assert (out / "functionals_pareto_2.csv").read_text() == functional_table_csv(table)
@@ -824,6 +890,17 @@ def test_atomic_write_failure_leaves_original(tmp_path):
 
 
 # -- end-to-end process -------------------------------------------------
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), ([], 2)], ids=["help", "no-args"])
+def test_module_runs_the_cli(subprocess_env, args, code):
+    proc = subprocess.run([sys.executable, "-m", "extremesum", *args],
+                          capture_output=True, text=True, env=subprocess_env)
+    assert proc.returncode == code
+    text = proc.stdout if code == 0 else proc.stderr
+    assert "{functionals,lemmas,simulate,report}" in text
+    if code:
+        assert "the following arguments are required: command" in text
 
 
 def test_module_entry_point(tmp_path, subprocess_env):

@@ -9,14 +9,18 @@ import pytest
 
 from extremesum import (
     AffineModel,
+    CellFunctionals,
     ConfigError,
     Exponential,
     ExperimentConfig,
+    FunctionalTable,
     GaussianMoments,
     Gumbel,
     KRule,
     Normal,
+    NormalityReport,
     SeedSpec,
+    StatSample,
     Weibull,
     cell_functionals,
     draw_sample_max,
@@ -345,6 +349,15 @@ def test_run_experiment_small_cell():
         assert sample.values.shape == (200,)
         assert np.isfinite(sample.values).all()
         assert sample.numeric_failures == 0
+
+
+def test_records_keep_no_copy_of_their_keys():
+    """s is k/n, a report's seed is its config's, a table's betas name its
+    c_beta_* columns, and result.samples[(model, n)][stat] keys a sample."""
+    dropped = {CellFunctionals: {"s"}, NormalityReport: {"master_seed"},
+               FunctionalTable: {"betas"}, StatSample: {"statistic_id", "n", "k"}}
+    for record, names in dropped.items():
+        assert not names & {f.name for f in dataclasses.fields(record)}
 
 
 def test_run_experiment_streams_differ_across_cells():

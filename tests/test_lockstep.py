@@ -499,10 +499,22 @@ def test_a_cell_whose_threshold_raises_fails_alone():
     model = _ThresholdFloor()
     # Q(1-k/n) fails at k/n = 5e-4, the maximum's Q(1-1/n) at 1/n = 2e-4
     cells = [(Normal(), 1000, 20), (model, 10000, 5), (model, 100, 20), (model, 5000, 20)]
-    together = clt._functionals(cells, with_max=True)
+    together = clt._functionals(cells, clt.CELL_FUNCTIONALS)
     assert [repr(out) for out in together] == \
-        [repr(clt._functionals([cell], with_max=True)[0]) for cell in cells]
+        [repr(clt._functionals([cell], clt.CELL_FUNCTIONALS)[0]) for cell in cells]
     assert [isinstance(out, ValueError) for out in together] == [False, True, False, True]
+
+
+def test_a_cell_requests_only_the_functionals_it_reads():
+    # T1 reads c and mu at k/n; MAX reads Q(1-1/n), which raises at n = 5000
+    cells = [(Normal(), 1000, 20), (_ThresholdFloor(), 5000, 20)]
+    for (cf, norming), (model, n, k) in zip(clt._functionals(cells, clt.STATISTICS["T1"].reads),
+                                            cells):
+        full = clt.cell_functionals(model, n, k)
+        assert (cf.scale, cf.mean_mass) == (full.scale, full.mean_mass)
+        assert np.isnan([cf.rate_mass, cf.threshold_q, *norming]).all()
+    maxima = clt._functionals(cells, clt.STATISTICS["MAX"].reads)
+    assert [isinstance(out, ValueError) for out in maxima] == [False, True]
 
 
 def test_experiment_names_the_cell_whose_threshold_raises(monkeypatch):

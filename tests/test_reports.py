@@ -76,10 +76,8 @@ def test_report_json_is_the_json_dumps_text():
                  ad=123456789.0),
     ]
     result = ExperimentResult(reports=[
-        NormalityReport(model=odd, n=10**9, k=3982, replicates=5, master_seed=7,
-                        summaries=summaries),
-        NormalityReport(model="exponential(1)", n=50000, k=76, replicates=5,
-                        master_seed=7, summaries=[]),
+        NormalityReport(model=odd, n=10**9, k=3982, replicates=5, summaries=summaries),
+        NormalityReport(model="exponential(1)", n=50000, k=76, replicates=5, summaries=[]),
     ])
     config = ExperimentConfig(tolerances={}, output_dir=odd)
     text = normality_report_json(result, config)

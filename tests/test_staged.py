@@ -138,12 +138,12 @@ def _reference(config):
         arrays = {stat: np.array(values[stat]) for stat in config.statistics}
         assert all(np.isfinite(a).all() for a in arrays.values())
         result.reports.append(NormalityReport(
-            model=model.describe(), n=n, k=k, replicates=reps, master_seed=seed,
+            model=model.describe(), n=n, k=k, replicates=reps,
             summaries=[summarize_statistic(stat, arrays[stat], 0, None, k)
                        for stat in config.statistics]))
         result.samples[(model.describe(), n)] = {
-            stat: StatSample(statistic_id=stat, n=n, k=k, values=arrays[stat],
-                             seed=SeedSpec(seed, base)) for stat in config.statistics}
+            stat: StatSample(values=arrays[stat], seed=SeedSpec(seed, base))
+            for stat in config.statistics}
     return result
 
 
