@@ -14,32 +14,37 @@ the tests.  Two auxiliary statistics ride along: MAX, the normalized
 sample maximum against its Gumbel limit, and BDH, the rescaled uniform
 tail mass n(1-U_{n-k,n})/k which concentrates at 1.
 
-STATISTICS is the one place that says what each statistic is checked
-against: its target CDF (BDH has none), its target variance (BDH's is
-1/k, from the cell), its default bounds and the cell functionals it
-reads (BDH none).  BOUNDS says, per bound key, which values are valid,
-which statistics it applies to and when a summary fails it; the config
-validates tolerances against it.
+STATISTICS is the one place that declares a statistic: its target CDF
+(BDH has none), its target variance (BDH's is 1/k, from the cell), its
+default bounds, what it reads, the draw it reads and its formula.  A
+statistic reads cell functionals (BDH none) and quantities of its draw:
+the top-k sum S_k, the threshold X_{n-k,n} or its tail mass 1-U_{n-k,n}
+from the top k+1 values, or X_{n,n} from the maximum.  BOUNDS says, per
+bound key, which values are valid, which statistics it applies to and
+when a summary fails it; the config validates tolerances against it.
 
 An experiment runs in three stages, each over all of its cells.  First,
 the functionals that a run's statistics read, of c, mu, rho and Q at k/n
 and c and Q at 1/n, come for every cell from one request per functional
 across the models, so no other functional can fail a run.  Second, at
-each n, the rows of every model, one replicate per row, are drawn one
-model after another in chunks of about 2^14 order statistics that may
-span models, so memory stays flat in the number of replicates.
-Reproducibility comes from the streams, not the schedule: every replicate
-owns a counter-based stream keyed by (master_seed, stream id) and its row
-equals the single draw of that stream bit for bit, so neither the chunks
-nor the grouping of models change a report byte.  Each statistic is one
-formula evaluated on floats for a single draw and on arrays over rows,
-each row with its cell's functionals; a single draw's top-k sum is
-math.fsum, and the rows' sums come from _row_fsums, which equals
-math.fsum on every row bit for bit.  Third, the samples of every (cell,
-statistic) of one length are summarised as the rows of one matrix, and a
-reduction along a row gives the bits of that reduction on the sample
-alone.  cell_functionals, _run_cell and summarize_statistic are the
-one-cell and one-sample cases of these stages.
+each n, each draw that a run's statistics read gives the rows of every
+model, one replicate per row, drawn one model after another in chunks of
+about 2^14 order statistics that may span models, so memory stays flat in
+the number of replicates.  Reproducibility comes from the streams, not
+the schedule: every replicate owns a counter-based stream keyed by
+(master_seed, stream id) and its row equals the single draw of that
+stream bit for bit, so neither the chunks, the grouping of models nor the
+choice of statistics change a report byte.  A chunk forms only the
+quantities its statistics read and evaluates only their formulas, on
+arrays over rows, each row with its cell's functionals; statistic_T1 to
+statistic_T3 evaluate the same formulas on the floats of a single draw.
+A single draw's top-k sum is math.fsum, and the rows' sums come from
+_row_fsums, which equals math.fsum on every row bit for bit.  Third, the
+samples of every (cell, statistic) of one length are summarised as the
+rows of one matrix, and a reduction along a row gives the bits of that
+reduction on the sample alone.  cell_functionals, _run_cell and
+summarize_statistic are the one-cell and one-sample cases of these
+stages.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .errors import ConfigError, NumericError
 from .functionals import _at_s, _mean, _rate, _run, _scale, _values, _variance, tail_scale
 from .gof import distances
 from .models import TailModel
-from .sampling import ReplicateDraw, SeedSpec, _draw_segments, _rescaled_threshold_tail
+from .sampling import ReplicateDraw, SeedSpec, _draw_segments
 
 # Fraction of replicates allowed to produce non-finite statistics before
 # the experiment is considered numerically broken.
@@ -122,11 +127,10 @@ CELL_FUNCTIONALS = ("c(k/n)", "mu(k/n)", "rho(k/n)", "Q(1-k/n)", "c(1/n)", "Q(1-
 
 
 def _functionals(cells, reads):
-    """Per (model, n, k) cell, its CellFunctionals and the norming (c(1/n),
-    Q(1-1/n)) of its maximum, or the first error of the CELL_FUNCTIONALS in
-    ``reads``.  Only those are requested, and the others read NaN.  One
-    request per functional spans the cells, with one tail_quantile call per
-    model."""
+    """Per (model, n, k) cell, its value of each of CELL_FUNCTIONALS by
+    name, or the first error of those in ``reads``.  Only those are
+    requested, and the others read NaN.  One request per functional spans
+    the cells, with one tail_quantile call per model."""
     kn = [(model, k / n) for model, n, k in cells]
     one = [(model, 1.0 / n) for model, n, _ in cells]
     at = {name: (kn if "k/n" in name else one) if name in reads else []
@@ -140,12 +144,9 @@ def _functionals(cells, reads):
     c_kn, q_kn = len(at["c(k/n)"]), len(at["Q(1-k/n)"])
     columns = [col or [(math.nan,)] * len(cells)
                for col in (scales[:c_kn], means, rates, qs[:q_kn], scales[c_kn:], qs[q_kn:])]
-    out = []
-    for (_, n, k), row in zip(cells, zip(*columns)):
-        error = next((o for o in row if isinstance(o, Exception)), None)
-        out.append(error or (CellFunctionals(n, k, *(o[0] for o in row[:4])),
-                             tuple(o[0] for o in row[4:])))
-    return out
+    # per cell, its first error or its values by name
+    return [next((o for o in row if isinstance(o, Exception)), None)
+            or {name: o[0] for name, o in zip(CELL_FUNCTIONALS, row)} for row in zip(*columns)]
 
 
 def cell_functionals(model: TailModel, n: int, k: int) -> CellFunctionals:
@@ -156,45 +157,36 @@ def cell_functionals(model: TailModel, n: int, k: int) -> CellFunctionals:
     [out] = _functionals([(model, n, k)], CELL_FUNCTIONALS[:4])
     if isinstance(out, Exception):
         raise out
-    return out[0]
+    return CellFunctionals(n, k, *(out[name] for name in CELL_FUNCTIONALS[:4]))
 
 
-def _functionals_for(draw: ReplicateDraw, model, cf):
+def _one_draw(stat, draw: ReplicateDraw, model, cf):
+    """STATISTICS[stat]'s formula on the floats of one draw of the top k+1
+    values, with the cell functionals ``cf``, or the model's when None."""
     if cf is None:
-        return cell_functionals(model, draw.n, draw.k)
-    if (cf.n, cf.k) != (draw.n, draw.k):
+        cf = cell_functionals(model, draw.n, draw.k)
+    elif (cf.n, cf.k) != (draw.n, draw.k):
         raise ValueError("cell functionals do not match the draw's (n, k)")
-    return cf
-
-
-# The statistics as functions of the top-k sum s_k and the threshold x_k,
-# each a float for one draw or an array over rows; over rows of several
-# cells, the functionals hold one value per row.
-def _t1(s_k, cf: CellFunctionals):
-    return (s_k - cf.n * cf.mean_mass) / (math.sqrt(cf.k) * cf.scale)
-
-
-def _t2(x_k, cf: CellFunctionals):
-    return math.sqrt(cf.k) * (x_k - cf.threshold_q) / cf.scale
-
-
-def _t3(s_k, x_k, cf: CellFunctionals):
-    return (s_k - cf.k * x_k - cf.n * cf.rate_mass) / (math.sqrt(cf.k) * cf.scale)
+    v = {**dict(zip(CELL_FUNCTIONALS, (cf.scale, cf.mean_mass, cf.rate_mass, cf.threshold_q))),
+         "X_{n-k,n}": draw.threshold_x}
+    if "S_k" in STATISTICS[stat].reads:
+        v["S_k"] = math.fsum(draw.top_x)
+    return STATISTICS[stat].value(cf.n, cf.k, *(v[name] for name in STATISTICS[stat].reads))
 
 
 def statistic_T1(draw: ReplicateDraw, model: TailModel, cf: CellFunctionals | None = None) -> float:
     """Normalized centered sum of the top k values; limit N(0, 2)."""
-    return _t1(math.fsum(draw.top_x), _functionals_for(draw, model, cf))
+    return _one_draw("T1", draw, model, cf)
 
 
 def statistic_T2(draw: ReplicateDraw, model: TailModel, cf: CellFunctionals | None = None) -> float:
     """Normalized intermediate order statistic; limit N(0, 1)."""
-    return _t2(draw.threshold_x, _functionals_for(draw, model, cf))
+    return _one_draw("T2", draw, model, cf)
 
 
 def statistic_T3(draw: ReplicateDraw, model: TailModel, cf: CellFunctionals | None = None) -> float:
     """Normalized sum of excesses over the threshold; limit N(0, 1)."""
-    return _t3(math.fsum(draw.top_x), draw.threshold_x, _functionals_for(draw, model, cf))
+    return _one_draw("T3", draw, model, cf)
 
 
 def mean_excess(draw: ReplicateDraw) -> float:
@@ -254,19 +246,40 @@ def gumbel_cdf(x):
 
 
 # A statistic's target law (None where there is none to test), its target
-# variance (None for BDH's 1/k), its default bounds, keyed as in BOUNDS, and
-# the CELL_FUNCTIONALS it reads: BDH, a function of uniforms, reads none.
-Statistic = namedtuple("Statistic", "cdf variance bounds reads")
+# variance (None for BDH's 1/k), its default bounds, keyed as in BOUNDS, the
+# draw it reads, one of _DRAWS, what it reads and its formula.  It reads
+# CELL_FUNCTIONALS (BDH, a function of uniforms, reads none) and quantities
+# of its draw named as in _DRAWN.  The formula takes n, k and the values of
+# what it reads, in that order: floats of one draw or arrays over rows.
+Statistic = namedtuple("Statistic", "cdf variance bounds draw reads value")
 
 
 STATISTICS = {
     "T1": Statistic(lambda x: ndtr(np.asarray(x) / math.sqrt(2.0)), 2.0,
-                    {"mean": (-0.1, 0.1), "var": (1.8, 2.2), "ks": 0.05}, ("c(k/n)", "mu(k/n)")),
-    "T2": Statistic(ndtr, 1.0, {"var": (0.85, 1.15), "ks": 0.05}, ("c(k/n)", "Q(1-k/n)")),
-    "T3": Statistic(ndtr, 1.0, {"var": (0.85, 1.15), "ks": 0.05}, ("c(k/n)", "rho(k/n)")),
-    "MAX": Statistic(gumbel_cdf, math.pi**2 / 6.0, {"ks": 0.05}, ("c(1/n)", "Q(1-1/n)")),
-    "BDH": Statistic(None, None, {"mean": (0.9, 1.1), "sd_factor": 2.0}, ()),
+                    {"mean": (-0.1, 0.1), "var": (1.8, 2.2), "ks": 0.05}, "top",
+                    ("c(k/n)", "mu(k/n)", "S_k"),
+                    lambda n, k, c, mu, s_k: (s_k - n * mu) / (math.sqrt(k) * c)),
+    "T2": Statistic(ndtr, 1.0, {"var": (0.85, 1.15), "ks": 0.05}, "top",
+                    ("c(k/n)", "Q(1-k/n)", "X_{n-k,n}"),
+                    lambda n, k, c, q, x_k: math.sqrt(k) * (x_k - q) / c),
+    "T3": Statistic(ndtr, 1.0, {"var": (0.85, 1.15), "ks": 0.05}, "top",
+                    ("c(k/n)", "rho(k/n)", "S_k", "X_{n-k,n}"),
+                    lambda n, k, c, rho, s_k, x_k: (s_k - k * x_k - n * rho) / (math.sqrt(k) * c)),
+    "MAX": Statistic(gumbel_cdf, math.pi**2 / 6.0, {"ks": 0.05}, "max",
+                     ("c(1/n)", "Q(1-1/n)", "X_{n,n}"), lambda n, k, a_n, b_n, x: (x - b_n) / a_n),
+    "BDH": Statistic(None, None, {"mean": (0.9, 1.1), "sd_factor": 2.0}, "top",
+                     ("1-U_{n-k,n}",), lambda n, k, t: n * t / k),
 }
+
+# The draws a statistic may read, by their rows' width, in the order of
+# their streams: row r of a cell with R replicates draws its top k+1 values
+# from stream base + r and its maximum from stream base + R + r.
+_DRAWS = {"top": lambda k: k + 1, "max": lambda k: 1}
+
+# What a statistic may read of its draw's rows, from their tail masses t
+# (ascending) and values x (descending); each is formed only when read.
+_DRAWN = {"S_k": lambda t, x, k: _row_fsums(x[:, :k]), "X_{n-k,n}": lambda t, x, k: x[:, k],
+          "1-U_{n-k,n}": lambda t, x, k: t[:, k], "X_{n,n}": lambda t, x, k: x[:, 0]}
 
 STATISTIC_IDS = tuple(STATISTICS)
 
@@ -521,49 +534,41 @@ def _row_fsums(x: np.ndarray) -> np.ndarray:
 
 
 def _run_cells(cells, n, k, replicates, master_seed, statistics):
-    """The replicate arrays of ``statistics`` for every (model, cf,
-    norming, stream_base) cell at one n; row r of a cell draws its top k+1
-    values from stream stream_base + r and its maximum from stream_base +
-    replicates + r."""
+    """The replicate arrays of ``statistics`` for every (model, functionals,
+    stream_base) cell at one n.  Each of _DRAWS that one of ``statistics``
+    reads is drawn in chunks of rows, row r of a cell from stream
+    stream_base + r plus the draw's position times ``replicates``.  A chunk
+    forms only what the statistics of its draw read, each cell functional
+    repeated over its cell's rows, and evaluates only their formulas."""
     total = len(cells) * replicates
     values = {stat: np.empty(total) for stat in statistics}
-
-    def chunks(count, offset, columns):
-        """Each chunk's rows, its draw and, per row, the cell's ``columns``."""
-        step = max(1, _CHUNK_ORDER_STATS // count)
+    for offset, (draw, width) in enumerate(_DRAWS.items()):
+        stats = [stat for stat in statistics if STATISTICS[stat].draw == draw]
+        if not stats:
+            continue
+        reads = _reads(stats)
+        step = max(1, _CHUNK_ORDER_STATS // width(k))
         for lo in range(0, total, step):
             hi = min(lo + step, total)
             at = range(lo // replicates, (hi - 1) // replicates + 1)
             firsts = [max(lo - j * replicates, 0) for j in at]
             sizes = [min(hi - j * replicates, replicates) - a for j, a in zip(at, firsts)]
-            segments = [(SeedSpec(master_seed, cells[j][3] + offset + a), size, cells[j][0])
-                        for j, a, size in zip(at, firsts, sizes)]
-            yield (slice(lo, hi), _draw_segments(segments, n, count),
-                   [np.repeat(column[at.start:at.stop], sizes) for column in columns])
-
-    if values.keys() & {"T1", "T2", "T3", "BDH"}:
-        columns = np.array([[getattr(cell[1], name) for cell in cells]
-                            for name in ("scale", "mean_mass", "rate_mass", "threshold_q")])
-        for rows, (tails, xs, _), per_row in chunks(k + 1, 0, columns):
-            cf = CellFunctionals(n, k, *per_row)
-            s_k, x_k = _row_fsums(xs[:, :k]), xs[:, k]
+            tails, xs, _ = _draw_segments(
+                [(SeedSpec(master_seed, cells[j][2] + offset * replicates + a), size, cells[j][0])
+                 for j, a, size in zip(at, firsts, sizes)], n, width(k))
+            v = {name: _DRAWN[name](tails, xs, k) if name in _DRAWN
+                 else np.repeat([cells[j][1][name] for j in at], sizes) for name in reads}
             # a non-finite replicate is counted against the budget, not warned about
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                chunk = {"T1": _t1(s_k, cf), "T2": _t2(x_k, cf), "T3": _t3(s_k, x_k, cf),
-                         "BDH": _rescaled_threshold_tail(n, k, tails[:, k])}
-            for stat in values.keys() & chunk.keys():
-                values[stat][rows] = chunk[stat]
-    if "MAX" in values:
-        columns = np.array([cell[2] for cell in cells]).T
-        for rows, (_, xs, _), (a_n, b_n) in chunks(1, replicates, columns):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                values["MAX"][rows] = (xs[:, 0] - b_n) / a_n
+                for stat in stats:
+                    values[stat][lo:hi] = STATISTICS[stat].value(
+                        n, k, *(v[name] for name in STATISTICS[stat].reads))
     return [{stat: values[stat][j * replicates:(j + 1) * replicates] for stat in statistics}
             for j in range(len(cells))]
 
 
 def _reads(statistics):
-    """The CELL_FUNCTIONALS that any of ``statistics`` reads."""
+    """What any of ``statistics`` reads."""
     return {name for stat in statistics for name in STATISTICS[stat].reads}
 
 
@@ -572,9 +577,8 @@ def _run_cell(model, n, k, replicates, master_seed, stream_base, statistics):
     [out] = _functionals([(model, n, k)], _reads(statistics))
     if isinstance(out, Exception):
         raise out
-    [arrays] = _run_cells([(model, *out, stream_base)], n, k, replicates, master_seed,
-                          statistics)
-    return arrays, out[0]
+    [arrays] = _run_cells([(model, out, stream_base)], n, k, replicates, master_seed, statistics)
+    return arrays, CellFunctionals(n, k, *(out[name] for name in CELL_FUNCTIONALS[:4]))
 
 
 def run_experiment(config) -> ExperimentResult:
@@ -605,7 +609,7 @@ def run_experiment(config) -> ExperimentResult:
     for n, k in dict.fromkeys((n, k) for _, n, k in cells[:done]):
         at = [i for i in range(done) if cells[i][1] == n]
         for i, cell_arrays in zip(at, _run_cells(
-                [(cells[i][0], *functionals[i], i * 2 * replicates) for i in at],
+                [(cells[i][0], functionals[i], i * 2 * replicates) for i in at],
                 n, k, replicates, config.master_seed, config.statistics)):
             arrays[i] = cell_arrays
 

@@ -119,9 +119,15 @@ def _k_rule(kr) -> KRule:
         if key in kr and not (_is_number(kr[key]) and math.isfinite(_as_float(kr[key]))):
             raise ConfigError(f"k_rule.{key} must be a finite number, got {kr[key]!r}")
     try:
-        return KRule(**kr)
+        rule = KRule(**kr)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad k_rule: {exc}") from exc
+    # to_dict writes only the fields the rule's kind reads: another would not
+    # load back
+    for key in ("coeff", "gamma") if rule.kind == "fixed" else ("fixed_k",):
+        if getattr(rule, key) != getattr(KRule, key):
+            raise ConfigError(f"k_rule.{key} is not read by a {rule.kind} rule: leave it out")
+    return rule
 
 
 def _s_grid(sg) -> SGrid:

@@ -227,15 +227,10 @@ def draw_sample_max(seed: SeedSpec, n: int, model: TailModel) -> float:
     return float(xs[0, 0])
 
 
-def _rescaled_threshold_tail(n: int, k: int, threshold_tail):
-    """n(1 - U_{n-k,n})/k for one tail mass or an array of them."""
-    return n * threshold_tail / k
-
-
 def balkema_dehaan_stat(draw: ReplicateDraw) -> float:
     """n(1 - U_{n-k,n})/k, which concentrates at 1 as k grows.
 
     The uniform tail mass above the threshold order statistic, rescaled by
     n/k.  Its distribution is exactly n/k times a Beta(k+1, n-k) variable.
     """
-    return _rescaled_threshold_tail(draw.n, draw.k, draw.threshold_tail)
+    return draw.n * draw.threshold_tail / draw.k

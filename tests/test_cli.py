@@ -13,6 +13,8 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremesum import (ConfigError, ExperimentConfig, KRule, SGrid,
                         build_functional_table)
@@ -98,6 +100,43 @@ def test_config_round_trip_is_idempotent():
 def test_config_default_round_trip():
     cfg = ExperimentConfig()
     assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["power", "fixed"]),
+       coeff=st.one_of(st.just(1.0), st.just(1), st.floats(-1, 4)),
+       gamma=st.one_of(st.just(0.4), st.floats(-0.5, 1.5)),
+       fixed_k=st.one_of(st.just(0), st.integers(-2, 60)))
+def test_a_config_that_builds_survives_its_json_round_trip(kind, coeff, gamma, fixed_k):
+    """Each KRule field takes its default or another value; a config that
+    builds, whatever it holds, loads back equal from its JSON."""
+    k_rule = {"kind": kind, "coeff": coeff, "gamma": gamma, "fixed_k": fixed_k}
+    try:
+        cfg = ExperimentConfig(k_rule=k_rule, n_values=(100, 5000))
+    except ConfigError:
+        return
+    assert cfg.k_rule == KRule(**k_rule)
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize("k_rule, key", [
+    ({"kind": "fixed", "fixed_k": 3, "coeff": 2.0}, "coeff"),
+    ({"kind": "fixed", "fixed_k": 3, "gamma": 0.7}, "gamma"),
+    ({"kind": "power", "fixed_k": 5}, "fixed_k"),
+], ids=["fixed-coeff", "fixed-gamma", "power-fixed_k"])
+def test_a_k_rule_field_its_kind_does_not_read_is_refused(tmp_path, capsys, k_rule, key):
+    """to_dict writes only the fields a rule's kind reads, so a config with
+    another would load back from its JSON as a different config."""
+    cfg = _write_config(tmp_path / "cfg.json", k_rule=k_rule)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: k_rule.{key} is not read by a {k_rule['kind']} rule: "
+                   f"leave it out\n")
+    assert not out.exists()
+    _assert_every_build_raises(cfg, err)
+    with pytest.raises(ConfigError, match=re.escape(err[len("config error: "):-1])):
+        ExperimentConfig(k_rule=KRule(**k_rule))
 
 
 def test_config_model_alias_and_conflict():

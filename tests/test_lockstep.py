@@ -508,11 +508,10 @@ def test_a_cell_whose_threshold_raises_fails_alone():
 def test_a_cell_requests_only_the_functionals_it_reads():
     # T1 reads c and mu at k/n; MAX reads Q(1-1/n), which raises at n = 5000
     cells = [(Normal(), 1000, 20), (_ThresholdFloor(), 5000, 20)]
-    for (cf, norming), (model, n, k) in zip(clt._functionals(cells, clt.STATISTICS["T1"].reads),
-                                            cells):
+    for cf, (model, n, k) in zip(clt._functionals(cells, clt.STATISTICS["T1"].reads), cells):
         full = clt.cell_functionals(model, n, k)
-        assert (cf.scale, cf.mean_mass) == (full.scale, full.mean_mass)
-        assert np.isnan([cf.rate_mass, cf.threshold_q, *norming]).all()
+        assert (cf["c(k/n)"], cf["mu(k/n)"]) == (full.scale, full.mean_mass)
+        assert np.isnan([cf[name] for name in clt.CELL_FUNCTIONALS[2:]]).all()
     maxima = clt._functionals(cells, clt.STATISTICS["MAX"].reads)
     assert [isinstance(out, ValueError) for out in maxima] == [False, True]
 

@@ -16,7 +16,8 @@ from extremesum import (
     ks_distance,
 )
 from extremesum import sampling
-from extremesum.sampling import _descending_tails, _rescaled_threshold_tail
+from extremesum.clt import STATISTICS
+from extremesum.sampling import _descending_tails
 
 EXP = Exponential(1.0)
 
@@ -198,7 +199,7 @@ def test_balkema_dehaan_stat_plugin():
 def test_balkema_dehaan_concentrates():
     n, k, reps = 10**6, 100, 400
     tails, _, _ = draw_batch(SeedSpec(13, 0), reps, n, k + 1, EXP)
-    vals = _rescaled_threshold_tail(n, k, tails[:, k])
+    vals = STATISTICS["BDH"].value(n, k, tails[:, k])
     assert abs(vals.mean() - 1.0) < 0.03
     assert abs(vals.std() * np.sqrt(k) - 1.0) < 0.2
 
@@ -206,7 +207,7 @@ def test_balkema_dehaan_concentrates():
 def test_balkema_dehaan_experiment_cell():
     n, k, reps = 50000, 76, 2000
     tails, _, _ = draw_batch(SeedSpec(7, 0), reps, n, k + 1, EXP)
-    vals = _rescaled_threshold_tail(n, k, tails[:, k])
+    vals = STATISTICS["BDH"].value(n, k, tails[:, k])
     assert 0.9 <= vals.mean() <= 1.1
 
 

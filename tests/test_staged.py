@@ -7,9 +7,14 @@ pass per sample length.  None of that may change a report byte: the
 batched summaries must equal the one-sample ones field by field, and a
 whole experiment must equal one assembled cell by cell from
 ``cell_functionals``, ``draw_batch`` and ``summarize_statistic``.  The
-first failing cell, models first, still decides the error.
+first failing cell, models first, still decides the error.  A run draws
+and computes only what its statistics read, and a statistic's sample is
+the same alone and with the others.
 """
 
+import csv
+import dataclasses
+import io
 import math
 import struct
 from itertools import product
@@ -198,3 +203,60 @@ def test_first_cell_over_the_failure_budget_decides_the_error(monkeypatch):
     with pytest.raises(NumericError, match=r"^9 of 9 replicates non-finite for T1 "
                                            r"\(gumbel\(0,1\), n=50000\)$"):
         run_experiment(config)
+
+
+# -- a run draws and computes only what its statistics read ---------------
+
+# two models at two n values (k = 31 and 76), in chunks of 64 order statistics
+_SMALL = dict(models=("exponential(1)", "gumbel(0,1)"), n_values=(5000, 50000), replicates=9,
+              master_seed=11)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The row width of every draw a run makes and the shape of every
+    matrix whose rows it sums."""
+    monkeypatch.setattr(clt, "_CHUNK_ORDER_STATS", 64)
+    seen = {"widths": [], "sums": []}
+    draw, sums = clt._draw_segments, clt._row_fsums
+    monkeypatch.setattr(clt, "_draw_segments", lambda segments, n, count:
+                        seen["widths"].append(count) or draw(segments, n, count))
+    monkeypatch.setattr(clt, "_row_fsums", lambda x: seen["sums"].append(x.shape) or sums(x))
+    return seen
+
+
+@pytest.mark.parametrize("statistics", [["BDH"], ["T2"], ["MAX"]], ids=["BDH", "T2", "MAX"])
+def test_a_run_that_reads_no_top_k_sum_forms_none(calls, statistics):
+    run_experiment(ExperimentConfig(statistics=statistics, **_SMALL))
+    assert calls["widths"]
+    assert calls["sums"] == []
+
+
+def test_a_run_draws_only_the_rows_its_statistics_read(calls):
+    config = ExperimentConfig(statistics=["MAX"], **_SMALL)
+    run_experiment(config)
+    assert set(calls["widths"]) == {1}
+    calls["widths"].clear()
+    run_experiment(dataclasses.replace(config, statistics=("T1", "T2", "T3")))
+    assert set(calls["widths"]) == {config.k_rule.resolve(n) + 1 for n in config.n_values}
+    # T1 and T3 read the top-k sum: every chunk of k+1-wide rows sums its top k
+    assert len(calls["sums"]) == len(calls["widths"])
+    assert {width for _, width in calls["sums"]} == {w - 1 for w in calls["widths"]}
+
+
+def _csv_rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def test_a_statistic_is_the_same_alone_and_with_all_five(monkeypatch):
+    monkeypatch.setattr(clt, "_CHUNK_ORDER_STATS", 64)
+    config = ExperimentConfig(statistics=STATISTIC_IDS, **_SMALL)
+    together = run_experiment(config)
+    rows = _csv_rows(normality_report_csv(together))
+    for stat in STATISTIC_IDS:
+        alone = run_experiment(dataclasses.replace(config, statistics=(stat,)))
+        assert _csv_rows(normality_report_csv(alone)) == [r for r in rows if r["stat"] == stat]
+        assert alone.samples.keys() == together.samples.keys()
+        for key, cell in alone.samples.items():
+            assert list(cell) == [stat]
+            assert cell[stat].values.tobytes() == together.samples[key][stat].values.tobytes()
