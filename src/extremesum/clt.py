@@ -26,7 +26,9 @@ when a summary fails it; the config validates tolerances against it.
 An experiment runs in three stages, each over all of its cells.  First,
 the functionals that a run's statistics read, of c, mu, rho and Q at k/n
 and c and Q at 1/n, come for every cell from one request per functional
-across the models, so no other functional can fail a run.  Second, at
+across the models, all run together, so no other functional can fail a
+run.  CELL_FUNCTIONALS maps each of them to its request, so a cell
+functional is one row there.  Second, at
 each n, each draw that a run's statistics read gives the rows of every
 model, one replicate per row, drawn one model after another in chunks of
 about 2^14 order statistics that may span models, so memory stays flat in
@@ -52,13 +54,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .cephes import ndtr
 from .errors import ConfigError, NumericError
-from .functionals import _at_s, _mean, _rate, _run, _scale, _values, _variance, tail_scale
+from .functionals import _mean, _quantile, _rate, _run, _scale, _values, _variance, tail_scale
 from .gof import distances
 from .models import TailModel
 from .sampling import ReplicateDraw, SeedSpec, _draw_segments
@@ -121,32 +123,33 @@ class CellFunctionals:
     threshold_q: float  # Q(1 - k/n)
 
 
-# The functionals a cell may read, in the order in which its first error is
-# found: c, mu, rho and Q at s = k/n, then the norming c and Q of the maximum.
-CELL_FUNCTIONALS = ("c(k/n)", "mu(k/n)", "rho(k/n)", "Q(1-k/n)", "c(1/n)", "Q(1-1/n)")
+# The functionals a cell may read, each with its request, taken at the
+# tail mass its name says (k/n or 1/n), in the order in which a cell's
+# first error is found: c, mu, rho and Q at s = k/n, then the norming c and
+# Q of the maximum.
+CELL_FUNCTIONALS = {"c(k/n)": lambda keys: _scale(keys, 1.0),
+                    "mu(k/n)": _mean,
+                    "rho(k/n)": lambda keys: _rate(keys, extended=True),
+                    "Q(1-k/n)": _quantile,
+                    "c(1/n)": lambda keys: _scale(keys, 1.0),
+                    "Q(1-1/n)": _quantile}
+
+# The functionals at s = k/n, in the order of CellFunctionals' fields.
+_AT_KN = tuple(name for name in CELL_FUNCTIONALS if "k/n" in name)
 
 
 def _functionals(cells, reads):
     """Per (model, n, k) cell, its value of each of CELL_FUNCTIONALS by
     name, or the first error of those in ``reads``.  Only those are
-    requested, and the others read NaN.  One request per functional spans
-    the cells, with one tail_quantile call per model."""
-    kn = [(model, k / n) for model, n, k in cells]
-    one = [(model, 1.0 / n) for model, n, _ in cells]
-    at = {name: (kn if "k/n" in name else one) if name in reads else []
-          for name in CELL_FUNCTIONALS}
-    scales, means, rates = _run(_scale(at["c(k/n)"] + at["c(1/n)"], 1.0), _mean(at["mu(k/n)"]),
-                                _rate(at["rho(k/n)"], extended=True))
-    failed = {}
-    qs = _at_s(at["Q(1-k/n)"] + at["Q(1-1/n)"], failed).tolist()
-    qs = [failed.get(i, (q,)) for i, q in enumerate(qs)]
-    # one outcome per cell for each of CELL_FUNCTIONALS, in its order
-    c_kn, q_kn = len(at["c(k/n)"]), len(at["Q(1-k/n)"])
-    columns = [col or [(math.nan,)] * len(cells)
-               for col in (scales[:c_kn], means, rates, qs[:q_kn], scales[c_kn:], qs[q_kn:])]
+    requested, and the others read NaN.  Each request spans the cells, and
+    all of them run together."""
+    names = [name for name in CELL_FUNCTIONALS if name in reads]
+    outs = dict(zip(names, _run(*(CELL_FUNCTIONALS[name](
+        [(m, k / n if "k/n" in name else 1.0 / n) for m, n, k in cells]) for name in names))))
     # per cell, its first error or its values by name
-    return [next((o for o in row if isinstance(o, Exception)), None)
-            or {name: o[0] for name, o in zip(CELL_FUNCTIONALS, row)} for row in zip(*columns)]
+    return [next((out[j] for out in outs.values() if isinstance(out[j], Exception)), None)
+            or {name: outs[name][j][0] if name in outs else math.nan for name in CELL_FUNCTIONALS}
+            for j in range(len(cells))]
 
 
 def cell_functionals(model: TailModel, n: int, k: int) -> CellFunctionals:
@@ -154,10 +157,10 @@ def cell_functionals(model: TailModel, n: int, k: int) -> CellFunctionals:
     k = int(k)
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    [out] = _functionals([(model, n, k)], CELL_FUNCTIONALS[:4])
+    [out] = _functionals([(model, n, k)], _AT_KN)
     if isinstance(out, Exception):
         raise out
-    return CellFunctionals(n, k, *(out[name] for name in CELL_FUNCTIONALS[:4]))
+    return CellFunctionals(n, k, *(out[name] for name in _AT_KN))
 
 
 def _one_draw(stat, draw: ReplicateDraw, model, cf):
@@ -167,8 +170,7 @@ def _one_draw(stat, draw: ReplicateDraw, model, cf):
         cf = cell_functionals(model, draw.n, draw.k)
     elif (cf.n, cf.k) != (draw.n, draw.k):
         raise ValueError("cell functionals do not match the draw's (n, k)")
-    v = {**dict(zip(CELL_FUNCTIONALS, (cf.scale, cf.mean_mass, cf.rate_mass, cf.threshold_q))),
-         "X_{n-k,n}": draw.threshold_x}
+    v = {**dict(zip(_AT_KN, astuple(cf)[2:])), "X_{n-k,n}": draw.threshold_x}
     if "S_k" in STATISTICS[stat].reads:
         v["S_k"] = math.fsum(draw.top_x)
     return STATISTICS[stat].value(cf.n, cf.k, *(v[name] for name in STATISTICS[stat].reads))
@@ -578,7 +580,7 @@ def _run_cell(model, n, k, replicates, master_seed, stream_base, statistics):
     if isinstance(out, Exception):
         raise out
     [arrays] = _run_cells([(model, out, stream_base)], n, k, replicates, master_seed, statistics)
-    return arrays, CellFunctionals(n, k, *(out[name] for name in CELL_FUNCTIONALS[:4]))
+    return arrays, CellFunctionals(n, k, *(out[name] for name in _AT_KN))
 
 
 def run_experiment(config) -> ExperimentResult:

@@ -27,11 +27,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .clt import STATISTIC_IDS, KRule, _is_number, check_tolerances
+from .clt import FAILURE_BUDGET, STATISTIC_IDS, KRule, _is_number, check_tolerances
 from .errors import ConfigError
 from .functionals import SGrid
 from .limits import DEFAULT_CHECKS
 from .models import parse_model
+from .sampling import _TINY
 
 _SGRID_KEYS = ("start", "ratio", "count")   # SGrid.geometry's order
 
@@ -212,6 +213,10 @@ class ExperimentConfig:
             if k + 1 > _MAX_ORDER_STATS:
                 raise ConfigError(f"k_rule gives k={k} for n={n}: a replicate draws at most "
                                   f"{_MAX_ORDER_STATS} order statistics (k + 1)")
+            # a replicate's smallest tail mass falls below 2^-53 with chance about n 2^-53
+            if n > FAILURE_BUDGET / _TINY:
+                raise ConfigError(f"n={n} is over {FAILURE_BUDGET / _TINY:.4g}: past it, more than "
+                                  f"{FAILURE_BUDGET:g} of replicates clamp a tail mass at 2^-53")
         _reject_duplicates("n value", self.n_values)
         if not _is_int(self.replicates) or self.replicates < 1:
             raise ConfigError("replicates must be an integer >= 1")
@@ -231,6 +236,7 @@ class ExperimentConfig:
         for b in self.betas:
             if not (b > 0.0 and math.isfinite(b)):
                 raise ConfigError(f"betas must be finite and strictly positive, got {b!r}")
+        _reject_duplicates("beta", self.betas)
         bad = [c for c in self.checks if c not in DEFAULT_CHECKS]
         if bad:
             raise ConfigError(

@@ -9,9 +9,18 @@ with four quantities:
     rho(s)     = int_0^s r(u) du                               (rate integral)
 
 c(s) is shorthand for c(s, 1).  Each functional prefers an exact closed
-form when the model provides one and otherwise falls back to adaptive
-quadrature in logarithmic tail coordinates.  Two independent quadrature
-routes exist for the scale functional and are kept separate on purpose:
+form and otherwise falls back to adaptive quadrature in logarithmic tail
+coordinates.  A closed form is the model's own or is filled from the
+model's own by an exact identity:
+
+    c(s)   = rho(s) / s            where the model closes rho(s),
+    mu(s)  = rho(s) + s Q(1-s)     where the model closes rho(s),
+    rho(s) = s c(s)                where the model closes c(s).
+
+Each identity is written once, in ``_closed_scale``, ``_closed_mean`` and
+``_closed_rate``, and each reads only the model's own closed forms, so a
+filled value never fills another.  Two independent quadrature routes
+exist for the scale functional and are kept separate on purpose:
 
 * ``method="ibp"`` uses the integrated-by-parts representation, written
   in the cancellation-free form
@@ -39,7 +48,8 @@ steps: it resolves closed forms key by key, yields the tail quadratures
 it still needs as data, (model, s, kind, beta), and finishes its
 outcomes from theirs (the beta scaling of the ibp route, sigma2 = 2 J2 -
 rho^2, the divergence check); ``_KINDS`` holds the five kinds (c by ibp
-or stieltjes, mu, rho, J2).  ``_run`` drives any number of requests
+or stieltjes, mu, rho, J2).  Q(1-s) is a request too, ``_quantile``,
+which asks for no quadrature.  ``_run`` drives any number of requests
 together, so one step of a command is one lockstep batch (see
 ``quadrature``), which integrates each distinct quadrature once:
 ``build_functional_table`` resolves all its columns at once, and the
@@ -209,12 +219,14 @@ def _per_group(groups, failed):
     return each
 
 
-def _at_s(keys, failed):
-    """Q(1-s) of every key, one array call per model; a key whose own call
-    raises is mapped to that error in ``failed``."""
+def _at_s(keys):
+    """The outcome of Q(1-s) at every key, (value, 0.0), from one array
+    call per model; a key whose own call raises gets that error."""
+    failed = {}
     ss = np.array([s for _, s in keys])
-    return _per_group([(model,) for model, _ in keys], failed)(
-        np.arange(ss.size), lambda model, i, at: model.tail_quantile(ss[i]))
+    qs = _per_group([(model,) for model, _ in keys], failed)(
+        np.arange(ss.size), lambda model, i, at: model.tail_quantile(ss[i])).tolist()
+    return [failed.get(i, (q, 0.0)) for i, q in enumerate(qs)]
 
 
 # -- requests -------------------------------------------------------------
@@ -280,13 +292,12 @@ def _integrate(quads):
     gets that error.  Each round calls each (kind, model) integrand once."""
     once = list(dict.fromkeys(quads))
     reads = [quad for quad in once if _KINDS[quad[2]].at_s]
-    failed = {}
-    q_of = dict(zip(reads, _at_s([quad[:2] for quad in reads], failed).tolist()))
-    outs = {reads[i]: exc for i, exc in failed.items()}
+    q_of = dict(zip(reads, _at_s([quad[:2] for quad in reads])))
+    outs = {quad: q for quad, q in q_of.items() if isinstance(q, Exception)}
     live = [quad for quad in once if quad not in outs]
     if live:
         models, ss, kinds, betas = zip(*live)
-        qs = np.array([q_of.get(quad, math.nan) for quad in live])
+        qs = np.array([q_of.get(quad, (math.nan,))[0] for quad in live])
         failed = {}
         each = _per_group(list(zip(kinds, models)), failed)
         got = tail_quads(
@@ -337,6 +348,13 @@ def _run(*requests):
         return done.value
 
 
+def _quantile(keys):
+    """The request for Q(1-s) at ``keys``: no quadrature, one array call
+    per model."""
+    return _at_s(keys)
+    yield   # a request that asks for nothing
+
+
 def _scale_ibp(keys, beta):
     outs = yield from _tail_quads(keys, "ibp", beta)
     return [out if isinstance(out, Exception) else (beta * out[0], beta * out[1])
@@ -378,12 +396,37 @@ def _resolve(keys, what, method, closed, **routes):
     return outs
 
 
+# The closed forms that ``_resolve`` takes: the model's own, else one
+# identity applied to the model's own (see the module docstring).
+
+
+def _closed_scale(model, s, beta):
+    """c(s, beta), else c(s) = rho(s) / s where rho(s) is closed."""
+    c = model.closed_scale(s, beta)
+    rho = model.closed_rate_integral(s) if c is None and beta == 1.0 else None
+    return c if rho is None else rho / s
+
+
+def _closed_mean(model, s):
+    """mu(s), else rho(s) + s Q(1-s) where rho(s) is closed."""
+    mu = model.closed_mean_mass(s)
+    rho = model.closed_rate_integral(s) if mu is None else None
+    return mu if rho is None else rho + s * model.tail_quantile(s)
+
+
+def _closed_rate(model, s):
+    """rho(s), else s c(s) where c(s) is closed."""
+    rho = model.closed_rate_integral(s)
+    c = model.closed_scale(s, 1.0) if rho is None else None
+    return rho if c is None else s * c
+
+
 def _scale(keys, beta, method="auto"):
     beta = float(beta)
     if not beta > 0.0:
         raise ValueError("beta must be strictly positive")
     return _resolve(keys, lambda s: f"c({s:g},{beta:g})", method,
-                    lambda model, s: model.closed_scale(s, beta),
+                    lambda model, s: _closed_scale(model, s, beta),
                     ibp=lambda keys: _scale_ibp(keys, beta),
                     stieltjes=lambda keys: _tail_quads(keys, "stieltjes", beta))
 
@@ -407,8 +450,7 @@ def _keys(model, ss):
 
 
 def _mean(keys, method="auto"):
-    return _resolve(keys, lambda s: f"mu({s:g})", method,
-                    lambda model, s: model.closed_mean_mass(s),
+    return _resolve(keys, lambda s: f"mu({s:g})", method, _closed_mean,
                     quadrature=lambda keys: _tail_quads(keys, "mu"))
 
 
@@ -428,28 +470,20 @@ def _rate(keys, extended=False, method="auto"):
         )
     what = lambda s: f"rho({s:g})"
     rates, extended_rates = yield from _together([
-        _resolve(rated, what, method, lambda model, s: model.closed_rate_integral(s),
+        _resolve(rated, what, method, _closed_rate,
                  quadrature=lambda keys: _tail_quads(keys, "rho")),
-        _resolve(unrated, what, method, _rate_from_scale,
+        _resolve(unrated, what, method, _closed_rate,
                  quadrature=lambda keys: _rate_from_mean(keys, method))])
     outs = dict(zip(rated + unrated, rates + extended_rates))
     return [outs[key] for key in keys]
 
 
-def _rate_from_scale(model, s):
-    # rho(s) = s c(s), exact where c(s, 1) is closed
-    c = model.closed_scale(s, 1.0)
-    return None if c is None else s * c
-
-
 def _rate_from_mean(keys, method):
     """The request for rho(s) = mu(s) - s Q(1-s), with ``method`` passed
     on to the mean mass."""
-    mus = yield from _mean(keys, method)
-    failed = {}
-    qs = _at_s(keys, failed).tolist()
-    return [mu if isinstance(mu, Exception) else failed.get(i, (mu[0] - s * q, mu[1]))
-            for i, ((_, s), q, mu) in enumerate(zip(keys, qs, mus))]
+    mus, qs = yield from _together([_mean(keys, method), _quantile(keys)])
+    return [mu if isinstance(mu, Exception) else q if isinstance(q, Exception)
+            else (mu[0] - s * q[0], mu[1]) for (_, s), q, mu in zip(keys, qs, mus)]
 
 
 def rate_integral(model: TailModel, s, extended: bool = False,
@@ -457,10 +491,10 @@ def rate_integral(model: TailModel, s, extended: bool = False,
     """Rate integral rho(s) = int_0^s r(u) du.
 
     Models without an analytic slowly varying rate raise unless
-    ``extended`` is set.  Then ``method="auto"`` takes the exact
-    rho(s) = s c(s) where the model's c(s) is closed, and otherwise the
-    identity rho(s) = mu(s) - s Q(1-s) supplies the value, with
-    ``method`` passed on to the mean mass.
+    ``extended`` is set.  ``method="auto"`` takes the model's closed
+    rho(s), else the exact s c(s) where its c(s) is closed.  Otherwise a
+    model with a rate integrates r(u), and one without takes the identity
+    rho(s) = mu(s) - s Q(1-s), with ``method`` passed on to the mean mass.
     """
     ss, shape = _masses(s)
     return _settle(_rate(_keys(model, ss), extended, method), shape, with_error)

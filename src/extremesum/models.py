@@ -24,6 +24,12 @@ exactly the scalar call's value, and quadrature can batch its nodes.
 Weibull's density and rate keep C pow on each element for the power
 (-ln t)^(1/k - 1), the arithmetic a scalar has always taken.
 
+A model declares only the closed forms it has (``closed_scale``,
+``closed_mean_mass``, ``closed_variance``, ``closed_rate_integral``; None
+where it has none).  It never restates one through another: the
+functional layer fills a gap by the exact identities rho(s) = s c(s) and
+rho(s) = mu(s) - s Q(1-s) before it falls back to quadrature.
+
 The families built on ``scipy.special`` (Gumbel, Weibull, Normal,
 LogNormal, Gamma) import it when constructed, so a config naming one
 pays for the import while it is validated, and a command on the other
@@ -150,7 +156,7 @@ class TailModel:
     def _tail_rate(self, u):
         raise NotImplementedError
 
-    # -- optional closed forms; None means "use quadrature" -------------
+    # -- optional closed forms; None means "not declared" ----------------
 
     def closed_mean_mass(self, s):
         """mu(s) = int_{1-s}^1 Q(u) du, when an exact form is known."""
@@ -249,15 +255,6 @@ class Gumbel(TailModel):
         big_g = -math.log1p(-s)
         return self.scale * (_EULER_GAMMA + math.log(big_g) + float(special.exp1(big_g)))
 
-    def closed_mean_mass(self, s):
-        # exact via mu = rho + s Q(1-s)
-        return self.closed_rate_integral(s) + s * self.tail_quantile(s)
-
-    def closed_scale(self, s, beta):
-        if beta == 1.0:
-            return self.closed_rate_integral(s) / s
-        return None
-
 
 class Weibull(TailModel):
     """Weibull(shape) with unit scale; Q(1-t) = (ln(1/t))^{1/shape}."""
@@ -306,11 +303,6 @@ class Weibull(TailModel):
         k = self.shape
         big_l = -math.log(s)
         return float(special.gamma(1.0 + 1.0 / k) * special.gammaincc(1.0 + 1.0 / k, big_l))
-
-    def closed_scale(self, s, beta):
-        if beta == 1.0:
-            return self.closed_rate_integral(s) / s
-        return None
 
 
 class Normal(TailModel):
@@ -487,28 +479,22 @@ class AffineModel(TailModel):
         return self.scale * self.base._tail_rate(u)
 
     def closed_mean_mass(self, s):
-        inner = self.base.closed_mean_mass(s)
-        if inner is None:
-            return None
-        return self.scale * inner + s * self.shift
+        return _affine(self.base.closed_mean_mass(s), lambda mu: self.scale * mu + s * self.shift)
 
     def closed_scale(self, s, beta):
-        inner = self.base.closed_scale(s, beta)
-        if inner is None:
-            return None
-        return self.scale * inner
+        return _affine(self.base.closed_scale(s, beta), lambda c: self.scale * c)
 
     def closed_variance(self, s):
-        inner = self.base.closed_variance(s)
-        if inner is None:
-            return None
-        return self.scale**2 * inner
+        return _affine(self.base.closed_variance(s), lambda var: self.scale**2 * var)
 
     def closed_rate_integral(self, s):
-        inner = self.base.closed_rate_integral(s)
-        if inner is None:
-            return None
-        return self.scale * inner
+        return _affine(self.base.closed_rate_integral(s), lambda rho: self.scale * rho)
+
+
+def _affine(inner, transform):
+    """transform(inner), a base model's closed form carried over, or None
+    where the base has none."""
+    return None if inner is None else transform(inner)
 
 
 # A catalog model plus a note on where its closed forms come from.

@@ -460,16 +460,22 @@ def test_exit_config_on_wrong_field_type(tmp_path, capsys, field, named):
      f"k_rule gives k=251188644 for n={10**21}: a replicate draws at most 1048576"),
     ("simulate", {"n_values": [100], "k_rule": {"kind": "fixed", "fixed_k": 100}},
      "k rule gives k=100 outside [1, 99] for n=100"),
+    # n past which more than FAILURE_BUDGET of the replicates clamp at 2^-53
+    ("simulate", {"n_values": [10**400], "k_rule": {"kind": "fixed", "fixed_k": 76}},
+     f"n={10**400} is over 9.007e+12: past it"),
+    ("simulate", {"n_values": [10**17], "k_rule": {"kind": "fixed", "fixed_k": 76},
+                  "replicates": 200}, f"n={10**17} is over 9.007e+12: past it"),
 ], ids=["coeff-overflow", "coeff-inf", "coeff-str", "gamma-str", "betas-inf-functionals",
         "betas-inf-lemmas", "coeff-huge-int", "gamma-huge-int", "betas-huge-int",
         "s-grid-huge-int", "s-grid-count-1e9", "s-grid-count-huge-int", "replicates-1e12",
-        "k-over-cap", "fixed-k-not-below-n"])
+        "k-over-cap", "fixed-k-not-below-n", "n-huge-int", "n-past-clamp"])
 def test_exit_config_on_bad_k_rule_or_beta(tmp_path, capsys, command, field, named):
     """A k rule whose k overflows, is not a number, is not below n or
     passes the order statistics a replicate may draw, an infinite beta, an
-    integer too large for a float, and an s_grid.count or a models x
-    replicates product over its cap are config errors (exit 2) that name
-    the key, and the constructor and dataclasses.replace raise them too."""
+    integer too large for a float, an s_grid.count or a models x
+    replicates product over its cap, and an n the sampler cannot draw
+    faithfully are config errors (exit 2) that name the key, and the
+    constructor and dataclasses.replace raise them too."""
     cfg = _write_config(tmp_path / "cfg.json", **field)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
@@ -482,7 +488,8 @@ def test_exit_config_on_bad_k_rule_or_beta(tmp_path, capsys, command, field, nam
 
 def test_validate_caps_order_statistics_and_rows():
     """k + 1 order statistics per replicate and models x replicates per n
-    are capped at 2^20 each, the cap itself allowed."""
+    are capped at 2^20 each, and n at about 9.0e12, each cap itself
+    allowed."""
     n = 2**30
     ExperimentConfig(n_values=(n,), k_rule=KRule(kind="fixed", fixed_k=2**20 - 1))
     with pytest.raises(ConfigError, match="k_rule gives k=1048576 for n=1073741824"):
@@ -490,6 +497,10 @@ def test_validate_caps_order_statistics_and_rows():
     two = ("exponential(1.0)", "normal")
     ExperimentConfig(replicates=2**20)
     ExperimentConfig(models=two, replicates=2**19)
+    # n is capped at FAILURE_BUDGET / 2^-53 = 9007199254740.992
+    ExperimentConfig(n_values=(9_007_199_254_740,), k_rule=KRule(kind="fixed", fixed_k=76))
+    with pytest.raises(ConfigError, match=r"n=9007199254741 is over 9\.007e\+12"):
+        ExperimentConfig(n_values=(9_007_199_254_741,), k_rule=KRule(kind="fixed", fixed_k=76))
     for models, replicates in ((("exponential(1.0)",), 2**20 + 1), (two, 2**19 + 1)):
         with pytest.raises(ConfigError, match="replicates times the number of models"):
             ExperimentConfig(models=models, replicates=replicates)
@@ -511,11 +522,13 @@ def test_validate_rejects_overflowing_k_rule_and_infinite_beta():
     ("simulate", {"statistics": ["T1", "T1", "MAX"]}, "duplicate statistic 'T1'"),
     ("lemmas", {"checks": ["spacing_log_limit", "spacing_log_limit"]},
      "duplicate check 'spacing_log_limit'"),
-], ids=["models", "n_values", "statistics", "checks"])
+    ("lemmas", {"betas": [2, 2.0], "checks": ["scale_beta_limit"]}, "duplicate beta 2.0"),
+], ids=["models", "n_values", "statistics", "checks", "betas"])
 def test_exit_config_on_duplicate_entry(tmp_path, capsys, command, field, named):
-    """A repeated model (by its description), n value, statistic or check
-    is a config error: the outputs key their cells, rows and sample files
-    by these names, so a repeat would overwrite or double them."""
+    """A repeated model (by its description), n value, statistic, beta
+    (by its value) or check is a config error: the outputs key their cells,
+    rows, columns and sample files by these names, so a repeat would
+    overwrite or double them."""
     cfg = _write_config(tmp_path / "cfg.json", replicates=20, dump_samples=True,
                         tolerances={"T1": {"ks": 1.0}}, **field)
     out = tmp_path / "out"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from extremesum import (
+    AffineModel,
     Exponential,
     Gamma,
     Gumbel,
@@ -528,6 +529,56 @@ def test_failed_quadrature_fails_again(quad_calls):
     assert messages == [messages[0]] * 3
     assert messages[0].startswith("c(0.1,0.5) ibp: quadrature did not converge")
     assert len(quad_calls) == 3
+
+
+# -- closed forms filled by identities -----------------------------------
+
+
+class _RateOnly(Exponential):
+    """An exponential that declares rho(s) but neither c(s) nor mu(s)."""
+
+    def closed_scale(self, s, beta):
+        return None
+
+    def closed_mean_mass(self, s):
+        return None
+
+
+class _ScaleOnly(Exponential):
+    """An exponential, tail rate and all, that does not declare rho(s)."""
+
+    def closed_rate_integral(self, s):
+        return None
+
+
+_FILLED_MASSES = (0.5, 0.1, 1e-3, 1e-6, 1e-12)
+
+
+@pytest.mark.parametrize("model, rho", [
+    (_RateOnly(2.0), _RateOnly(2.0).closed_rate_integral),
+    (AffineModel(_RateOnly(2.0), 3.0, -1.0), lambda s: 3.0 * (s / 2.0)),
+], ids=["rate-only", "affine-over-rate-only"])
+def test_a_closed_rate_closes_scale_and_mean(quad_calls, model, rho):
+    """c(s) = rho(s) / s and mu(s) = rho(s) + s Q(1-s), exact with error 0,
+    where the model declares only rho(s); c(s, beta) for beta != 1 has no
+    such identity and is integrated."""
+    for s in _FILLED_MASSES:
+        assert _bits(tail_scale(model, s, with_error=True)) == _bits((rho(s) / s, 0.0))
+        assert _bits(tail_mean(model, s, with_error=True)) == \
+            _bits((rho(s) + s * model.tail_quantile(s), 0.0))
+    assert quad_calls == []
+    tail_scale(model, 0.1, 2.0)
+    assert quad_calls == ["c(0.1,2) ibp"]
+
+
+def test_a_closed_scale_closes_the_rate_of_a_rated_model(quad_calls):
+    """rho(s) = s c(s), exact with error 0, where a model with a tail rate
+    declares c(s) but not rho(s): r(u) is not integrated."""
+    model = _ScaleOnly(2.0)
+    for s in _FILLED_MASSES:
+        assert _bits(rate_integral(model, s, with_error=True)) == \
+            _bits((s * model.closed_scale(s, 1.0), 0.0))
+    assert quad_calls == []
 
 
 def test_limit_suite_repeats_on_one_instance():

@@ -511,9 +511,21 @@ def test_a_cell_requests_only_the_functionals_it_reads():
     for cf, (model, n, k) in zip(clt._functionals(cells, clt.STATISTICS["T1"].reads), cells):
         full = clt.cell_functionals(model, n, k)
         assert (cf["c(k/n)"], cf["mu(k/n)"]) == (full.scale, full.mean_mass)
-        assert np.isnan([cf[name] for name in clt.CELL_FUNCTIONALS[2:]]).all()
+        assert np.isnan([cf[name] for name in list(clt.CELL_FUNCTIONALS)[2:]]).all()
     maxima = clt._functionals(cells, clt.STATISTICS["MAX"].reads)
     assert [isinstance(out, ValueError) for out in maxima] == [False, True]
+
+
+def test_a_cell_functional_is_one_row(monkeypatch):
+    """A row added to CELL_FUNCTIONALS is requested only when read, at the
+    tail mass its name says, with the bits of the public functional."""
+    monkeypatch.setitem(clt.CELL_FUNCTIONALS, "sigma2(k/n)", functionals._variance)
+    cells = [(Normal(), 1000, 20), (Exponential(2.0), 5000, 31), (LogNormal(), 2000, 7)]
+    for cf in clt._functionals(cells, ("c(k/n)",)):
+        assert np.isnan(cf["sigma2(k/n)"])
+    for cf, (model, n, k) in zip(clt._functionals(cells, ("sigma2(k/n)",)), cells):
+        assert cf["sigma2(k/n)"].hex() == tail_variance(model, k / n).hex()
+        assert np.isnan(cf["c(k/n)"])
 
 
 def test_experiment_names_the_cell_whose_threshold_raises(monkeypatch):
